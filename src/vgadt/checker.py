@@ -187,8 +187,9 @@ def compute_closure_flags(sig: Signature, preset: str
     diags: list[Diagnostic] = []
     for v, name in sig.closed_decls:
         if v in stripped.get(name, set()):
+            line, col = sig.decl_pos.get(("closed", (v, name)), (0, 0))
             diags.append(Diagnostic(
-                0, 0,
+                line, col,
                 f"closed {v.value} {name}: contradicted by a private or "
                 f"base-order edge"))
         else:

@@ -7,7 +7,8 @@ cross-checks syntactic verdicts against the brute-force semantics on a
 bounded universe.
 
 Exit codes: 0 all accepted / full agreement, 1 at least one rejection or
-disagreement, 2 unreadable input, parse error or ill-formed signature.
+disagreement, 2 unreadable input, parse error, ill-formed signature or
+internal error (reported in one line, never as a traceback).
 Structured output (`--format=structured`) is one JSON record per line on
 stdout; diagnostics go to stderr.
 """
@@ -342,11 +343,14 @@ def run(argv: Sequence[str], out: TextIO = sys.stdout,
     if cfg.depth < 1:
         print("--depth must be >= 1", file=err)
         return EXIT_ERROR
-    if cfg.command == "check":
-        return _cmd_check(cfg, out, err)
-    if cfg.command == "infer":
-        return _cmd_infer(cfg, out, err)
-    return _cmd_oracle(cfg, out, err)
+    command = {"check": _cmd_check, "infer": _cmd_infer,
+               "oracle": _cmd_oracle}[cfg.command]
+    try:
+        return command(cfg, out, err)
+    except Exception as exc:   # exit 1 means "rejected", never a crash
+        print(f"vgadt: internal error: {type(exc).__name__}: {exc}",
+              file=err)
+        return EXIT_ERROR
 
 
 def main() -> None:

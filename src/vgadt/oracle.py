@@ -8,6 +8,14 @@ ground-type quantifiers finitized to all types of bounded syntactic
 depth.  A bounded verdict is labeled with its depth by the caller and is
 never a theorem: `True` means "no counterexample up to this depth".
 
+Ground types are hash-consed into dense integer ids (Filliâtre &
+Conchon, "Type-safe modular hash-consing", 2006): a type is its head
+and the tuple of its children's ids, and children always get their ids
+first.  The subtyping relation is kept as Python-int bitsets over the
+ids, one row per type, so the quantifier loops run over integers and bit
+tests instead of type trees.  Instances deeper than the universe (a
+bound `'b pos` at depth d + 1) get an id on demand.
+
 Existential witnesses are searched through the subterm-closed universe,
 trying the subterms of the candidate supertype first: in head-atomic
 worlds witnesses arise by inversion on that type, so a statement true at
@@ -23,20 +31,21 @@ extra rules.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+from .criterion import target_variance
 from .syntax import (
     App,
-    ConstraintRel,
     DataConstructorDecl,
     DatatypeDecl,
     Signature,
     TypeExpr,
+    Var,
     is_ground,
     normalize_constructor,
     render_type,
-    subst,
 )
 from .variance import (
     CONTRA,
@@ -45,6 +54,7 @@ from .variance import (
     IRR,
     Variance,
     VarianceContext,
+    compose,
 )
 
 DEFAULT_UNIVERSE_CAP = 200_000
@@ -54,49 +64,275 @@ class UniverseSizeError(Exception):
     pass
 
 
-@dataclass
-class GroundUniverse:
+def _members(bits: int) -> Iterator[int]:
+    """The positions of the set bits of a non-negative int, ascending."""
+    text = bin(bits)[:1:-1]
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
+
+
+class TypeTable:
+    """Hash-consed ground types and their subtyping relation as bitsets.
+
+    `build` fixes the ids interned so far as the dense ones and computes
+    their rows: `le[i]` is the set of dense ids j with type i <= type j,
+    and `ge[i]` the set of dense j with type j <= type i.  Ids interned
+    later are deep: they keep no rows, and their relations are computed
+    from their children's when asked for.
+    """
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.heads: list[str] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.le: list[int] = []
+        self.ge: list[int] = []
+        #: The number of dense ids, and their set.
+        self.dense = 0
+        self.full = 0
+        #: The id of every type interned from a TypeExpr.
+        self.index: dict[TypeExpr, int] = {}
+        self._ids: dict[tuple[str, tuple[int, ...]], int] = {}
+        self._variances = {name: info.variances
+                           for name, info in sig.ctors.items()}
+        ws = self._variances
+        reach = sig.head_reach()
+        # Heads a type of head h may lie below (up) or above (down); the
+        # edges between heads preserve arity and variances.
+        self._up = {h: frozenset(g for g in reach.get(h, {h})
+                                 if ws.get(g) == ws[h])
+                    for h in sig.ctors}
+        self._down = {h: tuple(g for g in sig.ctors
+                               if ws[g] == ws[h] and h in reach.get(g, ()))
+                      for h in sig.ctors}
+        self._head_ids: dict[str, int] = {}
+        # (head, argument position) -> {child id -> ids with that child}.
+        self._by_kid: dict[tuple[str, int], dict[int, int]] = {}
+
+    def intern(self, head: str, kids: tuple[int, ...]) -> int:
+        """The id of head(kids), added if new."""
+        key = (head, kids)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.heads)
+            self.heads.append(head)
+            self.kids.append(kids)
+        return i
+
+    def intern_expr(self, t: TypeExpr) -> int:
+        i = self.index.get(t)
+        if i is None:
+            if not isinstance(t, App):
+                raise ValueError("ground types only")
+            i = self.intern(t.ctor, tuple(self.intern_expr(a) for a in t.args))
+            self.index[t] = i
+        return i
+
+    def build(self) -> None:
+        """Make every id interned so far dense and compute the rows.
+
+        Ids are related in order: type x is compared with every earlier
+        type whose head is related to its own, as the intersection over
+        argument positions of the types whose child there is related to
+        x's child.  Children have smaller ids, so their rows exist."""
+        if self.dense == len(self.heads):
+            return
+        le, ge = self.le, self.ge
+        for x in range(self.dense, len(self.heads)):
+            bit = 1 << x
+            up, down = self._rows_from_kids(x)
+            up |= bit
+            down |= bit
+            le.append(up)
+            ge.append(down)
+            for j in _members(down ^ bit):
+                le[j] |= bit
+            for j in _members(up ^ bit):
+                ge[j] |= bit
+            h = self.heads[x]
+            self._head_ids[h] = self._head_ids.get(h, 0) | bit
+            for p, k in enumerate(self.kids[x]):
+                by_kid = self._by_kid.setdefault((h, p), {})
+                by_kid[k] = by_kid.get(k, 0) | bit
+            self.dense = x + 1
+        self.full = (1 << self.dense) - 1
+
+    def row(self, v: Variance, a: int) -> int:
+        """The set of dense ids b with a prec_v b."""
+        return self._pick(v, *self._up_down(a))
+
+    def _pick(self, v: Variance, up: int, down: int) -> int:
+        if v is COV:
+            return up
+        if v is CONTRA:
+            return down
+        if v is INV:
+            return up & down
+        return self.full
+
+    def _up_down(self, a: int) -> tuple[int, int]:
+        """The dense ids above and below a."""
+        if a < self.dense:
+            return self.le[a], self.ge[a]
+        return self._rows_from_kids(a)
+
+    def prec(self, v: Variance, a: int, b: int) -> bool:
+        if v is IRR:
+            return True
+        if a < self.dense and b < self.dense:
+            if v is COV:
+                return self.le[a] >> b & 1 == 1
+            if v is CONTRA:
+                return self.ge[a] >> b & 1 == 1
+            return self.le[a] >> b & self.ge[a] >> b & 1 == 1
+        if v is COV:
+            return self._sub(a, b)
+        if v is CONTRA:
+            return self._sub(b, a)
+        return self._sub(a, b) and self._sub(b, a)
+
+    def _sub(self, a: int, b: int) -> bool:
+        """a <= b, structurally down to pairs of dense ids."""
+        if a == b:
+            return True
+        heads, d, le = self.heads, self.dense, self.le
+        h = heads[a]
+        if heads[b] not in self._up[h]:
+            return False
+        for w, x, y in zip(self._variances[h], self.kids[a], self.kids[b]):
+            if w is IRR or x == y:
+                continue
+            if x < d and y < d:
+                if w is COV:
+                    ok = le[x] >> y & 1
+                elif w is CONTRA:
+                    ok = le[y] >> x & 1
+                else:
+                    ok = le[x] >> y & le[y] >> x & 1
+            else:
+                ok = self.prec(w, x, y)
+            if not ok:
+                return False
+        return True
+
+    def _rows_from_kids(self, x: int) -> tuple[int, int]:
+        """The dense ids other than x above and below x, from the rows
+        of its children."""
+        h = self.heads[x]
+        ws = self._variances[h]
+        above, below = [], []
+        for w, k in zip(ws, self.kids[x]):
+            up, down = self._up_down(k)
+            above.append(self._pick(w, up, down))
+            below.append(self._pick(_REVERSE[w], up, down))
+        up = down = 0
+        for g in self._up[h]:
+            up |= self._with_kids(g, ws, above)
+        for g in self._down[h]:
+            down |= self._with_kids(g, ws, below)
+        return up, down
+
+    def _with_kids(self, head: str, ws: Sequence[Variance],
+                   allowed: Sequence[int]) -> int:
+        """Dense ids of head `head` whose child at each position p lies
+        in allowed[p] (positions of variance IRR are unconstrained)."""
+        out = self._head_ids.get(head, 0)
+        for p, (w, ok) in enumerate(zip(ws, allowed)):
+            if not out:
+                break
+            if w is IRR:
+                continue
+            by_kid = self._by_kid.get((head, p), {})
+            hits = 0
+            if len(by_kid) < ok.bit_count():
+                for c, ids in by_kid.items():
+                    if ok >> c & 1:
+                        hits |= ids
+            else:
+                for c in _members(ok):
+                    hits |= by_kid.get(c, 0)
+            out &= hits
+        return out
+
+
+#: prec_v(a, b) iff prec_{_REVERSE[v]}(b, a).
+_REVERSE = {COV: CONTRA, CONTRA: COV, INV: INV, IRR: IRR}
+
+
+class GroundUniverse(TypeTable):
     """All variable-free types of bounded depth over a signature.
 
     Enumeration order is deterministic (by depth, then constructor
     declaration order, then argument order) and duplicate-free; the list
     is closed under subterms because every shallower type is included.
+    The universe's types are the dense ids 0..n-1, in that order; deeper
+    types (instances of a bound, say) are interned on demand.
     """
 
-    sig: Signature
-    depth: int
-    types: tuple[TypeExpr, ...]
-    index: dict[TypeExpr, int] = field(default_factory=dict)
-    _subterm_order: dict[TypeExpr, tuple[int, ...]] = field(default_factory=dict)
-    _related: dict[Variance, list[list[int]]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {t: i for i, t in enumerate(self.types)}
+    def __init__(self, sig: Signature, depth: int):
+        super().__init__(sig)
+        self.depth = depth
+        self.types: tuple[TypeExpr, ...] = ()
+        self._subterms: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._related: dict[Variance, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.types)
 
-    def witness_order(self, target: TypeExpr) -> tuple[int, ...]:
-        """Universe indices with the subterms of `target` first."""
-        cached = self._subterm_order.get(target)
-        if cached is not None:
-            return cached
-        first: list[int] = []
-        seen: set[int] = set()
-        stack = [target]
-        while stack:
-            node = stack.pop()
-            i = self.index.get(node)
-            if i is not None and i not in seen:
-                seen.add(i)
-                first.append(i)
-            if isinstance(node, App):
-                stack.extend(node.args)
-        order = tuple(first) + tuple(i for i in range(len(self.types))
-                                     if i not in seen)
-        self._subterm_order[target] = order
-        return order
+    def _seal(self) -> None:
+        """Fix the universe to the types enumerated so far."""
+        self.build()
+        types: list[TypeExpr] = []
+        for head, kids in zip(self.heads, self.kids):
+            types.append(App(head, tuple(types[k] for k in kids)))
+        self.types = tuple(types)
+        self.index = {t: i for i, t in enumerate(types)}
+
+    def _subterm_ids(self, target: int) -> tuple[tuple[int, ...], int]:
+        """The universe ids among the subterms of `target`, depth-first,
+        and their set."""
+        cached = self._subterms.get(target)
+        if cached is None:
+            n = len(self.types)
+            first: list[int] = []
+            seen = 0
+            stack = [target]
+            while stack:
+                node = stack.pop()
+                if node < n and not seen >> node & 1:
+                    seen |= 1 << node
+                    first.append(node)
+                stack.extend(self.kids[node])
+            cached = self._subterms[target] = (tuple(first), seen)
+        return cached
+
+    def witness_order(self, targets: Sequence[int],
+                      allowed: int) -> Iterator[int]:
+        """The universe ids in `allowed`, lazily: the subterms of every
+        target first, then the remaining ids in order."""
+        seen = 0
+        for t in targets:
+            ids, mask = self._subterm_ids(t)
+            for i in ids:
+                if allowed >> i & 1 and not seen >> i & 1:
+                    yield i
+            seen |= mask
+        yield from _members(allowed & ~seen)
+
+
+def _witness_tuples(orders: Sequence[Iterable[int]]
+                    ) -> Iterator[tuple[int, ...]]:
+    """The lexicographic product of the orders, lazy in the first one
+    (a witness is usually among the first few candidates)."""
+    if not orders:
+        yield ()
+        return
+    tail = [tuple(o) for o in orders[1:]]
+    for i in orders[0]:
+        for rest in itertools.product(*tail):
+            yield (i,) + rest
 
 
 def enumerate_types(sig: Signature, depth: int,
@@ -105,30 +341,28 @@ def enumerate_types(sig: Signature, depth: int,
     depth 1).  Raises UniverseSizeError beyond `cap` types."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    u = GroundUniverse(sig, depth)
     ctors = list(sig.ctors.values())
-    types: list[TypeExpr] = [App(info.name, ()) for info in ctors
-                             if info.arity == 0]
-    seen: set[TypeExpr] = set(types)
-    if len(types) > cap:
+    for info in ctors:
+        if info.arity == 0:
+            u.intern(info.name, ())
+    if len(u.heads) > cap:
         raise UniverseSizeError(f"universe exceeds cap of {cap} types")
-    prev = list(types)
+    known = u._ids
     for _ in range(depth - 1):
-        new: list[TypeExpr] = []
+        prev = range(len(u.heads))
         for info in ctors:
             if info.arity == 0:
                 continue
-            for args in itertools.product(prev, repeat=info.arity):
-                t = App(info.name, args)
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-                    if len(seen) > cap:
+            for kids in itertools.product(prev, repeat=info.arity):
+                if (info.name, kids) not in known:
+                    u.intern(info.name, kids)
+                    if len(u.heads) > cap:
                         raise UniverseSizeError(
                             f"universe exceeds cap of {cap} types "
                             f"(depth {depth})")
-        types.extend(new)
-        prev = list(types)
-    return GroundUniverse(sig, depth, tuple(types))
+    u._seal()
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -136,60 +370,30 @@ def enumerate_types(sig: Signature, depth: int,
 
 
 class SemanticOracle:
-    """Memoized subtyping and the derived per-variance relations."""
+    """Subtyping on type expressions, and the per-variance relations of
+    a universe.  Type expressions are interned into a table of the
+    oracle's own, whose rows grow with every new type."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.reach = sig.head_reach()
-        self._sub: dict[tuple[TypeExpr, TypeExpr], bool] = {}
+        self.table = TypeTable(sig)
 
     def subtype(self, a: TypeExpr, b: TypeExpr) -> bool:
-        if a == b:
-            return True
-        key = (a, b)
-        cached = self._sub.get(key)
-        if cached is not None:
-            return cached
-        assert isinstance(a, App) and isinstance(b, App), "ground types only"
-        if a.ctor == b.ctor or b.ctor in self.reach.get(a.ctor, ()):
-            ws = self.sig.variances(a.ctor)
-            result = all(self.prec(w, x, y)
-                         for w, x, y in zip(ws, a.args, b.args))
-        else:
-            result = False
-        self._sub[key] = result
-        return result
+        return self.prec(COV, a, b)
 
     def prec(self, v: Variance, a: TypeExpr, b: TypeExpr) -> bool:
-        if v is IRR:
-            return True
-        if v is COV:
-            return self.subtype(a, b)
-        if v is CONTRA:
-            return self.subtype(b, a)
-        return self.subtype(a, b) and self.subtype(b, a)
+        table = self.table
+        i, j = table.intern_expr(a), table.intern_expr(b)
+        table.build()
+        return table.prec(v, i, j)
 
-    def prec_tuple(self, g: VarianceContext, xs: Sequence[TypeExpr],
-                   ys: Sequence[TypeExpr]) -> bool:
-        return all(self.prec(w, x, y)
-                   for (_, w), x, y in zip(g.entries, xs, ys))
-
-    def related(self, u: GroundUniverse, w: Variance) -> list[list[int]]:
-        """Adjacency lists over the universe: related[i] = all j with
+    def related(self, u: GroundUniverse, w: Variance) -> list[int]:
+        """Bitset rows over the universe: related[i] = the set of j with
         types[i] prec_w types[j]."""
         cached = u._related.get(w)
-        if cached is not None:
-            return cached
-        n = len(u.types)
-        if w is IRR:
-            full = list(range(n))
-            out = [full] * n
-        else:
-            out = [[j for j in range(n)
-                    if self.prec(w, u.types[i], u.types[j])]
-                   for i in range(n)]
-        u._related[w] = out
-        return out
+        if cached is None:
+            cached = u._related[w] = [u.row(w, i) for i in range(len(u))]
+        return cached
 
 
 _ORACLE_ATTR = "_semantic_oracle"
@@ -223,13 +427,41 @@ def _assignments(u: GroundUniverse, m: int) -> Iterable[tuple[int, ...]]:
     return itertools.product(range(len(u.types)), repeat=m)
 
 
-def _subst_at(t: TypeExpr, domain: tuple[str, ...], u: GroundUniverse,
-              idx: tuple[int, ...], cache: dict) -> TypeExpr:
-    got = cache.get(idx)
-    if got is None:
-        got = subst(t, {a: u.types[i] for a, i in zip(domain, idx)})
-        cache[idx] = got
-    return got
+_Compiled = Union[int, Callable[[tuple[int, ...]], int]]
+
+
+def _compile(u: GroundUniverse, t: TypeExpr, pos: dict[str, int]
+             ) -> _Compiled:
+    """The id of t if it is ground, else a function from an assignment
+    (one id per variable, in `pos` order) to the id of t's instance."""
+    if isinstance(t, Var):
+        if t.name not in pos:
+            raise ValueError(f"unbound type variable '{t.name}")
+        return operator.itemgetter(pos[t.name])
+    assert isinstance(t, App)
+    parts = [_compile(u, a, pos) for a in t.args]
+    head, intern = t.ctor, u.intern
+    if all(isinstance(p, int) for p in parts):
+        return intern(head, tuple(parts))
+    fns = [p if callable(p) else (lambda idx, c=p: c) for p in parts]
+    if len(fns) == 1:
+        f0 = fns[0]
+        return lambda idx: intern(head, (f0(idx),))
+    if len(fns) == 2:
+        f0, f1 = fns
+        return lambda idx: intern(head, (f0(idx), f1(idx)))
+    return lambda idx: intern(head, tuple(f(idx) for f in fns))
+
+
+def _instantiator(u: GroundUniverse, t: TypeExpr, domain: Sequence[str]
+                  ) -> Callable[[tuple[int, ...]], int]:
+    """A function from an assignment of ids to `domain` to the id of the
+    instance of t.  Interning memoizes it node by node; instances deeper
+    than the universe are interned on demand."""
+    f = _compile(u, t, {a: k for k, a in enumerate(domain)})
+    if isinstance(f, int):
+        return lambda idx: f
+    return f
 
 
 def sem_variance_cex(
@@ -245,12 +477,12 @@ def sem_variance_cex(
     if m == 0:
         return None
     rel = [orc.related(u, w) for w in g.variances()]
-    cache: dict = {}
+    inst = _instantiator(u, t, domain)
     for idx in _assignments(u, m):
-        lhs = _subst_at(t, domain, u, idx, cache)
-        for jdx in itertools.product(*(rel[k][idx[k]] for k in range(m))):
-            rhs = _subst_at(t, domain, u, jdx, cache)
-            if not orc.prec(v, lhs, rhs):
+        lhs = inst(idx)
+        for jdx in itertools.product(*(_members(rel[k][i])
+                                       for k, i in enumerate(idx))):
+            if not u.prec(v, lhs, inst(jdx)):
                 return (tuple(u.types[i] for i in idx),
                         tuple(u.types[j] for j in jdx))
     return None
@@ -271,26 +503,16 @@ def sem_decomp_cex(
     orc = oracle_for(sig)
     domain = g.domain()
     m = len(domain)
-    cache: dict = {}
-    n = len(u.types)
+    rel = [orc.related(u, w) for w in g.variances()]
+    inst = _instantiator(u, t, domain)
     for idx in _assignments(u, m):
-        lhs = _subst_at(t, domain, u, idx, cache)
-        rhos = tuple(u.types[i] for i in idx)
-        for s in range(n):
-            target = u.types[s]
-            if not orc.prec(v, lhs, target):
-                continue
-            order = u.witness_order(target)
-            found = False
-            for jdx in itertools.product(order, repeat=m):
-                if not all(orc.prec(w, rhos[k], u.types[jdx[k]])
-                           for k, (_, w) in enumerate(g.entries)):
-                    continue
-                if orc.prec(v2, _subst_at(t, domain, u, jdx, cache), target):
-                    found = True
-                    break
-            if not found:
-                return (rhos, target)
+        lhs = inst(idx)
+        allowed = [rel[k][i] for k, i in enumerate(idx)]
+        for s in _members(u.row(v, lhs)):
+            witnesses = _witness_tuples(
+                [u.witness_order((s,), a) for a in allowed])
+            if not any(u.prec(v2, inst(jdx), s) for jdx in witnesses):
+                return (tuple(u.types[i] for i in idx), u.types[s])
     return None
 
 
@@ -309,28 +531,19 @@ def sem_simultaneous_decomp(
     orc = oracle_for(sig)
     domain = g.domain()
     m = len(domain)
-    cache: list[dict] = [{} for _ in parts]
-    n = len(u.types)
+    rel = [orc.related(u, w) for w in g.variances()]
+    insts = [_instantiator(u, t, domain) for t, _, _ in parts]
     for idx in _assignments(u, m):
-        rhos = tuple(u.types[i] for i in idx)
-        lhss = [_subst_at(t, domain, u, idx, cache[i])
-                for i, (t, _, _) in enumerate(parts)]
-        for sdx in itertools.product(range(n), repeat=len(parts)):
-            if not all(orc.prec(v, lhss[i], u.types[sdx[i]])
-                       for i, (_, v, _) in enumerate(parts)):
-                continue
-            found = False
-            for jdx in itertools.product(u.witness_order(u.types[sdx[0]]),
-                                         repeat=m):
-                if not all(orc.prec(w, rhos[k], u.types[jdx[k]])
-                           for k, (_, w) in enumerate(g.entries)):
-                    continue
-                if all(orc.prec(v2, _subst_at(t, domain, u, jdx, cache[i]),
-                                u.types[sdx[i]])
-                       for i, (t, _, v2) in enumerate(parts)):
-                    found = True
-                    break
-            if not found:
+        lhss = [inst(idx) for inst in insts]
+        allowed = [rel[k][i] for k, i in enumerate(idx)]
+        targets = [_members(u.row(v, lhs))
+                   for lhs, (_, v, _) in zip(lhss, parts)]
+        for sdx in itertools.product(*targets):
+            witnesses = _witness_tuples(
+                [u.witness_order(sdx[:1], a) for a in allowed])
+            if not any(all(u.prec(v2, inst(jdx), s)
+                           for inst, (_, _, v2), s in zip(insts, parts, sdx))
+                       for jdx in witnesses):
                 return False
     return True
 
@@ -364,34 +577,23 @@ class ReqSpResult:
                 f"sigma'={tup(self.sigma_prime)} rho={tup(self.rho)}")
 
 
-def _merged_witness_order(u: GroundUniverse,
-                          targets: Sequence[TypeExpr]) -> tuple[int, ...]:
-    """Universe indices with the subterms of every target first."""
-    if len(targets) == 1:
-        return u.witness_order(targets[0])
-    seen: set[int] = set()
-    first: list[int] = []
-    for t in targets:
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            i = u.index.get(node)
-            if i is not None and i not in seen:
-                seen.add(i)
-                first.append(i)
-            if isinstance(node, App):
-                stack.extend(node.args)
-    return tuple(first) + tuple(i for i in range(len(u.types))
-                                if i not in seen)
-
-
-def _rel_holds(orc: SemanticOracle, rel: ConstraintRel, param: TypeExpr,
-               bound: TypeExpr) -> bool:
-    if rel is ConstraintRel.EQ:
-        return orc.prec(INV, param, bound)
-    if rel is ConstraintRel.SUP:
-        return orc.subtype(bound, param)
-    return orc.subtype(param, bound)
+def _occurrence_variances(sig: Signature, t: TypeExpr,
+                          domain: Sequence[str]) -> list[list[Variance]]:
+    """Per variable of `domain`, the variance of each of its occurrences
+    in t, composed along the path from the root.  Two instances of t
+    have the same heads at t's own nodes, which compare pointwise, so
+    t[rho] <= t[rho'] iff rho(x) prec_w rho'(x) for all these x and w."""
+    uses: dict[str, list[Variance]] = {x: [] for x in domain}
+    stack = [(t, COV)]
+    while stack:
+        node, v = stack.pop()
+        if isinstance(node, Var):
+            uses[node.name].append(v)
+        else:
+            assert isinstance(node, App)
+            stack.extend((a, compose(v, w)) for a, w
+                         in zip(node.args, sig.variances(node.ctor)))
+    return [uses[x] for x in domain]
 
 
 def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
@@ -403,57 +605,55 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     norm = normalize_constructor(d, k)
     domain = norm.exist_vars
     m = len(domain)
-    varis = d.param_variances()
-    n = len(varis)
-    rel_up = [orc.related(u, w) for w in varis]
-    arg_cache: dict = {}
-    bound_caches: list[dict] = [{} for _ in norm.constraints]
+    rel_up = [orc.related(u, w) for w in d.param_variances()]
+    arg_uses = _occurrence_variances(sig, norm.arg, domain)
+    # Per constraint: the parameter, the variance v with "parameter rel
+    # bound" iff bound prec_v parameter, and the bound's instances.
+    cons = [(c.param, target_variance(c.rel),
+             _instantiator(u, c.bound, domain)) for c in norm.constraints]
+    # A constraint whose bound is a bare variable restricts that witness
+    # coordinate alone: (coordinate, parameter, variance).
+    pinned = [(domain.index(c.bound.name), c.param, target_variance(c.rel))
+              for c in norm.constraints if isinstance(c.bound, Var)]
+    others = [con for con, c in zip(cons, norm.constraints)
+              if not isinstance(c.bound, Var)]
+    prec_, row, full, types = u.prec, u.row, u.full, u.types
 
-    def bounds_at(idx: tuple[int, ...]) -> list[TypeExpr]:
-        return [
-            _subst_at(c.bound, domain, u, idx, bound_caches[i])
-            for i, c in enumerate(norm.constraints)
-        ]
+    def satisfied(params: tuple[int, ...], idx: tuple[int, ...]) -> bool:
+        return all(prec_(v, bound_at(idx), params[p])
+                   for p, v, bound_at in others)
 
-    universe = u.types
+    def exists_witness(params: tuple[int, ...], allowed: list[int]) -> bool:
+        if not others:
+            return all(allowed)
+        return any(satisfied(params, idx) for idx in _witness_tuples(
+            [u.witness_order(params, a) for a in allowed]))
+
     for ridx in _assignments(u, m):
-        bounds = bounds_at(ridx)
         # Parameter tuples satisfying the constraints at this rho.
-        per_param: list[list[int]] = [[] for _ in range(n)]
-        for i, c in enumerate(norm.constraints):
-            per_param[c.param] = [
-                s for s in range(len(universe))
-                if _rel_holds(orc, c.rel, universe[s], bounds[i])
-            ]
-        if any(not options for options in per_param):
+        per_param: list[list[int]] = [[] for _ in rel_up]
+        for p, v, bound_at in cons:
+            per_param[p] = list(_members(row(v, bound_at(ridx))))
+        if not all(per_param):
             continue
-        lhs_arg = _subst_at(norm.arg, domain, u, ridx, arg_cache)
-        rho = tuple(universe[i] for i in ridx)
+        # Witness coordinates keeping the argument above its instance at
+        # rho.
+        above_arg = [full] * m
+        for j, (i, uses) in enumerate(zip(ridx, arg_uses)):
+            for w in uses:
+                above_arg[j] &= row(w, i)
         for sidx in itertools.product(*per_param):
-            for spidx in itertools.product(*(rel_up[p][sidx[p]]
-                                             for p in range(n))):
-                found = False
-                order = _merged_witness_order(
-                    u, [universe[i] for i in spidx])
-                for rpidx in itertools.product(order, repeat=m):
-                    bounds_p = bounds_at(rpidx)
-                    if not all(
-                        _rel_holds(orc, c.rel, universe[spidx[c.param]],
-                                   bounds_p[i])
-                        for i, c in enumerate(norm.constraints)
-                    ):
-                        continue
-                    if orc.subtype(lhs_arg,
-                                   _subst_at(norm.arg, domain, u, rpidx,
-                                             arg_cache)):
-                        found = True
-                        break
-                if not found:
+            for spidx in itertools.product(*(_members(rel_up[p][s])
+                                             for p, s in enumerate(sidx))):
+                allowed = list(above_arg)
+                for j, p, v in pinned:
+                    allowed[j] &= row(_REVERSE[v], spidx[p])
+                if not exists_witness(spidx, allowed):
                     return ReqSpResult(
                         False, u.depth,
-                        sigma=tuple(universe[i] for i in sidx),
-                        sigma_prime=tuple(universe[i] for i in spidx),
-                        rho=rho)
+                        sigma=tuple(types[i] for i in sidx),
+                        sigma_prime=tuple(types[i] for i in spidx),
+                        rho=tuple(types[i] for i in ridx))
     return ReqSpResult(True, u.depth)
 
 
@@ -478,40 +678,34 @@ def check_sp_requirements(sig: Signature, u: GroundUniverse
     incomparable and that arrow and product types decompose
     componentwise.  Violations are listed, not raised: non-atomic worlds
     (private edges) are expected to violate incomparability."""
-    orc = oracle_for(sig)
     report = SpRequirementsReport()
-    n = len(u.types)
+    le = u.le
+    heads, kids, types = u.heads, u.kids, u.types
     is_base = {
         name: info.arity == 0 and info.kind != "builtin"
         for name, info in sig.ctors.items()
     }
-    for i in range(n):
-        a = u.types[i]
-        assert isinstance(a, App)
-        for j in range(n):
-            b = u.types[j]
-            assert isinstance(b, App)
-            if a.ctor == b.ctor:
+    for i in range(len(types)):
+        a = heads[i]
+        for j in _members(le[i]):
+            b = heads[j]
+            if a == b:
                 continue
-            if not orc.subtype(a, b):
-                continue
-            if (is_base[a.ctor] and is_base[b.ctor]
-                    and sig.base_leq(a.ctor, b.ctor)):
+            if is_base[a] and is_base[b] and sig.base_leq(a, b):
                 continue
             report.incomparability_violations.append(
-                f"{render_type(a)} <= {render_type(b)} with distinct heads")
+                f"{render_type(types[i])} <= {render_type(types[j])} "
+                f"with distinct heads")
     for head, contra_first in (("->", True), ("*", False)):
-        members = [t for t in u.types
-                   if isinstance(t, App) and t.ctor == head]
-        for f1 in members:
-            for f2 in members:
-                if not orc.subtype(f1, f2):
-                    continue
-                d_ok = (orc.subtype(f2.args[0], f1.args[0]) if contra_first
-                        else orc.subtype(f1.args[0], f2.args[0]))
-                c_ok = orc.subtype(f1.args[1], f2.args[1])
-                if not (d_ok and c_ok):
+        members = u._head_ids.get(head, 0)
+        for f1 in _members(members):
+            for f2 in _members(le[f1] & members):
+                (d1, c1), (d2, c2) = kids[f1], kids[f2]
+                d_ok = (u.prec(COV, d2, d1) if contra_first
+                        else u.prec(COV, d1, d2))
+                if not (d_ok and u.prec(COV, c1, c2)):
                     report.decomposition_violations.append(
-                        f"{render_type(f1)} <= {render_type(f2)} does not "
+                        f"{render_type(types[f1])} <= "
+                        f"{render_type(types[f2])} does not "
                         f"decompose componentwise")
     return report

@@ -185,10 +185,15 @@ def is_ground(t: TypeExpr) -> bool:
 
 
 def type_depth(t: TypeExpr) -> int:
-    if isinstance(t, Var) or not t.args:
-        return 1
-    assert isinstance(t, App)
-    return 1 + max(type_depth(a) for a in t.args)
+    """Syntactic depth: variables and constants have depth 1."""
+    deepest = 0
+    stack = [(t, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, App):
+            stack.extend((a, d + 1) for a in node.args)
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +232,8 @@ class DataConstructorDecl:
     # Codomain parameter instantiations, present only in FORM_CODOMAIN
     # declarations before normalization.
     codomain_args: Optional[tuple[TypeExpr, ...]] = None
+    #: line:col of the constructor name in the source, (0, 0) if none.
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -287,6 +294,9 @@ class Signature:
     private_edges: tuple[tuple[str, str], ...] = ()       # t' below t
     closed_decls: tuple[tuple[Variance, str], ...] = ()
     decl_order: tuple[tuple[str, object], ...] = ()
+    #: line:col of the keyword of each `decl_order` entry in the source.
+    decl_pos: dict[tuple[str, object], tuple[int, int]] = field(
+        default_factory=dict)
     closure_flags: Optional[dict[str, frozenset[Variance]]] = None
     preset: Optional[str] = None
 
@@ -441,11 +451,18 @@ class _ParseAbort(Exception):
     pass
 
 
+#: The deepest type expression the parser accepts.  Later phases recurse
+#: over type trees, so a bound keeps every input within Python's
+#: recursion limit.
+MAX_TYPE_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.diags: list[Diagnostic] = []
+        self.nesting = 0
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -479,10 +496,13 @@ class _Parser:
         private_edges: list[tuple[str, str]] = []
         closed_decls: list[tuple[Variance, str]] = []
         while not self.at("eof"):
+            tok, first = self.peek(), len(decl_order)
             try:
                 self.parse_decl(sig, decl_order, base_edges, private_edges, closed_decls)
             except _ParseAbort:
                 self.skip_to_next_decl()
+            for entry in decl_order[first:]:
+                sig.decl_pos.setdefault(entry, (tok.line, tok.col))
         sig.base_edges = tuple(base_edges)
         sig.private_edges = tuple(private_edges)
         sig.closed_decls = tuple(closed_decls)
@@ -594,7 +614,8 @@ class _Parser:
         if self.at("kw", "of"):
             self.next()
             arg = self.parse_type()
-            return DataConstructorDecl(name.text, FORM_ADT, (), (), arg)
+            return DataConstructorDecl(name.text, FORM_ADT, (), (), arg,
+                                       pos=(name.line, name.col))
         self.expect(":", "'of' or ':'")
         if self.at("kw", "forall"):
             self.next()
@@ -611,7 +632,8 @@ class _Parser:
                     f"constructor {name.text!r}: codomain must be an application "
                     f"of {type_name!r}", name)
             return DataConstructorDecl(
-                name.text, FORM_CODOMAIN, exist, (), arg, codomain_args=cod.args)
+                name.text, FORM_CODOMAIN, exist, (), arg, codomain_args=cod.args,
+                pos=(name.line, name.col))
         exist = self.parse_binders(name, params)
         self.expect("[", "'['")
         constraints: list[tuple[str, ConstraintRel, TypeExpr, Token]] = []
@@ -648,7 +670,8 @@ class _Parser:
             seen_params.add(idx)
             resolved.append(Constraint(idx, rel, bound))
         return DataConstructorDecl(
-            name.text, FORM_CONSTRAINED, exist, tuple(resolved), arg)
+            name.text, FORM_CONSTRAINED, exist, tuple(resolved), arg,
+            pos=(name.line, name.col))
 
     def parse_binders(self, ctor_tok: Token, params: tuple[str, ...]) -> tuple[str, ...]:
         exist: list[str] = []
@@ -668,13 +691,30 @@ class _Parser:
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> TypeExpr:
-        return self.parse_arrow()
+        """A type of depth at most MAX_TYPE_DEPTH.  Every recursive
+        descent passes here, so the parser's own recursion is bounded
+        too."""
+        start = self.pos
+        if self.nesting >= MAX_TYPE_DEPTH:
+            raise self.error(self._too_deep)
+        self.nesting += 1
+        try:
+            t = self.parse_arrow()
+        finally:
+            self.nesting -= 1
+        # Each level of depth takes at least one token.
+        if (self.nesting == 0 and self.pos - start > MAX_TYPE_DEPTH
+                and type_depth(t) > MAX_TYPE_DEPTH):
+            raise self.error(self._too_deep, self.tokens[start])
+        return t
+
+    _too_deep = f"type nested more than {MAX_TYPE_DEPTH} levels deep"
 
     def parse_arrow(self) -> TypeExpr:
         left = self.parse_product()
         if self.at("->"):
             self.next()
-            right = self.parse_arrow()
+            right = self.parse_type()
             return arrow(left, right)
         return left
 
@@ -751,41 +791,48 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
     """One diagnostic per violated signature invariant; [] iff well-formed."""
     diags: list[Diagnostic] = []
 
-    def bad(message: str) -> None:
-        diags.append(Diagnostic(0, 0, message))
+    def bad(pos: tuple[int, int], message: str) -> None:
+        diags.append(Diagnostic(pos[0], pos[1], message))
 
-    def check_type(t: TypeExpr, scope: frozenset[str], where: str) -> None:
+    def decl_pos(kind: str, payload: object) -> tuple[int, int]:
+        return sig.decl_pos.get((kind, payload), (0, 0))
+
+    def check_type(t: TypeExpr, scope: frozenset[str], where: str,
+                   pos: tuple[int, int]) -> None:
         if isinstance(t, Var):
             if t.name not in scope:
-                bad(f"{where}: unbound type variable '{t.name}")
+                bad(pos, f"{where}: unbound type variable '{t.name}")
             return
         assert isinstance(t, App)
         if not sig.has_ctor(t.ctor):
-            bad(f"{where}: unknown type constructor {t.ctor!r}")
+            bad(pos, f"{where}: unknown type constructor {t.ctor!r}")
         elif sig.arity(t.ctor) != len(t.args):
-            bad(f"{where}: {t.ctor!r} expects {sig.arity(t.ctor)} "
+            bad(pos, f"{where}: {t.ctor!r} expects {sig.arity(t.ctor)} "
                 f"argument(s), got {len(t.args)}")
         for a in t.args:
-            check_type(a, scope, where)
+            check_type(a, scope, where, pos)
 
     for lo, hi in sig.base_edges:
         for name in (lo, hi):
             if not sig.has_ctor(name):
-                bad(f"subbase: unknown type {name!r}")
+                bad(decl_pos("subbase", (lo, hi)),
+                    f"subbase: unknown type {name!r}")
             elif sig.arity(name) != 0 or sig.info(name).kind == "builtin":
-                bad(f"subbase: {name!r} is not an arity-0 base type")
+                bad(decl_pos("subbase", (lo, hi)),
+                    f"subbase: {name!r} is not an arity-0 base type")
 
     for lo, hi in sig.private_edges:
+        pos = decl_pos("private", (lo, hi))
         if not sig.has_ctor(hi):
-            bad(f"private: unknown type {hi!r}")
+            bad(pos, f"private: unknown type {hi!r}")
             continue
         if not sig.has_ctor(lo):
             continue
         a, b = sig.info(lo), sig.info(hi)
         if a.arity != b.arity:
-            bad(f"private: {lo!r} and {hi!r} have different arities")
+            bad(pos, f"private: {lo!r} and {hi!r} have different arities")
         elif a.variances != b.variances:
-            bad(f"private: {lo!r} and {hi!r} have different variances")
+            bad(pos, f"private: {lo!r} and {hi!r} have different variances")
 
     # Private edges must be acyclic (the declared order may have cycles).
     succ: dict[str, set[str]] = {}
@@ -797,7 +844,9 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
             n = stack.pop()
             for m in succ.get(n, ()):
                 if m == start:
-                    bad(f"private: cycle through {start!r}")
+                    first = next(e for e in sig.private_edges if e[0] == start)
+                    bad(decl_pos("private", first),
+                        f"private: cycle through {start!r}")
                     stack = []
                     break
                 if m not in seen:
@@ -806,30 +855,31 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
 
     for v, name in sig.closed_decls:
         if not sig.has_ctor(name):
-            bad(f"closed: unknown type {name!r}")
+            bad(decl_pos("closed", (v, name)), f"closed: unknown type {name!r}")
 
     for decl in sig.datatypes():
         params = frozenset(decl.param_names())
         ctor_names: set[str] = set()
         for k in decl.ctors:
-            where = f"{decl.name}.{k.name}"
+            where, pos = f"{decl.name}.{k.name}", k.pos
             if k.name in ctor_names:
-                bad(f"{where}: duplicate constructor name")
+                bad(pos, f"{where}: duplicate constructor name")
             ctor_names.add(k.name)
             scope = params | frozenset(k.exist_vars) if k.form != FORM_CODOMAIN \
                 else frozenset(k.exist_vars)
-            check_type(k.arg, scope, where)
+            check_type(k.arg, scope, where, pos)
             for c in k.constraints:
                 if not (0 <= c.param < len(decl.params)):
-                    bad(f"{where}: constraint on invalid parameter index {c.param}")
-                check_type(c.bound, scope, where)
+                    bad(pos, f"{where}: constraint on invalid parameter "
+                        f"index {c.param}")
+                check_type(c.bound, scope, where, pos)
             if k.codomain_args is not None:
                 if len(k.codomain_args) != len(decl.params):
-                    bad(f"{where}: codomain applies {decl.name!r} to "
+                    bad(pos, f"{where}: codomain applies {decl.name!r} to "
                         f"{len(k.codomain_args)} argument(s), expected "
                         f"{len(decl.params)}")
                 for t in k.codomain_args:
-                    check_type(t, frozenset(k.exist_vars), where)
+                    check_type(t, frozenset(k.exist_vars), where, pos)
     return diags
 
 
@@ -865,7 +915,8 @@ def normalize_constructor(
             for i, t in enumerate(k.codomain_args)
         )
         k = DataConstructorDecl(
-            k.name, FORM_CONSTRAINED, k.exist_vars, constraints, k.arg)
+            k.name, FORM_CONSTRAINED, k.exist_vars, constraints, k.arg,
+            pos=k.pos)
 
     used = set(k.exist_vars) | set(params)
     exist = list(k.exist_vars)
@@ -897,7 +948,8 @@ def normalize_constructor(
     ]
     constraints.sort(key=lambda c: c.param)
     return DataConstructorDecl(
-        k.name, FORM_CONSTRAINED, tuple(exist), tuple(constraints), arg)
+        k.name, FORM_CONSTRAINED, tuple(exist), tuple(constraints), arg,
+        pos=k.pos)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,13 @@ class TestClosureFlags:
             compute_closure_flags(sig, "atomic")
         assert "contradicted" in str(exc.value)
 
+    def test_contradictory_closed_declaration_position(self):
+        sig = parse_signature("base int\nprivate fd = int\n\n  closed + fd\n")
+        with pytest.raises(SignatureError) as exc:
+            compute_closure_flags(sig, "atomic")
+        diag = exc.value.diagnostics[0]
+        assert (diag.line, diag.col) == (4, 3)
+
     def test_ml_open_products_not_arrows(self):
         sig = get_sig("world", "ml-open")
         assert is_closed(sig, "*", COV)

@@ -171,3 +171,49 @@ class TestErrors:
         code, _, err = invoke("oracle", CORPUS / "expr.vt", "--depth=0")
         assert code == EXIT_ERROR
         assert "depth" in err
+
+
+class TestRobustness:
+    """Every input ends in a verdict or a one-line diagnostic."""
+
+    def assert_one_line_error(self, code, err, *needles):
+        assert code == EXIT_ERROR
+        assert len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
+        for needle in needles:
+            assert needle in err
+
+    def test_deeply_nested_parentheses(self, tmp_path):
+        bad = tmp_path / "deep.vt"
+        bad.write_text("type (+'a) t =\n  | K of " + "(" * 1200 + "int"
+                       + ")" * 1200 + "\n")
+        for command in ("check", "infer", "oracle"):
+            code, _, err = invoke(command, bad)
+            self.assert_one_line_error(code, err, "deep.vt:2:110:",
+                                       "nested more than 100 levels")
+
+    def test_deeply_nested_postfix_application(self, tmp_path):
+        bad = tmp_path / "deep.vt"
+        bad.write_text("type (+'a) list = Nil of unit | Cons of 'a * 'a list\n"
+                       "type (+'a) t =\n  | K of 'a" + " list" * 1200 + "\n")
+        code, _, err = invoke("check", bad)
+        self.assert_one_line_error(code, err, "deep.vt:3:10:",
+                                   "nested more than 100 levels")
+
+    def test_nesting_at_the_limit_is_checked(self, tmp_path):
+        ok = tmp_path / "ok.vt"
+        ok.write_text("type (+'a) list = Nil of unit | Cons of 'a * 'a list\n"
+                      "type (+'a) t =\n  | K of 'a" + " list" * 99 + "\n")
+        for command in ("check", "infer", "oracle"):
+            code, _, _ = invoke(command, ok)
+            assert code == EXIT_OK
+
+    def test_unexpected_exception_exits_2(self, monkeypatch):
+        import vgadt.cli
+
+        def boom(*_args, **_kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(vgadt.cli, "check_signature", boom)
+        code, out, err = invoke("check", CORPUS / "expr.vt")
+        assert out == ""
+        self.assert_one_line_error(code, err, "internal error", "boom")

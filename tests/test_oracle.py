@@ -269,6 +269,31 @@ class TestReqSp:
         assert req_sp(sig, u, decl, decl.ctors[0]).holds
 
 
+class TestReqSpVariableBounds:
+    """Subtyping constraints whose bound is a bare existential: the
+    witness for the coerced parameter must respect the bound's side."""
+
+    SIG = ("base int\nbase bool\nsubbase bool <= int\n"
+           "type (-'a) lo = K : 'b ['a >= 'b]. 'b\n"
+           "type (+'a) hi = L : 'b ['a <= 'b]. 'b -> unit\n"
+           "type (+'a) ok = M : 'b ['a >= 'b]. 'b\n")
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_counterexamples(self, depth):
+        sig = parse_signature(self.SIG)
+        u = enumerate_types(sig, depth)
+
+        def result(name):
+            decl = sig.info(name).decl
+            return req_sp(sig, u, decl, decl.ctors[0])
+        lo, hi = result("lo"), result("hi")
+        assert (lo.sigma, lo.sigma_prime, lo.rho) == \
+            ((tapp("int"),), (tapp("bool"),), (tapp("int"),))
+        assert (hi.sigma, hi.sigma_prime, hi.rho) == \
+            ((tapp("bool"),), (tapp("int"),), (tapp("bool"),))
+        assert result("ok").holds
+
+
 class TestSpRequirements:
     def test_atomic_world_clean(self, world, world_u2):
         report = check_sp_requirements(world, world_u2)

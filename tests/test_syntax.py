@@ -11,6 +11,7 @@ from vgadt.syntax import (
     FORM_ADT,
     FORM_CODOMAIN,
     FORM_CONSTRAINED,
+    MAX_TYPE_DEPTH,
     SignatureError,
     arrow,
     free_vars,
@@ -22,6 +23,7 @@ from vgadt.syntax import (
     render_type,
     tapp,
     tvar,
+    type_depth,
     wf_check,
 )
 from vgadt.variance import COV
@@ -153,6 +155,23 @@ class TestWfCheck:
             parse_signature("type (+'a) t = K of 'z\n")
         assert "unbound" in str(exc.value)
 
+    def test_unbound_variable_position(self):
+        with pytest.raises(SignatureError) as exc:
+            parse_signature("type (+'a) t = | K of 'c\n")
+        assert str(exc.value.diagnostics[0]) == \
+            "1:18: t.K: unbound type variable 'c"
+        with pytest.raises(SignatureError) as exc:
+            parse_signature("base int\ntype (+'a) t =\n  | K of int\n"
+                            "  | L : ['a = 'c]. int\n")
+        diag = exc.value.diagnostics[0]
+        assert (diag.line, diag.col) == (4, 5)
+
+    def test_edge_diagnostic_position(self):
+        with pytest.raises(SignatureError) as exc:
+            parse_signature("base int\n\n  subbase int <= nope\n")
+        diag = exc.value.diagnostics[0]
+        assert (diag.line, diag.col) == (3, 3)
+
     def test_private_cycle(self):
         with pytest.raises(SignatureError) as exc:
             parse_signature("base a\nbase b\nprivate a = b\nprivate b = a\n")
@@ -167,6 +186,23 @@ class TestWfCheck:
     def test_wf_check_clean_corpus(self):
         for name in CORPUS_FILES:
             assert wf_check(get_sig(name)) == []
+
+
+class TestNestingLimit:
+    def test_depth_limit(self):
+        assert type_depth(parse_type("'a" + " list" * 99)) == MAX_TYPE_DEPTH
+        with pytest.raises(SignatureError) as exc:
+            parse_type("'a" + " list" * 100)
+        assert "nested more than" in str(exc.value)
+
+    def test_deep_arrows_and_parentheses(self):
+        for text in ["int -> " * 1200 + "int",
+                     "(" * 1200 + "int" + ")" * 1200,
+                     "int" + " * int" * 1200]:
+            with pytest.raises(SignatureError) as exc:
+                parse_type(text)
+            diag = exc.value.diagnostics[0]
+            assert diag.line == 1 and diag.col > 0
 
 
 class TestFreeVars:
