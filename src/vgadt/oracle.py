@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .criterion import target_variance
 from .syntax import (
@@ -179,6 +179,7 @@ class TypeTable:
         return self._rows_from_kids(a)
 
     def prec(self, v: Variance, a: int, b: int) -> bool:
+        """a prec_v b: a bit test when both ids are dense."""
         if v is IRR:
             return True
         if a < self.dense and b < self.dense:
@@ -246,13 +247,8 @@ class TypeTable:
                 continue
             by_kid = self._by_kid.get((head, p), {})
             hits = 0
-            if len(by_kid) < ok.bit_count():
-                for c, ids in by_kid.items():
-                    if ok >> c & 1:
-                        hits |= ids
-            else:
-                for c in _members(ok):
-                    hits |= by_kid.get(c, 0)
+            for c in _members(ok):
+                hits |= by_kid.get(c, 0)
             out &= hits
         return out
 
@@ -427,41 +423,23 @@ def _assignments(u: GroundUniverse, m: int) -> Iterable[tuple[int, ...]]:
     return itertools.product(range(len(u.types)), repeat=m)
 
 
-_Compiled = Union[int, Callable[[tuple[int, ...]], int]]
-
-
-def _compile(u: GroundUniverse, t: TypeExpr, pos: dict[str, int]
-             ) -> _Compiled:
-    """The id of t if it is ground, else a function from an assignment
-    (one id per variable, in `pos` order) to the id of t's instance."""
-    if isinstance(t, Var):
-        if t.name not in pos:
-            raise ValueError(f"unbound type variable '{t.name}")
-        return operator.itemgetter(pos[t.name])
-    assert isinstance(t, App)
-    parts = [_compile(u, a, pos) for a in t.args]
-    head, intern = t.ctor, u.intern
-    if all(isinstance(p, int) for p in parts):
-        return intern(head, tuple(parts))
-    fns = [p if callable(p) else (lambda idx, c=p: c) for p in parts]
-    if len(fns) == 1:
-        f0 = fns[0]
-        return lambda idx: intern(head, (f0(idx),))
-    if len(fns) == 2:
-        f0, f1 = fns
-        return lambda idx: intern(head, (f0(idx), f1(idx)))
-    return lambda idx: intern(head, tuple(f(idx) for f in fns))
-
-
 def _instantiator(u: GroundUniverse, t: TypeExpr, domain: Sequence[str]
                   ) -> Callable[[tuple[int, ...]], int]:
     """A function from an assignment of ids to `domain` to the id of the
     instance of t.  Interning memoizes it node by node; instances deeper
     than the universe are interned on demand."""
-    f = _compile(u, t, {a: k for k, a in enumerate(domain)})
-    if isinstance(f, int):
-        return lambda idx: f
-    return f
+    pos = {a: k for k, a in enumerate(domain)}
+    intern = u.intern
+
+    def compile(node: TypeExpr) -> Callable[[tuple[int, ...]], int]:
+        if isinstance(node, Var):
+            if node.name not in pos:
+                raise ValueError(f"unbound type variable '{node.name}")
+            return operator.itemgetter(pos[node.name])
+        assert isinstance(node, App)
+        head, fns = node.ctor, [compile(a) for a in node.args]
+        return lambda idx: intern(head, tuple([f(idx) for f in fns]))
+    return compile(t)
 
 
 def sem_variance_cex(

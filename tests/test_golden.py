@@ -17,8 +17,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "golden"))
 import capture  # noqa: E402
 
 
-@pytest.mark.parametrize("name,argv", capture.cases(),
-                         ids=[name for name, _ in capture.cases()])
+CASES = capture.cases()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_oracle_output_matches_golden(name, argv, monkeypatch):
     monkeypatch.chdir(capture.ROOT)
     want = (capture.GOLDEN / f"{name}.out").read_text(encoding="utf-8")
