@@ -11,10 +11,13 @@ instance can be traced back to an instance over related arguments.  It
 is decided rule-directed: a trivial rule when the target relation is
 implied, a strict-equality variable rule, and a constructor rule that
 requires the head to be closed for the queried variance and merges the
-sub-derivation contexts with the partial zip operation.  Because the
-judgment is not monotone in the context, the engine materializes the
-exact set of deriving contexts per subterm (contexts over a finite
-domain form a finite space) and memoizes it.
+sub-derivation contexts with the partial zip operation.  The judgment
+is not monotone in the context, so the engine keeps the exact set of
+deriving contexts per subterm as a union of boxes (one variance mask
+per variable): every rule yields a box, and zip works per variable, so
+the constructor rule zips the children's unions box by box.  Witness
+families are picked from such unions one entry at a time
+(`first_family`), without enumerating contexts.
 
 Closure flags record which constructors are v-closed under a chosen
 world assumption (preset), with private-type edges and strict base-order
@@ -22,7 +25,6 @@ edges removing flags, and explicit `closed` declarations adding them.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -41,11 +43,18 @@ from .variance import (
     ALL_VARIANCES,
     CONTRA,
     COV,
+    FULL_MASK,
     INV,
     IRR,
+    MASK,
+    ZIP_MASK,
+    Box,
     Variance,
     VarianceContext,
+    box_union,
+    box_zip,
     compose,
+    set_mask,
     up_set,
     var_leq,
     var_lub,
@@ -219,21 +228,47 @@ def is_closed(sig: Signature, ctor: str, v: Variance) -> bool:
 # ---------------------------------------------------------------------------
 # Decomposability
 
-_VTuple = tuple[Variance, ...]
+def first_family(unions: Sequence[Sequence[Box]], target: Box
+                 ) -> Optional[list[tuple[Variance, ...]]]:
+    """The first family (g_1, ..., g_n), each g_j a member of the union
+    `unions[j]`, whose zip lies in the box `target`; None if there is
+    none.  First in the order of `itertools.product` over the members
+    in canonical order: constraint-major, variables in domain order,
+    candidates `= + - ~`.
 
+    Chosen greedily, one entry at a time: a partial choice is kept iff
+    some box per constraint admits it and every variable's column can
+    still zip into `target`.  Boxes are products, so that test is exact.
+    """
+    m = len(target)
+    acc: Optional[Box] = (MASK[IRR],) * m   # zip of the entries chosen
+    # suffix[j]: the zips of the members of unions[j:], as boxes.
+    suffix = [(acc,)]
+    for u in reversed(unions):
+        suffix.insert(0, box_union(box_zip(x, y) for x in u for y in suffix[0]))
 
-def _all_tuples(m: int) -> list[_VTuple]:
-    return list(itertools.product(ALL_VARIANCES, repeat=m))
+    def feasible(acc: Optional[Box], rest: Sequence[Box]) -> bool:
+        return acc is not None and any(
+            all(ZIP_MASK[x][y] & t for x, y, t in zip(acc, r, target))
+            for r in rest)
 
+    def extends(j: int, acc: Box, prefix: tuple[Variance, ...]) -> bool:
+        head = tuple(MASK[x] for x in prefix)
+        return any(feasible(box_zip(acc, head + box[len(head):]),
+                            suffix[j + 1])
+                   for box in unions[j]
+                   if all(h & b for h, b in zip(head, box)))
 
-def _zip_tuples(a: _VTuple, b: _VTuple) -> Optional[_VTuple]:
-    out = []
-    for x, y in zip(a, b):
-        z = zip_var(x, y)
-        if z is None:
-            return None
-        out.append(z)
-    return tuple(out)
+    if not feasible(acc, suffix[0]):
+        return None
+    family = []
+    for j in range(len(unions)):
+        g: tuple[Variance, ...] = ()
+        for _ in range(m):
+            g += (next(x for x in ALL_VARIANCES if extends(j, acc, g + (x,))),)
+        acc = box_zip(acc, tuple(MASK[x] for x in g))
+        family.append(g)
+    return family
 
 
 @dataclass
@@ -254,86 +289,69 @@ class DecompEngine:
     """Decides `g |- t : v => v2` over a fixed variable domain.
 
     For every subterm and variance pair the engine computes the exact
-    set of contexts (as variance tuples over the domain) that derive the
-    judgment, taking unions over the three rules; the constructor rule
-    folds the children's sets through the zip operation.  Memoized per
-    engine instance, so a checking run shares work across queries.
+    set of deriving contexts as a union of boxes, a box being one
+    variance mask per domain variable.  Each rule yields one box:
+    sc-Triv the up-sets of the principal context, sc-Var one fixed
+    entry, a closed constant the full box.  The constructor rule zips
+    the children's unions box by box; zip works per variable, so the
+    zip of two boxes is a box.  Memoized per engine instance, so a
+    checking run shares work across queries.
     """
 
     def __init__(self, sig: Signature, domain: Sequence[str]):
         self.sig = sig
         self.domain = tuple(domain)
-        self._memo: dict[tuple[TypeExpr, Variance, Variance], frozenset[_VTuple]] = {}
-        self._tuples = _all_tuples(len(self.domain))
+        self._memo: dict[tuple[TypeExpr, Variance, Variance], tuple[Box, ...]] = {}
 
-    # -- exact context sets --------------------------------------------------
-
-    def valid_set(self, t: TypeExpr, v: Variance, v2: Variance
-                  ) -> frozenset[_VTuple]:
+    def boxes(self, t: TypeExpr, v: Variance, v2: Variance) -> tuple[Box, ...]:
+        """The deriving contexts of `_ |- t : v => v2`, as boxes."""
         key = (t, v, v2)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        out: set[_VTuple] = set()
+        full = (FULL_MASK,) * len(self.domain)
+        out: list[Box] = []
         if var_leq(v2, v):
             # sc-Triv: any context that checks the variance alone.
             sets = variance_sets(self.sig, t, v, self.domain)
-            per_var = [sets[name] for name in self.domain]
-            out.update(
-                tup for tup in self._tuples
-                if all(x in s for x, s in zip(tup, per_var))
-            )
+            out.append(tuple(set_mask(sets[name]) for name in self.domain))
         if isinstance(t, Var):
             # sc-Var: the entry must be exactly v; other entries are free.
             idx = self.domain.index(t.name)
-            out.update(tup for tup in self._tuples if tup[idx] is v)
+            out.append((*full[:idx], MASK[v], *full[idx + 1:]))
         else:
             assert isinstance(t, App)
             if is_closed(self.sig, t.ctor, v):
-                ws = self.sig.variances(t.ctor)
                 if not t.args:
                     # A v-closed constant type decomposes under every
                     # context: the witness can copy the input.
-                    out.update(self._tuples)
+                    out.append(full)
                 else:
-                    states: set[_VTuple] = {tuple(IRR for _ in self.domain)}
-                    for a, w in zip(t.args, ws):
-                        child = self.valid_set(a, compose(v, w), compose(v2, w))
-                        states = {
-                            z
-                            for s in states
-                            for c in child
-                            if (z := _zip_tuples(s, c)) is not None
-                        }
-                        if not states:
-                            break
-                    out.update(states)
-        result = frozenset(out)
+                    states: Sequence[Box] = ((MASK[IRR],) * len(self.domain),)
+                    for a, w in zip(t.args, self.sig.variances(t.ctor)):
+                        child = self.boxes(a, compose(v, w), compose(v2, w))
+                        states = box_union(box_zip(s, c)
+                                           for s in states for c in child)
+                    out.extend(states)
+        result = box_union(out)
         self._memo[key] = result
         return result
-
-    def valid_contexts(self, t: TypeExpr, v: Variance, v2: Variance
-                       ) -> tuple[VarianceContext, ...]:
-        """Deriving contexts in canonical order (variables in domain
-        order, candidate variances in the order `= + - ~`)."""
-        members = self.valid_set(t, v, v2)
-        return tuple(
-            VarianceContext(zip(self.domain, tup))
-            for tup in self._tuples if tup in members
-        )
 
     def check(self, g: VarianceContext, t: TypeExpr, v: Variance,
               v2: Variance) -> bool:
         if g.domain() != self.domain:
             raise ValueError("context domain does not match engine domain")
-        return g.variances() in self.valid_set(t, v, v2)
+        point = [MASK[x] for x in g.variances()]
+        return any(all(p & b for p, b in zip(point, box))
+                   for box in self.boxes(t, v, v2))
 
     # -- derivation reconstruction -------------------------------------------
 
     def derive(self, g: VarianceContext, t: TypeExpr, v: Variance,
                v2: Variance) -> Optional[Derivation]:
         """Rebuild one derivation of `g |- t : v => v2` (None if not
-        derivable).  Rule preference: sc-Triv, sc-Var, sc-Constr."""
+        derivable).  Rule preference: sc-Triv, sc-Var, sc-Constr; the
+        constructor rule takes the first family of child contexts."""
         if not self.check(g, t, v, v2):
             return None
         judgment = f"{g} |- {render_type(t)} : {v} => {v2}"
@@ -344,32 +362,18 @@ class DecompEngine:
         if isinstance(t, Var):
             return Derivation("sc-Var", f"{judgment}   ({g[t.name]} = {v})")
         assert isinstance(t, App)
-        ws = self.sig.variances(t.ctor)
         if not t.args:
             return Derivation(
                 "sc-Constr", f"{judgment}   ({t.ctor} is {v}-closed, no arguments)")
-        child_sets = [
-            self.valid_set(a, compose(v, w), compose(v2, w))
-            for a, w in zip(t.args, ws)
-        ]
-        for combo in itertools.product(*(sorted(cs, key=self._tuples.index)
-                                         for cs in child_sets)):
-            acc: Optional[_VTuple] = tuple(IRR for _ in self.domain)
-            for tup in combo:
-                acc = _zip_tuples(acc, tup)
-                if acc is None:
-                    break
-            if acc == g.variances():
-                children = tuple(
-                    self.derive(VarianceContext(zip(self.domain, tup)),
-                                a, compose(v, w), compose(v2, w))
-                    for tup, a, w in zip(combo, t.args, ws)
-                )
-                assert all(c is not None for c in children)
-                return Derivation(
-                    "sc-Constr", f"{judgment}   ({t.ctor} is {v}-closed)",
-                    tuple(c for c in children if c is not None))
-        return None
+        subs = [(a, compose(v, w), compose(v2, w))
+                for a, w in zip(t.args, self.sig.variances(t.ctor))]
+        family = first_family([self.boxes(*sub) for sub in subs],
+                              tuple(MASK[x] for x in g.variances()))
+        assert family is not None
+        return Derivation(
+            "sc-Constr", f"{judgment}   ({t.ctor} is {v}-closed)",
+            tuple(self.derive(VarianceContext(zip(self.domain, tup)), *sub)
+                  for tup, sub in zip(family, subs)))
 
 
 def check_decomp(sig: Signature, g: VarianceContext, t: TypeExpr,

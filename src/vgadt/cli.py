@@ -136,13 +136,9 @@ def _structured_record(verdict: Verdict) -> str:
     return json.dumps(record)
 
 
-def _set_text(s: frozenset[Variance]) -> str:
-    return render_variance_set(s)
-
-
 def _sets_text(sets: dict[str, frozenset[Variance]],
                domain: Sequence[str]) -> str:
-    return "  ".join(f"{a}: {_set_text(sets[a])}" for a in domain)
+    return "  ".join(f"{a}: {render_variance_set(sets[a])}" for a in domain)
 
 
 def _explain_verdict(sig: Signature, verdict: Verdict, out: TextIO) -> None:
@@ -222,7 +218,7 @@ def _cmd_infer(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
                     principal = principal_context(sig, k.arg, COV, domain)
                     record = {
                         "type": decl.name, "ctor": k.name,
-                        "arg_sets": {a: _set_text(sets[a]) for a in domain},
+                        "arg_sets": {a: render_variance_set(sets[a]) for a in domain},
                         "principal": _render_gamma(principal),
                         "constraints": [],
                     }
@@ -251,11 +247,11 @@ def _cmd_infer(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
                 if cfg.format == "structured":
                     record = {
                         "type": decl.name, "ctor": k.name,
-                        "arg_sets": {a: _set_text(sets[a]) for a in domain},
+                        "arg_sets": {a: render_variance_set(sets[a]) for a in domain},
                         "principal": _render_gamma(principal),
                         "constraints": [
                             {"constraint": label,
-                             "sets": ({a: _set_text(ds[a]) for a in domain}
+                             "sets": ({a: render_variance_set(ds[a]) for a in domain}
                                       if ds is not None else None)}
                             for label, ds in constraints
                         ],

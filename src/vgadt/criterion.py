@@ -11,8 +11,9 @@ variance down to the target dictated by the constraint relation
 contravariance, which the trivial rule satisfies far more easily).
 
 Fast mode intersects the per-variable variance sets; exact mode, the
-verdict of record, searches actual context families and records
-re-verifiable witnesses.
+verdict of record, picks the first family of contexts from the exact
+deriving sets (unions of boxes) and records it as re-verifiable
+witnesses.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .checker import (
     SetMap,
     check_variance,
     decomp_sets,
+    first_family,
     variance_sets,
     _zip_combine,
 )
@@ -48,6 +50,7 @@ from .variance import (
     VarianceContext,
     ctx_zip_all,
     render_variance_set,
+    set_mask,
 )
 
 
@@ -103,15 +106,11 @@ def check_adt_constructor(sig: Signature, d: DatatypeDecl,
     reason = None
     for name, declared in d.params:
         if declared not in sets[name]:
-            need = _render_set(sets[name])
+            need = render_variance_set(sets[name])
             reason = (f"parameter '{name} is declared {declared} but its "
                       f"occurrences require one of {need}")
             break
     return Verdict(d.name, "", False, "exact", reason=reason)
-
-
-def _render_set(s: frozenset[Variance]) -> str:
-    return render_variance_set(s)
 
 
 def _constraint_label(d: DatatypeDecl, c: Constraint) -> str:
@@ -175,8 +174,6 @@ def _rejection_reason(sig: Signature, d: DatatypeDecl,
             f"(head of {render_type(c.bound)} is not {v}-closed)",
             fa.dead_constraint, ())
     empty = fa.empty_vars
-    if not empty:
-        return ("no zip-compatible family of contexts", None, ())
     a = empty[0]
     assert fa.zipped is not None and fa.result is not None
     if not fa.zipped[a]:
@@ -184,6 +181,10 @@ def _rejection_reason(sig: Signature, d: DatatypeDecl,
         acc = frozenset({Variance.IRR})
         for i, sets in enumerate(fa.constraint_sets):
             assert sets is not None
+            if not sets[a]:
+                label = _constraint_label(d, norm.constraints[i])
+                return (f"variable '{a}: no variance of it derives "
+                        f"constraint {label}", i, empty)
             nxt = _zip_combine([acc, sets[a]])
             if not nxt:
                 x = next(v for v in ALL_VARIANCES if v in acc)
@@ -193,8 +194,8 @@ def _rejection_reason(sig: Signature, d: DatatypeDecl,
             acc = nxt
         return (f"variable '{a}: constraints admit no common variance", None, empty)
     return (
-        f"variable '{a}: constraints admit {_render_set(fa.zipped[a])} but the "
-        f"argument type requires {_render_set(fa.arg_sets[a])}",
+        f"variable '{a}: constraints admit {render_variance_set(fa.zipped[a])} but the "
+        f"argument type requires {render_variance_set(fa.arg_sets[a])}",
         None, empty)
 
 
@@ -204,60 +205,49 @@ def check_gadt_constructor(sig: Signature, d: DatatypeDecl,
     """Accept `k` iff some context family satisfies the criterion.
 
     Fast mode decides from the per-variable sets alone.  Exact mode
-    enumerates context families per constraint (candidates restricted to
-    each constraint's deriving set, variables in declaration order with
-    variance candidates ordered `= + - ~`), zips them, and re-checks the
-    covariance of the argument type; the first success supplies the
-    recorded witnesses.
+    takes the first family, one deriving context per constraint, whose
+    zip types the argument covariantly: first in product order over the
+    constraints, variables in declaration order and candidates `= + - ~`.
+    `first_family` picks it entry by entry from the constraints' unions
+    of boxes; it supplies the recorded witnesses.
     """
     if mode not in ("fast", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     norm = normalize_constructor(d, k)
     fa = _analyze(sig, d, norm)
 
-    if mode == "fast":
-        if fa.accepted:
-            return Verdict(d.name, k.name, True, "fast", normalized=norm,
-                           arg=norm.arg)
-        reason, failing, empty = _rejection_reason(sig, d, norm, fa)
-        return Verdict(d.name, k.name, False, "fast", reason=reason,
-                       empty_vars=empty, failing_constraint=failing,
-                       normalized=norm)
-
     if not fa.accepted:
         reason, failing, empty = _rejection_reason(sig, d, norm, fa)
-        return Verdict(d.name, k.name, False, "exact", reason=reason,
+        return Verdict(d.name, k.name, False, mode, reason=reason,
                        empty_vars=empty, failing_constraint=failing,
                        normalized=norm)
+    if mode == "fast":
+        return Verdict(d.name, k.name, True, "fast", normalized=norm,
+                       arg=norm.arg)
 
     domain = norm.exist_vars
     varis = d.param_variances()
     engine = DecompEngine(sig, domain)
-    candidate_lists = []
-    for c in norm.constraints:
-        contexts = engine.valid_contexts(c.bound, varis[c.param],
-                                         target_variance(c.rel))
-        if not contexts:
+    unions = []
+    for i, c in enumerate(norm.constraints):
+        boxes = engine.boxes(c.bound, varis[c.param], target_variance(c.rel))
+        if not boxes:
             label = _constraint_label(d, c)
             return Verdict(
                 d.name, k.name, False, "exact",
                 reason=f"constraint {label}: no context derives it",
-                failing_constraint=norm.constraints.index(c), normalized=norm)
-        candidate_lists.append(contexts)
-    for family in itertools.product(*candidate_lists):
-        gamma = ctx_zip_all(family, domain)
-        if gamma is None:
-            continue
-        if check_variance(sig, gamma, norm.arg, COV):
-            return Verdict(d.name, k.name, True, "exact", gamma=gamma,
-                           gammas=tuple(family), normalized=norm, arg=norm.arg)
-    reason, failing, empty = _rejection_reason(sig, d, norm, fa)
-    if reason == "no zip-compatible family of contexts" or fa.accepted:
-        reason = ("no zip-compatible family of contexts "
-                  "(per-variable sets over-approximate)")
-    return Verdict(d.name, k.name, False, "exact", reason=reason,
-                   empty_vars=empty, failing_constraint=failing,
-                   normalized=norm)
+                failing_constraint=i, normalized=norm)
+        unions.append(boxes)
+    family = first_family(unions, tuple(set_mask(fa.arg_sets[a]) for a in domain))
+    if family is None:
+        return Verdict(d.name, k.name, False, "exact",
+                       reason=("no zip-compatible family of contexts "
+                               "(per-variable sets over-approximate)"),
+                       normalized=norm)
+    gammas = tuple(VarianceContext(zip(domain, g)) for g in family)
+    return Verdict(d.name, k.name, True, "exact",
+                   gamma=ctx_zip_all(gammas, domain), gammas=gammas,
+                   normalized=norm, arg=norm.arg)
 
 
 def check_gadt_constructor_bruteforce(sig: Signature, d: DatatypeDecl,

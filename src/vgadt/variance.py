@@ -4,7 +4,8 @@ Variances order the subtyping behaviour of a type parameter: covariant
 (`+`), contravariant (`-`), invariant (`=`) and irrelevant (`~`).  This
 module holds the composition table, the lattice order with its bounds,
 the partial zip operation, and their pointwise extensions to contexts
-(finite ordered maps from type-variable names to variances).
+(finite ordered maps from type-variable names to variances) and to
+boxes (sets of contexts that are products of per-variable sets).
 
 Everything here is a pure table-driven function over immutable values.
 """
@@ -239,3 +240,50 @@ def ctx_zip_all(
             return None
         acc = merged
     return acc
+
+
+# Sets of variances as 4-bit masks, and boxes: one mask per variable of a
+# domain, standing for every context whose entries lie in their masks.
+# Zip works per variable, so the zip of two boxes is again a box.
+
+#: One bit per variance; the bits ascend in the order `= + - ~`.
+MASK = {v: 1 << i for i, v in enumerate(ALL_VARIANCES)}
+FULL_MASK = 0b1111
+
+Box = tuple[int, ...]
+
+
+def set_mask(s: Iterable[Variance]) -> int:
+    return sum(MASK[v] for v in set(s))
+
+
+#: ZIP_MASK[a][b] is the mask of every defined zip of a member of `a`
+#: with a member of `b`; 0 when none is defined.  IRR is the identity of
+#: zip and INV zips only with itself, as in `zip_var`.
+ZIP_MASK = tuple(
+    tuple((b if a & MASK[IRR] else 0) | (a if b & MASK[IRR] else 0)
+          | (a & b & MASK[INV]) for b in range(16))
+    for a in range(16))
+
+
+def box_zip(a: Box, b: Box) -> Optional[Box]:
+    """Every defined zip of a member of `a` with a member of `b`; None
+    when that set is empty."""
+    out = tuple(ZIP_MASK[x][y] for x, y in zip(a, b))
+    return None if 0 in out else out
+
+
+def box_within(a: Box, b: Box) -> bool:
+    return all(x | y == y for x, y in zip(a, b))
+
+
+def box_union(boxes: Iterable[Optional[Box]]) -> tuple[Box, ...]:
+    """The boxes other than None (which stands for an empty box),
+    without those contained in another."""
+    out: list[Box] = []
+    for b in boxes:
+        if b is None or any(box_within(b, c) for c in out):
+            continue
+        out = [c for c in out if not box_within(c, b)]
+        out.append(b)
+    return tuple(out)

@@ -1,6 +1,16 @@
-"""Write the golden outputs of `vgadt oracle` that test_golden.py diffs.
+"""Write the golden CLI outputs that test_golden.py diffs.
 
-    PYTHONPATH=src python tests/golden/capture.py
+    PYTHONPATH=src python tests/golden/capture.py [SUITE ...]
+
+Three suites, one directory each:
+
+- `oracle/`: `vgadt oracle` at depth 2 over every corpus file x preset x
+  format, and at depth 3 for three files;
+- `check/`: `vgadt check` over every corpus file x preset x mode x
+  format, `check --explain` (text) over every corpus file x preset x
+  mode, and exact `check` / `check --explain` for the generated wide
+  constructors in `inputs/` (4-6 existential variables);
+- `infer/`: `vgadt infer` over every corpus file x preset x format.
 
 Each case is one in-process `vgadt.cli.run` call with the working
 directory at the repository root, so paths in diagnostics are relative.
@@ -16,18 +26,27 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
-GOLDEN = pathlib.Path(__file__).resolve().parent / "oracle"
+HERE = pathlib.Path(__file__).resolve().parent
+GOLDEN = HERE / "oracle"
 
 PRESETS = ("atomic", "ml-open", "none")
 FORMATS = ("text", "structured")
+MODES = ("exact", "fast")
 DEPTH3_FILES = ("ml_open_demo", "object_emulation", "sink_sub")
 
 
+def _corpus() -> list[str]:
+    return sorted(p.stem for p in (ROOT / "corpus").glob("*.vt"))
+
+
+def _inputs() -> list[str]:
+    return sorted(p.stem for p in (HERE / "inputs").glob("*.vt"))
+
+
 def cases() -> list[tuple[str, list[str]]]:
-    """(case name, argv) of every golden case."""
-    names = sorted(p.stem for p in (ROOT / "corpus").glob("*.vt"))
+    """(case name, argv) of every `oracle` golden case."""
     out = []
-    for name in names:
+    for name in _corpus():
         for preset in PRESETS:
             for fmt in FORMATS:
                 out.append((f"d2-{preset}-{fmt}-{name}",
@@ -39,6 +58,42 @@ def cases() -> list[tuple[str, list[str]]]:
                         ["oracle", f"corpus/{name}.vt", "--depth=3",
                          "--preset=atomic", f"--format={fmt}"]))
     return out
+
+
+def check_cases() -> list[tuple[str, list[str]]]:
+    """(case name, argv) of every `check` golden case."""
+    out = []
+    for name in _corpus():
+        path = f"corpus/{name}.vt"
+        for preset in PRESETS:
+            for mode in MODES:
+                for fmt in FORMATS:
+                    out.append((f"{mode}-{preset}-{fmt}-{name}",
+                                ["check", path, f"--preset={preset}",
+                                 f"--mode={mode}", f"--format={fmt}"]))
+                out.append((f"{mode}-{preset}-explain-{name}",
+                            ["check", path, f"--preset={preset}",
+                             f"--mode={mode}", "--explain"]))
+    for name in _inputs():
+        path = f"tests/golden/inputs/{name}.vt"
+        for fmt in FORMATS:
+            out.append((f"exact-atomic-{fmt}-{name}",
+                        ["check", path, "--mode=exact", f"--format={fmt}"]))
+        out.append((f"exact-atomic-explain-{name}",
+                    ["check", path, "--mode=exact", "--explain"]))
+    return out
+
+
+def infer_cases() -> list[tuple[str, list[str]]]:
+    """(case name, argv) of every `infer` golden case."""
+    return [(f"{preset}-{fmt}-{name}",
+             ["infer", f"corpus/{name}.vt", f"--preset={preset}",
+              f"--format={fmt}"])
+            for name in _corpus() for preset in PRESETS for fmt in FORMATS]
+
+
+#: directory -> cases stored there.
+SUITES = {"oracle": cases, "check": check_cases, "infer": infer_cases}
 
 
 def render(argv: list[str]) -> str:
@@ -56,10 +111,14 @@ def render(argv: list[str]) -> str:
 
 def main() -> None:
     os.chdir(ROOT)
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in cases():
-        (GOLDEN / f"{name}.out").write_text(render(argv), encoding="utf-8")
-        print(name, file=sys.stderr)
+    suites = sys.argv[1:] or list(SUITES)
+    for suite in suites:
+        target = HERE / suite
+        target.mkdir(exist_ok=True)
+        for name, argv in SUITES[suite]():
+            (target / f"{name}.out").write_text(render(argv),
+                                                encoding="utf-8")
+            print(f"{suite}/{name}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -217,3 +217,19 @@ class TestRobustness:
         code, out, err = invoke("check", CORPUS / "expr.vt")
         assert out == ""
         self.assert_one_line_error(code, err, "internal error", "boom")
+
+
+class TestExplainWide:
+    def test_explain_on_eight_variables(self, tmp_path):
+        vs = [f"'v{i}" for i in range(8)]
+        path = tmp_path / "wide.vt"
+        path.write_text(
+            f"type (+'a, +'b) w =\n  | K : {' '.join(vs)} "
+            f"['a = {' * '.join(vs[:4])}, 'b = {' * '.join(vs[4:])}]. "
+            f"{' * '.join(vs)}\n", encoding="utf-8")
+        code, out, _ = invoke("check", path, "--explain")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "w.K: accepted"
+        assert sum("[sc-Var]" in l for l in lines) == 8
+        assert sum("[sc-Constr]" in l for l in lines) == 6

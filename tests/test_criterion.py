@@ -18,7 +18,7 @@ from vgadt.syntax import (
     FORM_ADT,
     parse_signature,
 )
-from vgadt.variance import CONTRA, COV, INV, VarianceContext, const_ctx
+from vgadt.variance import CONTRA, COV, INV, IRR, VarianceContext, const_ctx
 
 CORPUS_FILES = [
     "expr", "eq_cov", "eq_inv", "fun_cov", "expr_sup", "pair_ref", "list",
@@ -190,3 +190,89 @@ class TestReport:
         compute_closure_flags(sig, "atomic")
         report = check_signature(sig)
         assert report.verdicts == [] and report.ok
+
+
+def wide_signature(family: str, m: int):
+    """One constructor over m existential variables 'v0 .. 'v(m-1), in
+    one of five shapes whose verdict under the atomic preset is fixed by
+    construction (the same shapes as the check-wide benchmark)."""
+    vs = [f"v{i}" for i in range(m)]
+    half = m // 2
+
+    def prod(names):
+        return " * ".join(f"'{v}" for v in names)
+
+    params, bounds, arg = {
+        "eq-product": ("+'a", f"'a = {prod(vs)}", prod(vs)),
+        "eq-split": ("+'a, +'b",
+                     f"'a = {prod(vs[:half])}, 'b = {prod(vs[half:])}",
+                     prod(vs)),
+        "eq-shared-inv": ("='a, ='b", f"'a = {prod(vs)}, 'b = {prod(vs)}",
+                          prod(vs)),
+        "eq-contra-arg": ("+'a", f"'a = {prod(vs)}",
+                          f"('{vs[0]} -> unit) * {prod(vs[1:])}"),
+        "eq-shared-cov": ("+'a, +'b",
+                          f"'a = {prod(vs[:half + 1])}, "
+                          f"'b = {prod(vs[half:])}",
+                          prod(vs)),
+    }[family]
+    binders = " ".join(f"'{v}" for v in vs)
+    sig = parse_signature(f"type ({params}) w =\n"
+                          f"  | K : {binders} [{bounds}]. {arg}\n")
+    compute_closure_flags(sig, "atomic")
+    return sig, vs
+
+
+class TestWideScaling:
+    """Exact mode on many existential variables: the verdicts fixed by
+    construction and the closed-form first witnesses."""
+
+    @pytest.mark.parametrize("m", [8, 10])
+    def test_accepted_shapes_and_witnesses(self, m):
+        def entries(vs, v):
+            return VarianceContext((name, v) for name in vs)
+
+        sig, vs = wide_signature("eq-product", m)
+        verdict = verdicts_by_name(sig)["w.K"]
+        assert verdict.accepted
+        assert verdict.gamma == entries(vs, COV)
+        assert verdict.gammas == (entries(vs, COV),)
+
+        sig, vs = wide_signature("eq-split", m)
+        verdict = verdicts_by_name(sig)["w.K"]
+        half = m // 2
+        assert verdict.accepted
+        assert verdict.gamma == entries(vs, COV)
+        assert verdict.gammas == (
+            VarianceContext((v, COV if i < half else IRR)
+                            for i, v in enumerate(vs)),
+            VarianceContext((v, IRR if i < half else COV)
+                            for i, v in enumerate(vs)))
+
+        sig, vs = wide_signature("eq-shared-inv", m)
+        verdict = verdicts_by_name(sig)["w.K"]
+        assert verdict.accepted
+        assert verdict.gamma == entries(vs, INV)
+        assert verdict.gammas == (entries(vs, INV), entries(vs, INV))
+
+    @pytest.mark.parametrize("m", [8, 10])
+    @pytest.mark.parametrize("family", ["eq-contra-arg", "eq-shared-cov"])
+    def test_rejected_shapes(self, family, m):
+        sig, _ = wide_signature(family, m)
+        for mode in ("fast", "exact"):
+            verdict = verdicts_by_name(sig, mode)["w.K"]
+            assert not verdict.accepted and verdict.gammas is None
+
+
+class TestRepeatedVariable:
+    def test_bound_using_a_variable_twice_is_a_rejection(self):
+        # 'x occurs twice at + in the bound; zip(+, +) is undefined, so
+        # no variance of 'x derives the constraint.
+        sig = parse_signature("type (+'a) t =\n  | K : 'x ['a = 'x * 'x]. 'x\n")
+        compute_closure_flags(sig, "atomic")
+        for mode in ("fast", "exact"):
+            verdict = verdicts_by_name(sig, mode)["t.K"]
+            assert not verdict.accepted
+            assert verdict.reason == ("variable 'x: no variance of it "
+                                      "derives constraint 'a = 'x * 'x")
+            assert verdict.failing_constraint == 0

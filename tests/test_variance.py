@@ -12,7 +12,12 @@ from vgadt.variance import (
     COV,
     INV,
     IRR,
+    MASK,
+    ZIP_MASK,
     VarianceContext,
+    box_union,
+    box_within,
+    box_zip,
     compose,
     const_ctx,
     ctx_glb,
@@ -20,6 +25,7 @@ from vgadt.variance import (
     ctx_lub,
     ctx_zip,
     ctx_zip_all,
+    set_mask,
     up_set,
     var_glb,
     var_leq,
@@ -227,3 +233,39 @@ class TestContexts:
         irr = const_ctx(g.domain(), IRR)
         assert ctx_zip(g, irr) == g
         assert ctx_zip_all([g], g.domain()) == g
+
+
+def members(mask):
+    return [v for v in ALL_VARIANCES if mask & MASK[v]]
+
+
+def points(boxes):
+    return {p for b in boxes for p in itertools.product(*map(members, b))}
+
+
+masks = st.integers(0, 15)
+boxes = st.lists(st.none() | st.tuples(masks.filter(bool), masks.filter(bool)),
+                 max_size=4)
+
+
+class TestBoxes:
+    def test_zip_mask_is_the_set_zip(self):
+        for a in range(16):
+            for b in range(16):
+                assert ZIP_MASK[a][b] == set_mask(
+                    z for x in members(a) for y in members(b)
+                    if (z := zip_var(x, y)) is not None)
+
+    @given(st.tuples(masks, masks), st.tuples(masks, masks))
+    def test_box_zip_is_the_pointwise_zip(self, a, b):
+        want = {tuple(zip_var(x, y) for x, y in zip(p, q))
+                for p in points([a]) for q in points([b])}
+        want = {z for z in want if None not in z}
+        z = box_zip(a, b)
+        assert (points([z]) if z is not None else set()) == want
+
+    @given(boxes)
+    def test_union_keeps_the_points_and_drops_contained_boxes(self, bs):
+        u = box_union(bs)
+        assert points(u) == points(b for b in bs if b is not None)
+        assert not any(box_within(x, y) for x in u for y in u if x is not y)
