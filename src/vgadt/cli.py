@@ -11,10 +11,17 @@ disagreement, 2 unreadable input, parse error, ill-formed signature or
 internal error (reported in one line, never as a traceback).
 Structured output (`--format=structured`) is one JSON record per line on
 stdout; diagnostics go to stderr.
+
+`run` may be called repeatedly in one process.  The argument parser is
+built once per process, on the first call; nothing else outlives a
+call.  All output of a call, argparse's usage and help text included,
+goes to the `out` and `err` streams it is given.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -69,6 +76,7 @@ class RunConfig:
     explain: bool = False
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vgadt",
@@ -284,10 +292,10 @@ def _cmd_oracle(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
             return EXIT_ERROR
         try:
             universe = enumerate_types(sig, cfg.depth)
+            report = check_signature(sig, cfg.mode)
         except (UniverseSizeError, ValueError) as exc:
             print(f"{path}: {exc}", file=err)
             return EXIT_ERROR
-        report = check_signature(sig, cfg.mode)
         for verdict in report.verdicts:
             decl = sig.info(verdict.datatype).decl
             assert decl is not None
@@ -323,7 +331,8 @@ def run(argv: Sequence[str], out: TextIO = sys.stdout,
         err: TextIO = sys.stderr) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            ns = parser.parse_args(list(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags already; normalize the code.
         return EXIT_ERROR if exc.code else EXIT_OK

@@ -13,7 +13,10 @@ contravariance, which the trivial rule satisfies far more easily).
 Fast mode intersects the per-variable variance sets; exact mode, the
 verdict of record, picks the first family of contexts from the exact
 deriving sets (unions of boxes) and records it as re-verifiable
-witnesses.
+witnesses.  Exact mode decides first and runs the fast analysis only to
+explain a rejection: the per-variable sets over-approximate the exact
+ones, so an exact acceptance implies a fast one, and a rejection keeps
+the fast analysis's reason whenever that analysis rejects too.
 """
 from __future__ import annotations
 
@@ -139,11 +142,10 @@ class _FastAnalysis:
                 and not self.empty_vars)
 
 
-def _analyze(sig: Signature, d: DatatypeDecl, norm: DataConstructorDecl
-             ) -> _FastAnalysis:
+def _analyze(sig: Signature, d: DatatypeDecl, norm: DataConstructorDecl,
+             arg_sets: SetMap) -> _FastAnalysis:
     domain = norm.exist_vars
     varis = d.param_variances()
-    arg_sets = variance_sets(sig, norm.arg, COV, domain)
     constraint_sets: list[Optional[SetMap]] = []
     dead = None
     for i, c in enumerate(norm.constraints):
@@ -199,6 +201,34 @@ def _rejection_reason(sig: Signature, d: DatatypeDecl,
         None, empty)
 
 
+def _check_exact(sig: Signature, d: DatatypeDecl, norm: DataConstructorDecl,
+                 arg_sets: SetMap) -> Verdict:
+    """The exact-mode verdict, with the reasons only it can give."""
+    domain = norm.exist_vars
+    varis = d.param_variances()
+    engine = DecompEngine(sig, domain)
+    unions = []
+    for i, c in enumerate(norm.constraints):
+        boxes = engine.boxes(c.bound, varis[c.param], target_variance(c.rel))
+        if not boxes:
+            label = _constraint_label(d, c)
+            return Verdict(
+                d.name, norm.name, False, "exact",
+                reason=f"constraint {label}: no context derives it",
+                failing_constraint=i, normalized=norm)
+        unions.append(boxes)
+    family = first_family(unions, tuple(set_mask(arg_sets[a]) for a in domain))
+    if family is None:
+        return Verdict(d.name, norm.name, False, "exact",
+                       reason=("no zip-compatible family of contexts "
+                               "(per-variable sets over-approximate)"),
+                       normalized=norm)
+    gammas = tuple(VarianceContext(zip(domain, g)) for g in family)
+    return Verdict(d.name, norm.name, True, "exact",
+                   gamma=ctx_zip_all(gammas, domain), gammas=gammas,
+                   normalized=norm, arg=norm.arg)
+
+
 def check_gadt_constructor(sig: Signature, d: DatatypeDecl,
                            k: DataConstructorDecl,
                            mode: str = "exact") -> Verdict:
@@ -209,45 +239,27 @@ def check_gadt_constructor(sig: Signature, d: DatatypeDecl,
     zip types the argument covariantly: first in product order over the
     constraints, variables in declaration order and candidates `= + - ~`.
     `first_family` picks it entry by entry from the constraints' unions
-    of boxes; it supplies the recorded witnesses.
+    of boxes; it supplies the recorded witnesses.  An exact rejection
+    gives the fast analysis's reason when that analysis rejects too.
     """
     if mode not in ("fast", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     norm = normalize_constructor(d, k)
-    fa = _analyze(sig, d, norm)
-
+    arg_sets = variance_sets(sig, norm.arg, COV, norm.exist_vars)
+    exact = None
+    if mode == "exact":
+        exact = _check_exact(sig, d, norm, arg_sets)
+        if exact.accepted:
+            return exact
+    fa = _analyze(sig, d, norm, arg_sets)
     if not fa.accepted:
         reason, failing, empty = _rejection_reason(sig, d, norm, fa)
         return Verdict(d.name, k.name, False, mode, reason=reason,
                        empty_vars=empty, failing_constraint=failing,
                        normalized=norm)
-    if mode == "fast":
-        return Verdict(d.name, k.name, True, "fast", normalized=norm,
-                       arg=norm.arg)
-
-    domain = norm.exist_vars
-    varis = d.param_variances()
-    engine = DecompEngine(sig, domain)
-    unions = []
-    for i, c in enumerate(norm.constraints):
-        boxes = engine.boxes(c.bound, varis[c.param], target_variance(c.rel))
-        if not boxes:
-            label = _constraint_label(d, c)
-            return Verdict(
-                d.name, k.name, False, "exact",
-                reason=f"constraint {label}: no context derives it",
-                failing_constraint=i, normalized=norm)
-        unions.append(boxes)
-    family = first_family(unions, tuple(set_mask(fa.arg_sets[a]) for a in domain))
-    if family is None:
-        return Verdict(d.name, k.name, False, "exact",
-                       reason=("no zip-compatible family of contexts "
-                               "(per-variable sets over-approximate)"),
-                       normalized=norm)
-    gammas = tuple(VarianceContext(zip(domain, g)) for g in family)
-    return Verdict(d.name, k.name, True, "exact",
-                   gamma=ctx_zip_all(gammas, domain), gammas=gammas,
-                   normalized=norm, arg=norm.arg)
+    if exact is not None:
+        return exact            # a rejection only exact mode finds
+    return Verdict(d.name, k.name, True, "fast", normalized=norm, arg=norm.arg)
 
 
 def check_gadt_constructor_bruteforce(sig: Signature, d: DatatypeDecl,

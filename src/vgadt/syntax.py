@@ -33,9 +33,10 @@ left-associative; postfix constructor application binds tightest.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .variance import Variance, variance_of
 
@@ -373,73 +374,73 @@ def builtin_signature() -> Signature:
 # Lexer
 
 _KEYWORDS = {"type", "base", "subbase", "private", "closed", "of", "forall"}
-_PUNCT = ("->", ">=", "<=", "(", ")", "[", "]", ",", ".", "|", ":",
-          "=", "*", "+", "-", "~")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str            # "ident" | "tyvar" | "kw" | punctuation | "eof"
     text: str
     line: int
     col: int
 
 
+# One match per token, newline or unexpected character; blanks and
+# comments are skipped as a prefix of the next match.  `\w` is exactly
+# `str.isalnum()` plus `_`, and columns count code points.  Two quirks
+# are kept, so that tokens and diagnostics equal those of the reference
+# lexer in tests/test_lexer_reference.py:
+# - a word that starts with a non-letter (`9a`, `²b`, `½`: digits and
+#   numerals are `\w` too) reports each leading character as unexpected
+#   and starts the identifier at the first letter or `_`;
+# - a comment does not advance the column, so after a trailing comment
+#   with no newline the `eof` token sits at the column of the `#`.
+_SCAN = re.compile(r"""
+    (?: [ \t\r] | \#[^\n]* )*
+    (?: (?P<word> \w+ )
+      | (?P<tyvar> '\w* )
+      | (?P<punct> -> | >= | <= | [()\[\],.|:=*+~-] )
+      | (?P<nl> \n )
+      | (?P<bad> . )
+    )?""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:            # blanks and comments at the end
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
+        lexeme = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        if kind == "word":
+            i = 0
+            while i < len(lexeme) and not (lexeme[i].isalpha()
+                                           or lexeme[i] == "_"):
+                diags.append(Diagnostic(line, col + i,
+                                        f"unexpected character {lexeme[i]!r}"))
                 i += 1
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i + 1:j]
-            if not name:
+            if i < len(lexeme):
+                word = lexeme[i:]
+                tokens.append(Token("kw" if word in _KEYWORDS else "ident",
+                                    word, line, col + i))
+        elif kind == "punct":
+            tokens.append(Token(lexeme, lexeme, line, col))
+        elif kind == "tyvar":
+            if len(lexeme) > 1:
+                tokens.append(Token("tyvar", lexeme[1:], line, col))
+            else:
                 diags.append(Diagnostic(line, col, "expected identifier after '"))
-                i += 1
-                col += 1
-                continue
-            tokens.append(Token("tyvar", name, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+        elif kind == "nl":
+            line += 1
+            line_start = m.end()
         else:
-            diags.append(Diagnostic(line, col, f"unexpected character {ch!r}"))
-            i += 1
-            col += 1
-    tokens.append(Token("eof", "", line, col))
+            diags.append(Diagnostic(line, col,
+                                    f"unexpected character {lexeme!r}"))
+    # A comment on the last line runs to the end, and `eof` sits at its `#`.
+    hash_at = text.find("#", line_start)
+    end = hash_at if hash_at >= 0 else len(text)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens, diags
 
 
@@ -464,8 +465,9 @@ class _Parser:
         self.diags: list[Diagnostic] = []
         self.nesting = 0
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # The list ends in `eof`, and `next` never moves past it.
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()

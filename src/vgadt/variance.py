@@ -21,6 +21,11 @@ class Variance(Enum):
     CONTRA = "-"
     IRR = "~"
 
+    # Members are singletons and compare by identity, so the identity
+    # hash is consistent with equality; Enum's own `__hash__` hashes the
+    # member name in Python on every dict and set operation.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"Variance({self.value!r})"
 

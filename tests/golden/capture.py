@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/golden/capture.py [SUITE ...]
 
-Three suites, one directory each:
+Four suites, one directory each:
 
 - `oracle/`: `vgadt oracle` at depth 2 over every corpus file x preset x
   format, and at depth 3 for three files;
@@ -10,7 +10,12 @@ Three suites, one directory each:
   format, `check --explain` (text) over every corpus file x preset x
   mode, and exact `check` / `check --explain` for the generated wide
   constructors in `inputs/` (4-6 existential variables);
-- `infer/`: `vgadt infer` over every corpus file x preset x format.
+- `infer/`: `vgadt infer` over every corpus file x preset x format;
+- `diagnostics/`: `vgadt check` on each malformed file in `bad/`
+  (lexical errors, a token missing after a trailing comment, non-ASCII
+  names, nesting over the depth limit, duplicate declarations, bad
+  constraints, unbound variables).  These files live outside `inputs/`
+  because the `check` suite runs every file there.
 
 Each case is one in-process `vgadt.cli.run` call with the working
 directory at the repository root, so paths in diagnostics are relative.
@@ -92,8 +97,15 @@ def infer_cases() -> list[tuple[str, list[str]]]:
             for name in _corpus() for preset in PRESETS for fmt in FORMATS]
 
 
+def diagnostics_cases() -> list[tuple[str, list[str]]]:
+    """(case name, argv) of every `diagnostics` golden case."""
+    return [(p.stem, ["check", f"tests/golden/bad/{p.name}"])
+            for p in sorted((HERE / "bad").glob("*.vt"))]
+
+
 #: directory -> cases stored there.
-SUITES = {"oracle": cases, "check": check_cases, "infer": infer_cases}
+SUITES = {"oracle": cases, "check": check_cases, "infer": infer_cases,
+          "diagnostics": diagnostics_cases}
 
 
 def render(argv: list[str]) -> str:

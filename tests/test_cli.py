@@ -172,6 +172,32 @@ class TestErrors:
         assert code == EXIT_ERROR
         assert "depth" in err
 
+    def test_usage_errors_go_to_the_given_stream(self, capsys):
+        for _ in range(2):      # the parser is shared between calls
+            code, out, err = invoke("check", "--bogus", CORPUS / "expr.vt")
+            assert code == EXIT_ERROR
+            assert out == ""
+            assert err.startswith("usage: vgadt")
+            assert "--bogus" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_goes_to_the_given_stream(self, capsys):
+        code, out, err = invoke("--help")
+        assert code == EXIT_OK
+        assert out.startswith("usage: vgadt") and err == ""
+        code, out, err = invoke("oracle", "--help")
+        assert code == EXIT_OK
+        assert out.startswith("usage: vgadt oracle") and "--depth" in out
+        assert capsys.readouterr() == ("", "")
+
+    def test_constrained_parameter_in_the_argument(self, tmp_path):
+        bad = tmp_path / "bad.vt"
+        bad.write_text("base int\ntype (+'a) t = | K : ['a = int]. 'a\n")
+        want = (f"{bad}: t.K: parameter 'a is constrained and may not also "
+                f"occur in the argument or a bound\n")
+        for command in ("check", "infer", "oracle"):
+            assert invoke(command, bad) == (EXIT_ERROR, "", want), command
+
 
 class TestRobustness:
     """Every input ends in a verdict or a one-line diagnostic."""

@@ -3,7 +3,10 @@ engine, which lists every variance tuple over the domain and zips the
 sets pairwise, and the search that walks context families in
 `itertools.product` order.  Kept here as the specification that the box
 engine and the first-family search must reproduce: the same deriving
-contexts, the same witnesses and the same derivations.
+contexts, the same witnesses and the same derivations.  Whole verdicts
+are also compared with a reference that runs the fast analysis first and
+the enumerative search only after a fast acceptance: exact mode now
+decides first, and its verdicts, reasons and witnesses must not change.
 
 `check_gadt_constructor_bruteforce` calls `DecompEngine.check`, so
 criterion 8 does not test the engine by itself; this file does.
@@ -25,7 +28,13 @@ from vgadt.checker import (
     is_closed,
     variance_sets,
 )
-from vgadt.criterion import check_gadt_constructor, target_variance
+from vgadt.criterion import (
+    Verdict,
+    _analyze,
+    _rejection_reason,
+    check_gadt_constructor,
+    target_variance,
+)
 from vgadt.syntax import (
     App,
     Constraint,
@@ -257,3 +266,49 @@ def test_witnesses_and_derivations_equal_reference(case):
     for gi, c in zip(verdict.gammas, norm.constraints):
         args = (c.bound, varis[c.param], target_variance(c.rel))
         assert engine.derive(gi, *args) == ref.derive(gi, *args)
+
+
+def reference_verdict(sig, d, k, mode: str) -> Verdict:
+    """The verdict with the fast analysis run first: its rejection reason
+    when it rejects, else the fast acceptance or the enumerative exact
+    search."""
+    norm = normalize_constructor(d, k)
+    domain = norm.exist_vars
+    fa = _analyze(sig, d, norm, variance_sets(sig, norm.arg, COV, domain))
+    if not fa.accepted:
+        reason, failing, empty = _rejection_reason(sig, d, norm, fa)
+        return Verdict(d.name, k.name, False, mode, reason=reason,
+                       empty_vars=empty, failing_constraint=failing,
+                       normalized=norm)
+    if mode == "fast":
+        return Verdict(d.name, k.name, True, "fast", normalized=norm,
+                       arg=norm.arg)
+    ref = Reference(sig, domain)
+    varis = d.param_variances()
+    for i, c in enumerate(norm.constraints):
+        if not ref.valid_set(c.bound, varis[c.param], target_variance(c.rel)):
+            label = (f"'{d.param_names()[c.param]} {c.rel.value} "
+                     f"{render_type(c.bound)}")
+            return Verdict(d.name, k.name, False, "exact",
+                           reason=f"constraint {label}: no context derives it",
+                           failing_constraint=i, normalized=norm)
+    found = ref.family(d, norm)
+    if found is None:
+        return Verdict(d.name, k.name, False, "exact",
+                       reason=("no zip-compatible family of contexts "
+                               "(per-variable sets over-approximate)"),
+                       normalized=norm)
+    gamma, gammas = found
+    return Verdict(d.name, k.name, True, "exact", gamma=gamma, gammas=gammas,
+                   normalized=norm, arg=norm.arg)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(constructors())
+def test_verdicts_equal_fast_first_reference(case):
+    preset, d, k = case
+    sig = SIGS[preset]
+    for mode in ("fast", "exact"):
+        assert (check_gadt_constructor(sig, d, k, mode)
+                == reference_verdict(sig, d, k, mode)), mode

@@ -4,7 +4,8 @@ golden/capture.py must match the stored files byte for byte.
 The `oracle` files pin the first counterexample of every rejection; the
 `check` files pin verdicts, witnesses (`gamma`, `gammas`), rejection
 reasons and `--explain` derivations; the `infer` files pin the printed
-variance sets.  Regenerate them with
+variance sets; the `diagnostics` files pin the positioned messages for
+malformed input.  Regenerate them with
 `PYTHONPATH=src python tests/golden/capture.py` only for an intended
 change of output.
 """
@@ -49,3 +50,9 @@ def test_check_output_matches_golden(name, argv, monkeypatch):
 def test_infer_output_matches_golden(name, argv, monkeypatch):
     monkeypatch.chdir(capture.ROOT)
     assert_matches("infer", name, argv)
+
+
+@parametrize(capture.diagnostics_cases())
+def test_diagnostics_match_golden(name, argv, monkeypatch):
+    monkeypatch.chdir(capture.ROOT)
+    assert_matches("diagnostics", name, argv)
