@@ -15,7 +15,8 @@ stdout; diagnostics go to stderr.
 `run` may be called repeatedly in one process.  The argument parser is
 built once per process, on the first call; nothing else outlives a
 call.  All output of a call, argparse's usage and help text included,
-goes to the `out` and `err` streams it is given.
+goes to the `out` and `err` streams it is given, by default to
+`sys.stdout` and `sys.stderr` as they are when it is called.
 """
 from __future__ import annotations
 
@@ -327,8 +328,12 @@ def _cmd_oracle(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
     return EXIT_OK if all_agree else EXIT_REJECTED
 
 
-def run(argv: Sequence[str], out: TextIO = sys.stdout,
-        err: TextIO = sys.stderr) -> int:
+def run(argv: Sequence[str], out: Optional[TextIO] = None,
+        err: Optional[TextIO] = None) -> int:
+    """Run one command; `out` and `err` default to the process streams
+    current at the call."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

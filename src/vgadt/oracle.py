@@ -30,19 +30,22 @@ extra rules.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .criterion import target_variance
 from .syntax import (
     App,
+    Constraint,
     DataConstructorDecl,
     DatatypeDecl,
     Signature,
     TypeExpr,
     Var,
+    free_vars,
     is_ground,
     normalize_constructor,
     render_type,
@@ -161,7 +164,11 @@ class TypeTable:
 
     def row(self, v: Variance, a: int) -> int:
         """The set of dense ids b with a prec_v b."""
-        return self._pick(v, *self._up_down(a))
+        if v is IRR:
+            return self.full
+        if a < self.dense:
+            return self._pick(v, self.le[a], self.ge[a])
+        return self._pick(v, *self._rows_from_kids(a, v))
 
     def _pick(self, v: Variance, up: int, down: int) -> int:
         if v is COV:
@@ -218,9 +225,12 @@ class TypeTable:
                 return False
         return True
 
-    def _rows_from_kids(self, x: int) -> tuple[int, int]:
+    def _rows_from_kids(self, x: int, v: Optional[Variance] = None
+                        ) -> tuple[int, int]:
         """The dense ids other than x above and below x, from the rows
-        of its children."""
+        of its children.  Given v, only as much as `row(v, x)` needs:
+        the ids above x for COV, those below for CONTRA, and for INV
+        those below among those above."""
         h = self.heads[x]
         ws = self._variances[h]
         above, below = [], []
@@ -229,17 +239,21 @@ class TypeTable:
             above.append(self._pick(w, up, down))
             below.append(self._pick(_REVERSE[w], up, down))
         up = down = 0
-        for g in self._up[h]:
-            up |= self._with_kids(g, ws, above)
-        for g in self._down[h]:
-            down |= self._with_kids(g, ws, below)
+        if v is not CONTRA:
+            for g in self._up[h]:
+                up |= self._with_kids(g, ws, above)
+        if v is None or v is CONTRA or up and v is INV:
+            within = up if v is INV else -1
+            for g in self._down[h]:
+                down |= self._with_kids(g, ws, below, within)
         return up, down
 
     def _with_kids(self, head: str, ws: Sequence[Variance],
-                   allowed: Sequence[int]) -> int:
-        """Dense ids of head `head` whose child at each position p lies
-        in allowed[p] (positions of variance IRR are unconstrained)."""
-        out = self._head_ids.get(head, 0)
+                   allowed: Sequence[int], within: int = -1) -> int:
+        """Dense ids of head `head` in `within` whose child at each
+        position p lies in allowed[p] (positions of variance IRR are
+        unconstrained)."""
+        out = self._head_ids.get(head, 0) & within
         for p, (w, ok) in enumerate(zip(ws, allowed)):
             if not out:
                 break
@@ -545,6 +559,9 @@ class ReqSpResult:
     sigma: Optional[tuple[TypeExpr, ...]] = None
     sigma_prime: Optional[tuple[TypeExpr, ...]] = None
     rho: Optional[tuple[TypeExpr, ...]] = None
+    #: Assignments of the existential groups visited: a cost, not part
+    #: of the verdict.
+    assignments: int = field(default=0, compare=False)
 
     def describe(self) -> str:
         if self.holds:
@@ -574,65 +591,207 @@ def _occurrence_variances(sig: Signature, t: TypeExpr,
     return [uses[x] for x in domain]
 
 
+class _Group(NamedTuple):
+    """Existential coordinates that constraint bounds link, and the
+    constraints over them.  Bounds are instantiated from assignments to
+    the group's own coordinates, in ascending order."""
+    coords: tuple[int, ...]
+    params: tuple[int, ...]
+    #: (parameter, v, bound instances), with "parameter rel bound" iff
+    #: bound prec_v parameter.
+    cons: tuple[tuple[int, Variance, Callable[[tuple[int, ...]], int]], ...]
+    #: Bare-variable bounds: (local coordinate, parameter, v).
+    pinned: tuple[tuple[int, int, Variance], ...]
+    #: The other bounds, as in `cons`.
+    others: tuple[tuple[int, Variance, Callable[[tuple[int, ...]], int]], ...]
+    #: Per local coordinate, the variances of its argument occurrences.
+    uses: tuple[list[Variance], ...]
+
+
+def _groups(sig: Signature, u: GroundUniverse,
+            norm: DataConstructorDecl) -> list[_Group]:
+    """The constraints of a normalized constructor, split into groups:
+    two constraints share a group when their bounds share a variable,
+    and the closed bounds form the group with no coordinate.  Groups
+    come in the order of their coordinates.  (Two constraints on one
+    parameter, which only a constructor built in code can have, share
+    a group too, so that its search is the literal one.)"""
+    domain = norm.exist_vars
+    arg_uses = _occurrence_variances(sig, norm.arg, domain)
+    parts: list[tuple[frozenset[str], list[Constraint]]] = []
+    for c in norm.constraints:
+        names = free_vars(c.bound)
+        # A closed bound joins the part of the other closed bounds.
+        linked = [p for p in parts if p[0] & names or not (p[0] or names)
+                  or any(x.param == c.param for x in p[1])]
+        for p in linked:
+            parts.remove(p)
+        parts.append((names.union(*(p[0] for p in linked)),
+                      [x for p in linked for x in p[1]] + [c]))
+    groups = []
+    for names, cs in parts:
+        coords = tuple(sorted(domain.index(x) for x in names))
+        local = [domain[j] for j in coords]
+        cs.sort(key=lambda c: c.param)
+        cons = tuple((c.param, target_variance(c.rel),
+                      _instantiator(u, c.bound, local)) for c in cs)
+        groups.append(_Group(
+            coords, tuple(c.param for c in cs), cons,
+            tuple((local.index(c.bound.name), c.param, v)
+                  for c, (_, v, _) in zip(cs, cons)
+                  if isinstance(c.bound, Var)),
+            tuple(con for c, con in zip(cs, cons)
+                  if not isinstance(c.bound, Var)),
+            tuple(arg_uses[j] for j in coords)))
+    groups.sort(key=lambda g: g.coords)
+    return groups
+
+
 def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
            k: DataConstructorDecl) -> ReqSpResult:
     """The per-constructor soundness condition over u: whenever the
     instantiated datatype is coerced, constrained arguments stay
-    constructible over some related witnesses."""
+    constructible over some related witnesses.  Literally: for every
+    rho, every sigma satisfying the constraints at rho and every sigma'
+    above sigma (pointwise, under the declared variances), some rho'
+    keeps the argument above its instance at rho and satisfies the
+    constraints at sigma'.
+
+    The condition factors over the groups of `_groups`.  After
+    normalization each parameter carries exactly one constraint, so
+    each group owns its parameters: the candidates for sigma, and the
+    search for rho', split into one part per group.  So some rho fails
+    iff every group has an assignment at which each of its parameters
+    has a candidate, and some group has an assignment at which some
+    sigma' fails.  Each group is searched over its own assignments,
+    n^|group| of them in place of n^m.  At one assignment, sigma'
+    ranges over the product of the parameters' reach sets (the
+    parameters above some candidate), which is the union of the sigma'
+    ranges of all sigma, so each sigma' is checked once.
+
+    A failure reports the counterexample the literal reading finds
+    first.  rho is the first failing assignment in product order: the
+    product of the groups' sets of assignments is ordered coordinate by
+    coordinate, so its first member takes the first member of each
+    group's set, and the first type for existentials in no bound.  So
+    one failing and one admissible assignment per group are enough, and
+    no full assignment is walked.  At that rho, sigma is the first in
+    product order with a failing sigma', and sigma' the first failing
+    one above it.
+    """
     orc = oracle_for(sig)
     norm = normalize_constructor(d, k)
-    domain = norm.exist_vars
-    m = len(domain)
     rel_up = [orc.related(u, w) for w in d.param_variances()]
-    arg_uses = _occurrence_variances(sig, norm.arg, domain)
-    # Per constraint: the parameter, the variance v with "parameter rel
-    # bound" iff bound prec_v parameter, and the bound's instances.
-    cons = [(c.param, target_variance(c.rel),
-             _instantiator(u, c.bound, domain)) for c in norm.constraints]
-    # A constraint whose bound is a bare variable restricts that witness
-    # coordinate alone: (coordinate, parameter, variance).
-    pinned = [(domain.index(c.bound.name), c.param, target_variance(c.rel))
-              for c in norm.constraints if isinstance(c.bound, Var)]
-    others = [con for con, c in zip(cons, norm.constraints)
-              if not isinstance(c.bound, Var)]
+    groups = _groups(sig, u, norm)
     prec_, row, full, types = u.prec, u.row, u.full, u.types
 
-    def satisfied(params: tuple[int, ...], idx: tuple[int, ...]) -> bool:
-        return all(prec_(v, bound_at(idx), params[p])
-                   for p, v, bound_at in others)
-
-    def exists_witness(params: tuple[int, ...], allowed: list[int]) -> bool:
-        if not others:
+    def exists_witness(g: _Group, params: tuple, allowed: list[int]) -> bool:
+        if not g.others:
             return all(allowed)
-        return any(satisfied(params, idx) for idx in _witness_tuples(
-            [u.witness_order(params, a) for a in allowed]))
+        targets = [params[p] for p in g.params]
+        return any(all(prec_(v, bound_at(idx), params[p])
+                       for p, v, bound_at in g.others)
+                   for idx in _witness_tuples(
+                       [u.witness_order(targets, a) for a in allowed]))
 
-    for ridx in _assignments(u, m):
-        # Parameter tuples satisfying the constraints at this rho.
-        per_param: list[list[int]] = [[] for _ in rel_up]
-        for p, v, bound_at in cons:
-            per_param[p] = list(_members(row(v, bound_at(ridx))))
-        if not all(per_param):
-            continue
-        # Witness coordinates keeping the argument above its instance at
-        # rho.
-        above_arg = [full] * m
-        for j, (i, uses) in enumerate(zip(ridx, arg_uses)):
-            for w in uses:
-                above_arg[j] &= row(w, i)
-        for sidx in itertools.product(*per_param):
-            for spidx in itertools.product(*(_members(rel_up[p][s])
-                                             for p, s in enumerate(sidx))):
-                allowed = list(above_arg)
-                for j, p, v in pinned:
-                    allowed[j] &= row(_REVERSE[v], spidx[p])
-                if not exists_witness(spidx, allowed):
-                    return ReqSpResult(
-                        False, u.depth,
-                        sigma=tuple(types[i] for i in sidx),
-                        sigma_prime=tuple(types[i] for i in spidx),
-                        rho=tuple(types[i] for i in ridx))
-    return ReqSpResult(True, u.depth)
+    def search(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]],
+               pairs: bool = False) -> Optional[tuple]:
+        """The condition at one assignment of each group of `part`: None
+        when some parameter has no candidate, () when no sigma' fails,
+        else (sigma, sigma').  With `pairs` these are the first in the
+        literal order, else sigma is None.  Parameters outside `part`
+        are held at None."""
+        cands: list[Optional[int]] = [None] * len(rel_up)
+        bases = []
+        for g, r in zip(part, rhos):
+            for p, v, bound_at in g.cons:
+                cands[p] = row(v, bound_at(r))
+                if not cands[p]:
+                    return None
+            # Witness coordinates keeping the argument above its
+            # instance at r.
+            above = [full] * len(r)
+            for j, (i, uses) in enumerate(zip(r, g.uses)):
+                for w in uses:
+                    above[j] &= row(w, i)
+            bases.append(above)
+
+        def fails(params: tuple) -> bool:
+            for g, above in zip(part, bases):
+                allowed = list(above)
+                for j, p, v in g.pinned:
+                    allowed[j] &= row(_REVERSE[v], params[p])
+                if not exists_witness(g, params, allowed):
+                    return True
+            return False
+
+        def members(sets: Iterable[Optional[int]]) -> list:
+            return [(None,) if s is None else tuple(_members(s))
+                    for s in sets]
+
+        if not pairs:
+            # Per parameter, the ids above some candidate.
+            reach = [None if s is None else
+                     functools.reduce(operator.or_, map(up.__getitem__,
+                                                        _members(s)))
+                     for up, s in zip(rel_up, cands)]
+            for spidx in itertools.product(*members(reach)):
+                if fails(spidx):
+                    return None, spidx
+            return ()
+        for sidx in itertools.product(*members(cands)):
+            for spidx in itertools.product(*members(
+                    None if s is None else up[s]
+                    for up, s in zip(rel_up, sidx))):
+                if fails(spidx):
+                    return sidx, spidx
+        return ()
+
+    # Per group, its first assignment with candidates and its first
+    # failing one, in product order.
+    visited = 0
+    firsts: list[tuple[tuple[int, ...], Optional[tuple[int, ...]]]] = []
+    for g in groups:
+        first = bad = None
+        for r in itertools.product(range(len(types)), repeat=len(g.coords)):
+            visited += 1
+            found = search((g,), (r,))
+            if found is None:
+                continue
+            if first is None:
+                first = r
+            if found:
+                bad = r
+                break
+        if first is None:
+            return ReqSpResult(True, u.depth, assignments=visited)
+        firsts.append((first, bad))
+
+    def spread(rhos: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+        """The assignment to all existentials, 0 outside the groups."""
+        rho = [0] * len(norm.exist_vars)
+        for g, r in zip(groups, rhos):
+            for j, i in zip(g.coords, r):
+                rho[j] = i
+        return tuple(rho)
+
+    # Per group that fails, the first rho at which it fails and every
+    # other group has candidates.
+    failing = [[bad if h == f else first
+                for h, (first, _) in enumerate(firsts)]
+               for f, (_, bad) in enumerate(firsts) if bad is not None]
+    if not failing:
+        return ReqSpResult(True, u.depth, assignments=visited)
+    rhos = min(failing, key=spread)
+    found = search(groups, rhos, pairs=True)
+    assert found, "a group failed at this rho"
+    sidx, spidx = found
+    return ReqSpResult(
+        False, u.depth,
+        sigma=tuple(types[i] for i in sidx),
+        sigma_prime=tuple(types[i] for i in spidx),
+        rho=tuple(types[i] for i in spread(rhos)),
+        assignments=visited)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The command-line driver: verdict lines, exit codes, machine output."""
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import pathlib
@@ -189,6 +190,14 @@ class TestErrors:
         assert code == EXIT_OK
         assert out.startswith("usage: vgadt oracle") and "--depth" in out
         assert capsys.readouterr() == ("", "")
+
+    def test_default_streams_follow_redirection(self):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(["check", str(CORPUS / "expr.vt")]) == EXIT_OK
+            assert run(["check", "--bogus"]) == EXIT_ERROR
+        assert out.getvalue() == invoke("check", CORPUS / "expr.vt")[1]
+        assert err.getvalue().startswith("usage: vgadt")
 
     def test_constrained_parameter_in_the_argument(self, tmp_path):
         bad = tmp_path / "bad.vt"

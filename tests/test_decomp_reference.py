@@ -184,7 +184,10 @@ class Reference:
         return None
 
 
-def types(names: tuple[str, ...]):
+def types(names: tuple[str, ...],
+          unary: tuple[str, ...] = ("ref", "list", "sink", "phantom")):
+    """Types over the variables `names`, the constants of PRELUDE, the
+    product and the arrow, and the unary datatypes `unary`."""
     leaves = st.sampled_from(
         [Var(n) for n in names]
         + [App(c, ()) for c in ("int", "bool", "pint", "unit")])
@@ -192,7 +195,7 @@ def types(names: tuple[str, ...]):
         st.builds(product, sub, sub),
         st.builds(arrow, sub, sub),
         *(st.builds(lambda a, c=c: App(c, (a,)), sub)
-          for c in ("ref", "list", "sink", "phantom"))),
+          for c in unary)),
         max_leaves=5)
 
 

@@ -2,6 +2,7 @@
 definitions, and their agreement with the paper-level expectations."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -267,6 +268,43 @@ class TestReqSp:
         u = get_universe("sink_sub", 2)
         decl = sig.info("sink").decl
         assert req_sp(sig, u, decl, decl.ctors[0]).holds
+
+
+class TestReqSpAssignments:
+    """`assignments` counts the assignments of the groups of existentials
+    that req_sp visits: n^|group| per group, in place of n^m."""
+
+    def result(self, sig, u, name, ctor):
+        decl = sig.info(name).decl
+        return req_sp(sig, u, decl, next(k for k in decl.ctors
+                                         if k.name == ctor))
+
+    def test_unlinked_pair(self):
+        u = get_universe("pair_ref", 2)
+        result = self.result(get_sig("pair_ref"), u, "pair_ref", "Pack")
+        assert result.holds
+        assert (len(u), result.assignments) == (33, 2 * 33)
+
+    def test_linked_pair(self):
+        u = get_universe("expr", 2)
+        result = self.result(get_sig("expr"), u, "expr", "Prod")
+        assert result.holds
+        assert (len(u), result.assignments) == (24, 24 ** 2)
+
+    def test_three_unlinked(self):
+        sig = parse_signature("base int\nbase bool\nsubbase bool <= int\n"
+                              "type (+'a, -'b, ='c) t =\n"
+                              "  | K of 'a * ('b -> 'c)\n")
+        u = enumerate_types(sig, 2)
+        result = self.result(sig, u, "t", "K")
+        assert result.holds
+        assert result.assignments == 3 * len(u)
+
+    def test_not_part_of_the_result(self):
+        sig = get_sig("eq_cov")
+        result = self.result(sig, get_universe("eq_cov", 2), "eq", "Refl")
+        assert not result.holds and result.assignments > 0
+        assert result == dataclasses.replace(result, assignments=0)
 
 
 class TestReqSpVariableBounds:

@@ -1,0 +1,253 @@
+"""`req_sp` against a reference: the literal evaluation of req-SP, which
+visits every assignment to all existentials, then every sigma, then
+every sigma' above each sigma.  Kept here as the specification that the
+search per group of existentials, over reach sets, must reproduce: the
+same verdict and the same first counterexample (sigma, sigma', rho).
+"""
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from vgadt.checker import PRESETS, compute_closure_flags
+from vgadt.criterion import target_variance
+from vgadt.oracle import (
+    _REVERSE,
+    GroundUniverse,
+    ReqSpResult,
+    _assignments,
+    _instantiator,
+    _members,
+    _occurrence_variances,
+    _witness_tuples,
+    enumerate_types,
+    oracle_for,
+    req_sp,
+)
+from vgadt.syntax import (
+    App,
+    Constraint,
+    ConstraintRel,
+    DataConstructorDecl,
+    DatatypeDecl,
+    FORM_CONSTRAINED,
+    Signature,
+    Var,
+    arrow,
+    normalize_constructor,
+    parse_signature,
+    product,
+)
+from vgadt.variance import ALL_VARIANCES, COV
+
+from test_decomp_reference import NAMES, types
+
+
+def reference_req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
+                     k: DataConstructorDecl) -> ReqSpResult:
+    orc = oracle_for(sig)
+    norm = normalize_constructor(d, k)
+    domain = norm.exist_vars
+    m = len(domain)
+    rel_up = [orc.related(u, w) for w in d.param_variances()]
+    arg_uses = _occurrence_variances(sig, norm.arg, domain)
+    # Per constraint: the parameter, the variance v with "parameter rel
+    # bound" iff bound prec_v parameter, and the bound's instances.
+    cons = [(c.param, target_variance(c.rel),
+             _instantiator(u, c.bound, domain)) for c in norm.constraints]
+    # A constraint whose bound is a bare variable restricts that witness
+    # coordinate alone: (coordinate, parameter, variance).
+    pinned = [(domain.index(c.bound.name), c.param, target_variance(c.rel))
+              for c in norm.constraints if isinstance(c.bound, Var)]
+    others = [con for con, c in zip(cons, norm.constraints)
+              if not isinstance(c.bound, Var)]
+    prec_, row, full, types = u.prec, u.row, u.full, u.types
+
+    def satisfied(params: tuple[int, ...], idx: tuple[int, ...]) -> bool:
+        return all(prec_(v, bound_at(idx), params[p])
+                   for p, v, bound_at in others)
+
+    def exists_witness(params: tuple[int, ...], allowed: list[int]) -> bool:
+        if not others:
+            return all(allowed)
+        return any(satisfied(params, idx) for idx in _witness_tuples(
+            [u.witness_order(params, a) for a in allowed]))
+
+    for ridx in _assignments(u, m):
+        # Parameter tuples satisfying the constraints at this rho.
+        per_param: list[list[int]] = [[] for _ in rel_up]
+        for p, v, bound_at in cons:
+            per_param[p] = list(_members(row(v, bound_at(ridx))))
+        if not all(per_param):
+            continue
+        # Witness coordinates keeping the argument above its instance at
+        # rho.
+        above_arg = [full] * m
+        for j, (i, uses) in enumerate(zip(ridx, arg_uses)):
+            for w in uses:
+                above_arg[j] &= row(w, i)
+        for sidx in itertools.product(*per_param):
+            for spidx in itertools.product(*(_members(rel_up[p][s])
+                                             for p, s in enumerate(sidx))):
+                allowed = list(above_arg)
+                for j, p, v in pinned:
+                    allowed[j] &= row(_REVERSE[v], spidx[p])
+                if not exists_witness(spidx, allowed):
+                    return ReqSpResult(
+                        False, u.depth,
+                        sigma=tuple(types[i] for i in sidx),
+                        sigma_prime=tuple(types[i] for i in spidx),
+                        rho=tuple(types[i] for i in ridx))
+    return ReqSpResult(True, u.depth)
+
+
+#: A subbase chain (pint <= bool <= int, the first edge private), an
+#: invariant and a contravariant datatype.
+PRELUDE = """\
+base int
+base bool
+subbase bool <= int
+private pint = bool
+
+type (='a) ref =
+  | Mk of 'a -> 'a
+
+type (-'a) sink =
+  | S of 'a -> unit
+"""
+
+
+def _signature(preset: str) -> Signature:
+    sig = parse_signature(PRELUDE)
+    compute_closure_flags(sig, preset)
+    return sig
+
+
+SIGS = {preset: _signature(preset) for preset in PRESETS}
+#: Depth 1 and 2 universes, of 4 and 44 types.
+UNIVERSES = {(preset, depth): enumerate_types(sig, depth)
+             for preset, sig in SIGS.items() for depth in (1, 2)}
+#: The most existentials and parameters per depth.  The reference visits
+#: n^m assignments, and up to n^2 pairs (sigma, sigma') per parameter at
+#: each, so the 44 types of depth 2 take fewer of both.
+MAX_SIZE = {1: 3, 2: 2}
+
+#: Types over 0..3 existentials and the datatypes of PRELUDE.
+TYPES = [types(names, ("ref", "sink")) for names in NAMES]
+CLOSED = st.sampled_from([App(c, ()) for c in ("int", "bool", "pint", "unit")]
+                         + [App("ref", (App("bool", ()),)),
+                            arrow(App("int", ()), App("pint", ()))])
+
+
+@st.composite
+def bounds(draw, names: tuple[str, ...]):
+    """A bound of one of four shapes: a bare existential (often one
+    another parameter is pinned to), a closed type, a type linking two
+    existentials, or any type over the existentials."""
+    shapes = ["closed", "any"] + (["pinned"] * 2 + ["linked"] if names else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "closed":
+        return draw(CLOSED)
+    if shape == "any":
+        return draw(TYPES[len(names)])
+    a = draw(st.sampled_from(names[:2]))
+    if shape == "pinned":
+        return Var(a)
+    b = draw(st.sampled_from(names))
+    pair = draw(st.sampled_from([product, arrow]))(Var(a), Var(b))
+    return draw(st.sampled_from([pair, App("ref", (pair,)),
+                                 App("sink", (pair,))]))
+
+
+@st.composite
+def cases(draw):
+    """(preset, depth, datatype, constructor): 1-3 parameters (1-2 at
+    depth 2), each with one constraint of a mixed relation, and an
+    argument over the same existentials, so some of them may occur in
+    the argument only."""
+    depth = draw(st.sampled_from([1, 1, 2]))
+    m = draw(st.integers(0, MAX_SIZE[depth]))
+    n = draw(st.integers(1, MAX_SIZE[depth]))
+    params = tuple((f"p{i}", draw(st.sampled_from(ALL_VARIANCES)))
+                   for i in range(n))
+    constraints = tuple(
+        Constraint(i, draw(st.sampled_from(list(ConstraintRel))),
+                   draw(bounds(NAMES[m])))
+        for i in range(n))
+    k = DataConstructorDecl("K", FORM_CONSTRAINED, NAMES[m], constraints,
+                            draw(TYPES[m]))
+    return (draw(st.sampled_from(PRESETS)), depth,
+            DatatypeDecl("t", params, (k,)), k)
+
+
+@st.composite
+def unlinked_cases(draw):
+    """(preset, 1, datatype, constructor): 2-3 parameters, each pinned
+    to an existential of its own, so that each is a group and the first
+    failing rho is put together from the assignments of several.  Depth
+    1 only: at depth 2 the reference takes seconds on one such case."""
+    depth = 1
+    n = draw(st.integers(2, MAX_SIZE[depth]))
+    params = tuple((f"p{i}", draw(st.sampled_from(ALL_VARIANCES)))
+                   for i in range(n))
+    constraints = tuple(
+        Constraint(i, draw(st.sampled_from(list(ConstraintRel))), Var(x))
+        for i, x in enumerate(NAMES[n]))
+    k = DataConstructorDecl("K", FORM_CONSTRAINED, NAMES[n], constraints,
+                            draw(TYPES[n]))
+    return (draw(st.sampled_from(PRESETS)), depth,
+            DatatypeDecl("t", params, (k,)), k)
+
+
+def compare(case) -> bool:
+    """Whether req-SP holds on the case, once it is asserted to give the
+    reference's result."""
+    preset, depth, d, k = case
+    sig, u = SIGS[preset], UNIVERSES[preset, depth]
+    got = req_sp(sig, u, d, k)
+    assert got == reference_req_sp(sig, u, d, k)
+    return got.holds
+
+
+def test_req_sp_equals_reference():
+    holds = []
+
+    @seed(20261018)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(cases())
+    def check(case):
+        holds.append(compare(case))
+
+    check()
+    # Failures must be common, so the counterexample is compared on many
+    # inputs, not on a few.
+    assert holds.count(False) >= 0.15 * len(holds)
+
+
+def test_unlinked_groups_equal_reference():
+    holds = []
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(unlinked_cases())
+    def check(case):
+        holds.append(compare(case))
+
+    check()
+    assert holds.count(False) >= 0.25 * len(holds)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("rels", list(itertools.product(ConstraintRel,
+                                                        repeat=2)))
+def test_two_constraints_on_one_parameter(depth, rels):
+    """The parser rejects this, but a constructor built in code can
+    carry it; req_sp keeps the literal search's verdict on it."""
+    k = DataConstructorDecl(
+        "K", FORM_CONSTRAINED, ("x0", "x1"),
+        tuple(Constraint(0, rel, Var(x)) for rel, x in zip(rels, NAMES[2])),
+        product(Var("x0"), Var("x1")))
+    d = DatatypeDecl("t", (("p0", COV),), (k,))
+    compare(("atomic", depth, d, k))
