@@ -12,12 +12,12 @@ is decided rule-directed: a trivial rule when the target relation is
 implied, a strict-equality variable rule, and a constructor rule that
 requires the head to be closed for the queried variance and merges the
 sub-derivation contexts with the partial zip operation.  The judgment
-is not monotone in the context, so the engine keeps the exact set of
-deriving contexts per subterm as a union of boxes (one variance mask
-per variable): every rule yields a box, and zip works per variable, so
-the constructor rule zips the children's unions box by box.  Witness
-families are picked from such unions one entry at a time
-(`first_family`), without enumerating contexts.
+is not monotone in the context, yet its deriving contexts always form
+one box (one variance mask per variable; `DecompEngine` proves it), so
+a single memoised recursion decides it for both checking modes, the
+rejection reasons and the derivations.  Witness families are picked
+from such boxes one variable at a time (`first_family`), without
+enumerating contexts.
 
 Closure flags record which constructors are v-closed under a chosen
 world assumption (preset), with private-type edges and strict base-order
@@ -26,7 +26,7 @@ edges removing flags, and explicit `closed` declarations adding them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .syntax import (
     App,
@@ -51,14 +51,13 @@ from .variance import (
     Box,
     Variance,
     VarianceContext,
-    box_union,
     box_zip,
     compose,
+    mask_set,
     set_mask,
     up_set,
     var_leq,
     var_lub,
-    zip_var,
 )
 
 PRESETS = ("atomic", "ml-open", "none")
@@ -228,47 +227,35 @@ def is_closed(sig: Signature, ctor: str, v: Variance) -> bool:
 # ---------------------------------------------------------------------------
 # Decomposability
 
-def first_family(unions: Sequence[Sequence[Box]], target: Box
+def first_family(boxes: Sequence[Box], target: Box
                  ) -> Optional[list[tuple[Variance, ...]]]:
-    """The first family (g_1, ..., g_n), each g_j a member of the union
-    `unions[j]`, whose zip lies in the box `target`; None if there is
+    """The first family (g_1, ..., g_n), each g_j a member of the box
+    `boxes[j]`, whose zip lies in the box `target`; None if there is
     none.  First in the order of `itertools.product` over the members
     in canonical order: constraint-major, variables in domain order,
     candidates `= + - ~`.
 
-    Chosen greedily, one entry at a time: a partial choice is kept iff
-    some box per constraint admits it and every variable's column can
-    still zip into `target`.  Boxes are products, so that test is exact.
+    Zip works per variable and boxes are products, so the families are
+    the product of per-variable columns (g_1[x], ..., g_n[x]), and the
+    first family takes each variable's first column.  A column is picked
+    entry by entry: the first candidate whose zip with the entries
+    before it and the members of the boxes after it can meet `target`.
     """
-    m = len(target)
-    acc: Optional[Box] = (MASK[IRR],) * m   # zip of the entries chosen
-    # suffix[j]: the zips of the members of unions[j:], as boxes.
-    suffix = [(acc,)]
-    for u in reversed(unions):
-        suffix.insert(0, box_union(box_zip(x, y) for x in u for y in suffix[0]))
-
-    def feasible(acc: Optional[Box], rest: Sequence[Box]) -> bool:
-        return acc is not None and any(
-            all(ZIP_MASK[x][y] & t for x, y, t in zip(acc, r, target))
-            for r in rest)
-
-    def extends(j: int, acc: Box, prefix: tuple[Variance, ...]) -> bool:
-        head = tuple(MASK[x] for x in prefix)
-        return any(feasible(box_zip(acc, head + box[len(head):]),
-                            suffix[j + 1])
-                   for box in unions[j]
-                   if all(h & b for h, b in zip(head, box)))
-
-    if not feasible(acc, suffix[0]):
-        return None
-    family = []
-    for j in range(len(unions)):
-        g: tuple[Variance, ...] = ()
-        for _ in range(m):
-            g += (next(x for x in ALL_VARIANCES if extends(j, acc, g + (x,))),)
-        acc = box_zip(acc, tuple(MASK[x] for x in g))
-        family.append(g)
-    return family
+    columns = []
+    for x, goal in enumerate(target):
+        rest = [MASK[IRR]]              # rest[j]: the zips of boxes[j:]
+        for box in reversed(boxes):
+            rest.insert(0, ZIP_MASK[box[x]][rest[0]])
+        if not rest[0] & goal:
+            return None
+        acc, column = MASK[IRR], []
+        for box, after in zip(boxes, rest[1:]):
+            c = next(c for c in ALL_VARIANCES if MASK[c] & box[x]
+                     and ZIP_MASK[ZIP_MASK[acc][MASK[c]]][after] & goal)
+            acc = ZIP_MASK[acc][MASK[c]]
+            column.append(c)
+        columns.append(column)
+    return [tuple(col[j] for col in columns) for j in range(len(boxes))]
 
 
 @dataclass
@@ -288,62 +275,78 @@ class Derivation:
 class DecompEngine:
     """Decides `g |- t : v => v2` over a fixed variable domain.
 
-    For every subterm and variance pair the engine computes the exact
-    set of deriving contexts as a union of boxes, a box being one
-    variance mask per domain variable.  Each rule yields one box:
-    sc-Triv the up-sets of the principal context, sc-Var one fixed
-    entry, a closed constant the full box.  The constructor rule zips
-    the children's unions box by box; zip works per variable, so the
-    zip of two boxes is a box.  Memoized per engine instance, so a
-    checking run shares work across queries.
+    For every subterm and variance pair the engine computes the set of
+    deriving contexts as one box, a box being one variance mask per
+    domain variable: sc-Triv yields the up-sets of the principal
+    context, sc-Var one fixed entry, a closed constant the full box, and
+    sc-Constr the per-variable zip of the children's boxes.  The set is
+    the union of the rules' boxes, taken per variable; that is exact
+    because the union is always one box.  Proof, by induction on `t`:
+
+    - If `v2 <= v` fails, sc-Triv does not apply and at most one other
+      rule does.  Its set is a box: the zip of two boxes is the box of
+      the per-variable zips, and the children's sets are boxes.
+    - If `v2 <= v`, then `v2.w <= v.w` for every `w` (composition is
+      monotone), so sc-Triv applies at every subterm, and by induction
+      each child's set is its sc-Triv box.  sc-Var's entry `v` lies in
+      `up(v)`, and a closed constant's sc-Triv box is already full.
+      Under sc-Constr, let k be the number of children in which a
+      variable's principal entry is not `~`.  Up-sets without `~` zip
+      only at `=`, so the zip of the children's masks for the variable
+      is the full mask for k = 0, that child's up-set for k = 1, and
+      `{=}` for k >= 2.  The sc-Triv mask is the up-set of the join of
+      the children's entries, which contains each of these.  So the
+      other rules' boxes nest inside the sc-Triv box, and the set is
+      that box.
+
+    A 0 mask means that a zip died for the variable: the box is empty,
+    and the other masks keep the values computed.  None means no rule
+    applies.  Memoized per engine instance, so a checking run shares
+    work across queries.
     """
 
     def __init__(self, sig: Signature, domain: Sequence[str]):
         self.sig = sig
         self.domain = tuple(domain)
-        self._memo: dict[tuple[TypeExpr, Variance, Variance], tuple[Box, ...]] = {}
+        self._memo: dict[tuple[TypeExpr, Variance, Variance], Optional[Box]] = {}
 
-    def boxes(self, t: TypeExpr, v: Variance, v2: Variance) -> tuple[Box, ...]:
-        """The deriving contexts of `_ |- t : v => v2`, as boxes."""
+    def box(self, t: TypeExpr, v: Variance, v2: Variance) -> Optional[Box]:
+        """The deriving contexts of `_ |- t : v => v2`, as one box."""
         key = (t, v, v2)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
+        if key in self._memo:
+            return self._memo[key]
         full = (FULL_MASK,) * len(self.domain)
-        out: list[Box] = []
-        if var_leq(v2, v):
-            # sc-Triv: any context that checks the variance alone.
-            sets = variance_sets(self.sig, t, v, self.domain)
-            out.append(tuple(set_mask(sets[name]) for name in self.domain))
+        rule: Optional[Box] = None
         if isinstance(t, Var):
             # sc-Var: the entry must be exactly v; other entries are free.
             idx = self.domain.index(t.name)
-            out.append((*full[:idx], MASK[v], *full[idx + 1:]))
-        else:
-            assert isinstance(t, App)
-            if is_closed(self.sig, t.ctor, v):
-                if not t.args:
-                    # A v-closed constant type decomposes under every
-                    # context: the witness can copy the input.
-                    out.append(full)
-                else:
-                    states: Sequence[Box] = ((MASK[IRR],) * len(self.domain),)
-                    for a, w in zip(t.args, self.sig.variances(t.ctor)):
-                        child = self.boxes(a, compose(v, w), compose(v2, w))
-                        states = box_union(box_zip(s, c)
-                                           for s in states for c in child)
-                    out.extend(states)
-        result = box_union(out)
-        self._memo[key] = result
-        return result
+            rule = (*full[:idx], MASK[v], *full[idx + 1:])
+        elif is_closed(self.sig, t.ctor, v):
+            # A v-closed constant type decomposes under every context:
+            # the witness can copy the input.
+            rule = (MASK[IRR],) * len(self.domain) if t.args else full
+            for a, w in zip(t.args, self.sig.variances(t.ctor)):
+                child = self.box(a, compose(v, w), compose(v2, w))
+                if child is None:
+                    rule = None
+                    break
+                rule = box_zip(rule, child)
+        if var_leq(v2, v):
+            # sc-Triv: any context that checks the variance alone.
+            sets = variance_sets(self.sig, t, v, self.domain)
+            triv = tuple(set_mask(sets[name]) for name in self.domain)
+            rule = triv if rule is None else tuple(
+                x | y for x, y in zip(triv, rule))
+        self._memo[key] = rule
+        return rule
 
     def check(self, g: VarianceContext, t: TypeExpr, v: Variance,
               v2: Variance) -> bool:
         if g.domain() != self.domain:
             raise ValueError("context domain does not match engine domain")
-        point = [MASK[x] for x in g.variances()]
-        return any(all(p & b for p, b in zip(point, box))
-                   for box in self.boxes(t, v, v2))
+        box = self.box(t, v, v2)
+        return box is not None and all(
+            MASK[x] & b for x, b in zip(g.variances(), box))
 
     # -- derivation reconstruction -------------------------------------------
 
@@ -367,7 +370,7 @@ class DecompEngine:
                 "sc-Constr", f"{judgment}   ({t.ctor} is {v}-closed, no arguments)")
         subs = [(a, compose(v, w), compose(v2, w))
                 for a, w in zip(t.args, self.sig.variances(t.ctor))]
-        family = first_family([self.boxes(*sub) for sub in subs],
+        family = first_family([self.box(*sub) for sub in subs],
                               tuple(MASK[x] for x in g.variances()))
         assert family is not None
         return Derivation(
@@ -400,75 +403,21 @@ def derive_variance(sig: Signature, g: VarianceContext, t: TypeExpr,
     return Derivation("vc-Constr", judgment, tuple(children))
 
 
-# ---------------------------------------------------------------------------
-# Fast per-variable sets for decomposability
-
 SetMap = dict[str, frozenset[Variance]]
-
-_FULL = frozenset(ALL_VARIANCES)
-
-
-def _zip_combine(sets: Iterable[frozenset[Variance]]) -> frozenset[Variance]:
-    acc: frozenset[Variance] = frozenset({IRR})
-    for s in sets:
-        acc = frozenset(
-            z for x in acc for y in s if (z := zip_var(x, y)) is not None
-        )
-        if not acc:
-            break
-    return acc
-
-
-def _union_maps(a: Optional[SetMap], b: Optional[SetMap],
-                domain: Sequence[str]) -> Optional[SetMap]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return {name: a[name] | b[name] for name in domain}
 
 
 def decomp_sets(sig: Signature, t: TypeExpr, v: Variance, v2: Variance,
                 domain: Optional[Sequence[str]] = None) -> Optional[SetMap]:
-    """Per-variable variance sets for the decomposability judgment.
+    """The box of `DecompEngine.box` as per-variable variance sets.
 
-    None means no context at all derives the judgment.  A variable may
-    be mapped to the empty set when the zip of its per-child sets dies,
-    which equally means no context exists.  The map over-approximates
-    the exact deriving-context set (the union over rules of per-variable
-    products need not be a product), so it is a pruning filter; the
-    exact engine stays authoritative.  Variables absent from a subterm
-    carry the full set there.
+    None means no rule derives the judgment.  A variable mapped to the
+    empty set means that the zip died there, which equally means no
+    context exists.  Variables absent from a subterm carry the full set
+    there.
     """
     if domain is None:
         domain = free_vars_ordered(t)
-    domain = tuple(domain)
-
-    triv: Optional[SetMap] = None
-    if var_leq(v2, v):
-        triv = variance_sets(sig, t, v, domain)
-
-    rule: Optional[SetMap]
-    if isinstance(t, Var):
-        rule = {name: (frozenset({v}) if name == t.name else _FULL)
-                for name in domain}
-    else:
-        assert isinstance(t, App)
-        if not is_closed(sig, t.ctor, v):
-            rule = None
-        elif not t.args:
-            rule = {name: _FULL for name in domain}
-        else:
-            ws = sig.variances(t.ctor)
-            children = [
-                decomp_sets(sig, a, compose(v, w), compose(v2, w), domain)
-                for a, w in zip(t.args, ws)
-            ]
-            if any(c is None for c in children):
-                rule = None
-            else:
-                rule = {
-                    name: _zip_combine(c[name] for c in children)  # type: ignore[index]
-                    for name in domain
-                }
-    return _union_maps(triv, rule, domain)
+    box = DecompEngine(sig, domain).box(t, v, v2)
+    if box is None:
+        return None
+    return {name: mask_set(m) for name, m in zip(domain, box)}

@@ -10,28 +10,25 @@ variance down to the target dictated by the constraint relation
 (equality targets invariance; `>=`/`<=` target covariance and
 contravariance, which the trivial rule satisfies far more easily).
 
-Fast mode intersects the per-variable variance sets; exact mode, the
-verdict of record, picks the first family of contexts from the exact
-deriving sets (unions of boxes) and records it as re-verifiable
-witnesses.  Exact mode decides first and runs the fast analysis only to
-explain a rejection: the per-variable sets over-approximate the exact
-ones, so an exact acceptance implies a fast one, and a rejection keeps
-the fast analysis's reason whenever that analysis rejects too.
+Both modes read one box of deriving contexts per constraint from the
+decomposability engine: the deriving contexts of a judgment always form
+a box, so intersecting the per-variable sets is exact, and the two
+modes give the same verdicts and rejection reasons.  Exact mode, the
+verdict of record, also picks the first family of contexts from the
+boxes and records it as re-verifiable witnesses.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .checker import (
     DecompEngine,
-    SetMap,
     check_variance,
-    decomp_sets,
     first_family,
     variance_sets,
-    _zip_combine,
 )
 from .syntax import (
     Constraint,
@@ -49,9 +46,15 @@ from .variance import (
     CONTRA,
     COV,
     INV,
+    IRR,
+    MASK,
+    ZIP_MASK,
+    Box,
     Variance,
     VarianceContext,
+    box_zip,
     ctx_zip_all,
+    mask_set,
     render_variance_set,
     set_mask,
 )
@@ -120,113 +123,43 @@ def _constraint_label(d: DatatypeDecl, c: Constraint) -> str:
     return f"'{d.param_names()[c.param]} {c.rel.value} {render_type(c.bound)}"
 
 
-@dataclass
-class _FastAnalysis:
-    """Per-variable set computation shared by both modes."""
-    domain: tuple[str, ...]
-    arg_sets: SetMap
-    constraint_sets: list[Optional[SetMap]]
-    zipped: Optional[SetMap]
-    result: Optional[SetMap]
-    dead_constraint: Optional[int]      # first constraint with a None map
-
-    @property
-    def empty_vars(self) -> tuple[str, ...]:
-        if self.result is None:
-            return ()
-        return tuple(a for a in self.domain if not self.result[a])
-
-    @property
-    def accepted(self) -> bool:
-        return (self.dead_constraint is None and self.result is not None
-                and not self.empty_vars)
-
-
-def _analyze(sig: Signature, d: DatatypeDecl, norm: DataConstructorDecl,
-             arg_sets: SetMap) -> _FastAnalysis:
+def _rejection(d: DatatypeDecl, norm: DataConstructorDecl,
+               boxes: list[Optional[Box]], arg: Box
+               ) -> Optional[tuple[str, Optional[int], tuple[str, ...]]]:
+    """Why no context family satisfies the criterion, as (reason,
+    failing constraint, empty variables); None when one does."""
+    for i, (c, box) in enumerate(zip(norm.constraints, boxes)):
+        if box is None:
+            v = d.param_variances()[c.param]
+            return (
+                f"constraint {_constraint_label(d, c)}: no context derives "
+                f"decomposability from {v} to {target_variance(c.rel)} "
+                f"(head of {render_type(c.bound)} is not {v}-closed)", i, ())
     domain = norm.exist_vars
-    varis = d.param_variances()
-    constraint_sets: list[Optional[SetMap]] = []
-    dead = None
-    for i, c in enumerate(norm.constraints):
-        sets = decomp_sets(sig, c.bound, varis[c.param], target_variance(c.rel),
-                           domain)
-        constraint_sets.append(sets)
-        if sets is None and dead is None:
-            dead = i
-    if dead is not None:
-        return _FastAnalysis(domain, arg_sets, constraint_sets, None, None, dead)
-    zipped: SetMap = {
-        a: _zip_combine(s[a] for s in constraint_sets)  # type: ignore[index]
-        for a in domain
-    }
-    result = {a: zipped[a] & arg_sets[a] for a in domain}
-    return _FastAnalysis(domain, arg_sets, constraint_sets, zipped, result, None)
-
-
-def _rejection_reason(sig: Signature, d: DatatypeDecl,
-                      norm: DataConstructorDecl, fa: _FastAnalysis
-                      ) -> tuple[Optional[str], Optional[int], tuple[str, ...]]:
-    if fa.dead_constraint is not None:
-        c = norm.constraints[fa.dead_constraint]
-        v = d.param_variances()[c.param]
-        return (
-            f"constraint {_constraint_label(d, c)}: no context derives "
-            f"decomposability from {v} to {target_variance(c.rel)} "
-            f"(head of {render_type(c.bound)} is not {v}-closed)",
-            fa.dead_constraint, ())
-    empty = fa.empty_vars
+    zipped = functools.reduce(box_zip, boxes, (MASK[IRR],) * len(domain))
+    empty = tuple(a for a, z, t in zip(domain, zipped, arg) if not z & t)
+    if not empty:
+        return None
     a = empty[0]
-    assert fa.zipped is not None and fa.result is not None
-    if not fa.zipped[a]:
-        # Replay the zip fold to name the offending pair of variances.
-        acc = frozenset({Variance.IRR})
-        for i, sets in enumerate(fa.constraint_sets):
-            assert sets is not None
-            if not sets[a]:
-                label = _constraint_label(d, norm.constraints[i])
-                return (f"variable '{a}: no variance of it derives "
-                        f"constraint {label}", i, empty)
-            nxt = _zip_combine([acc, sets[a]])
-            if not nxt:
-                x = next(v for v in ALL_VARIANCES if v in acc)
-                y = next(v for v in ALL_VARIANCES if v in sets[a])
-                return (f"variable '{a}: zip({x}, {y}) undefined across "
-                        f"the constraints", i, empty)
-            acc = nxt
-        return (f"variable '{a}: constraints admit no common variance", None, empty)
-    return (
-        f"variable '{a}: constraints admit {render_variance_set(fa.zipped[a])} but the "
-        f"argument type requires {render_variance_set(fa.arg_sets[a])}",
-        None, empty)
-
-
-def _check_exact(sig: Signature, d: DatatypeDecl, norm: DataConstructorDecl,
-                 arg_sets: SetMap) -> Verdict:
-    """The exact-mode verdict, with the reasons only it can give."""
-    domain = norm.exist_vars
-    varis = d.param_variances()
-    engine = DecompEngine(sig, domain)
-    unions = []
-    for i, c in enumerate(norm.constraints):
-        boxes = engine.boxes(c.bound, varis[c.param], target_variance(c.rel))
-        if not boxes:
-            label = _constraint_label(d, c)
-            return Verdict(
-                d.name, norm.name, False, "exact",
-                reason=f"constraint {label}: no context derives it",
-                failing_constraint=i, normalized=norm)
-        unions.append(boxes)
-    family = first_family(unions, tuple(set_mask(arg_sets[a]) for a in domain))
-    if family is None:
-        return Verdict(d.name, norm.name, False, "exact",
-                       reason=("no zip-compatible family of contexts "
-                               "(per-variable sets over-approximate)"),
-                       normalized=norm)
-    gammas = tuple(VarianceContext(zip(domain, g)) for g in family)
-    return Verdict(d.name, norm.name, True, "exact",
-                   gamma=ctx_zip_all(gammas, domain), gammas=gammas,
-                   normalized=norm, arg=norm.arg)
+    x = domain.index(a)
+    if zipped[x]:
+        return (f"variable '{a}: constraints admit "
+                f"{render_variance_set(mask_set(zipped[x]))} but the argument "
+                f"type requires {render_variance_set(mask_set(arg[x]))}",
+                None, empty)
+    # Replay the zip fold to the constraint where it dies.
+    acc, i = MASK[IRR], 0
+    while ZIP_MASK[acc][boxes[i][x]]:
+        acc = ZIP_MASK[acc][boxes[i][x]]
+        i += 1
+    died = boxes[i][x]
+    if not died:
+        return (f"variable '{a}: no variance of it derives "
+                f"constraint {_constraint_label(d, norm.constraints[i])}",
+                i, empty)
+    u, w = (next(v for v in ALL_VARIANCES if m & MASK[v]) for m in (acc, died))
+    return (f"variable '{a}: zip({u}, {w}) undefined across the constraints",
+            i, empty)
 
 
 def check_gadt_constructor(sig: Signature, d: DatatypeDecl,
@@ -234,32 +167,38 @@ def check_gadt_constructor(sig: Signature, d: DatatypeDecl,
                            mode: str = "exact") -> Verdict:
     """Accept `k` iff some context family satisfies the criterion.
 
-    Fast mode decides from the per-variable sets alone.  Exact mode
-    takes the first family, one deriving context per constraint, whose
-    zip types the argument covariantly: first in product order over the
-    constraints, variables in declaration order and candidates `= + - ~`.
-    `first_family` picks it entry by entry from the constraints' unions
-    of boxes; it supplies the recorded witnesses.  An exact rejection
-    gives the fast analysis's reason when that analysis rejects too.
+    Each constraint's deriving contexts are one box, so the
+    per-variable test decides both modes.  Exact mode also records the
+    first family, one deriving context per constraint, whose zip types
+    the argument covariantly: first in product order over the
+    constraints, variables in declaration order and candidates
+    `= + - ~`.  `first_family` picks it column by column; it supplies
+    the recorded witnesses.
     """
     if mode not in ("fast", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     norm = normalize_constructor(d, k)
-    arg_sets = variance_sets(sig, norm.arg, COV, norm.exist_vars)
-    exact = None
-    if mode == "exact":
-        exact = _check_exact(sig, d, norm, arg_sets)
-        if exact.accepted:
-            return exact
-    fa = _analyze(sig, d, norm, arg_sets)
-    if not fa.accepted:
-        reason, failing, empty = _rejection_reason(sig, d, norm, fa)
+    domain = norm.exist_vars
+    sets = variance_sets(sig, norm.arg, COV, domain)
+    arg = tuple(set_mask(sets[a]) for a in domain)
+    engine = DecompEngine(sig, domain)
+    varis = d.param_variances()
+    boxes = [engine.box(c.bound, varis[c.param], target_variance(c.rel))
+             for c in norm.constraints]
+    rejection = _rejection(d, norm, boxes, arg)
+    if rejection is not None:
+        reason, failing, empty = rejection
         return Verdict(d.name, k.name, False, mode, reason=reason,
                        empty_vars=empty, failing_constraint=failing,
                        normalized=norm)
-    if exact is not None:
-        return exact            # a rejection only exact mode finds
-    return Verdict(d.name, k.name, True, "fast", normalized=norm, arg=norm.arg)
+    if mode == "fast":
+        return Verdict(d.name, k.name, True, "fast", normalized=norm, arg=norm.arg)
+    family = first_family(boxes, arg)
+    assert family is not None
+    gammas = tuple(VarianceContext(zip(domain, g)) for g in family)
+    return Verdict(d.name, k.name, True, "exact",
+                   gamma=ctx_zip_all(gammas, domain), gammas=gammas,
+                   normalized=norm, arg=norm.arg)
 
 
 def check_gadt_constructor_bruteforce(sig: Signature, d: DatatypeDecl,

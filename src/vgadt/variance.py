@@ -5,7 +5,8 @@ Variances order the subtyping behaviour of a type parameter: covariant
 module holds the composition table, the lattice order with its bounds,
 the partial zip operation, and their pointwise extensions to contexts
 (finite ordered maps from type-variable names to variances) and to
-boxes (sets of contexts that are products of per-variable sets).
+boxes (sets of contexts that are products of per-variable sets); the
+deriving contexts of each decomposability judgment form one box.
 
 Everything here is a pure table-driven function over immutable values.
 """
@@ -134,7 +135,7 @@ class VarianceContext(Mapping[str, Variance]):
     iteration and rendering are stable.  Hashable, usable as a memo key.
     """
 
-    __slots__ = ("_entries", "_index", "_hash")
+    __slots__ = ("_entries", "_index", "_hash", "_domain", "_variances")
 
     def __init__(self, entries: Iterable[tuple[str, Variance]]):
         entries = tuple(entries)
@@ -144,16 +145,18 @@ class VarianceContext(Mapping[str, Variance]):
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash(entries))
+        object.__setattr__(self, "_domain", tuple(index))
+        object.__setattr__(self, "_variances", tuple(index.values()))
 
     @property
     def entries(self) -> tuple[tuple[str, Variance], ...]:
         return self._entries
 
     def domain(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._entries)
+        return self._domain
 
     def variances(self) -> tuple[Variance, ...]:
-        return tuple(v for _, v in self._entries)
+        return self._variances
 
     def with_entry(self, name: str, v: Variance) -> "VarianceContext":
         return VarianceContext(
@@ -249,7 +252,8 @@ def ctx_zip_all(
 
 # Sets of variances as 4-bit masks, and boxes: one mask per variable of a
 # domain, standing for every context whose entries lie in their masks.
-# Zip works per variable, so the zip of two boxes is again a box.
+# Zip works per variable, so the zip of two boxes is again a box, and
+# the deriving contexts of a decomposability judgment are one box.
 
 #: One bit per variance; the bits ascend in the order `= + - ~`.
 MASK = {v: 1 << i for i, v in enumerate(ALL_VARIANCES)}
@@ -262,6 +266,10 @@ def set_mask(s: Iterable[Variance]) -> int:
     return sum(MASK[v] for v in set(s))
 
 
+def mask_set(m: int) -> frozenset[Variance]:
+    return frozenset(v for v in ALL_VARIANCES if m & MASK[v])
+
+
 #: ZIP_MASK[a][b] is the mask of every defined zip of a member of `a`
 #: with a member of `b`; 0 when none is defined.  IRR is the identity of
 #: zip and INV zips only with itself, as in `zip_var`.
@@ -271,24 +279,8 @@ ZIP_MASK = tuple(
     for a in range(16))
 
 
-def box_zip(a: Box, b: Box) -> Optional[Box]:
-    """Every defined zip of a member of `a` with a member of `b`; None
-    when that set is empty."""
-    out = tuple(ZIP_MASK[x][y] for x, y in zip(a, b))
-    return None if 0 in out else out
-
-
-def box_within(a: Box, b: Box) -> bool:
-    return all(x | y == y for x, y in zip(a, b))
-
-
-def box_union(boxes: Iterable[Optional[Box]]) -> tuple[Box, ...]:
-    """The boxes other than None (which stands for an empty box),
-    without those contained in another."""
-    out: list[Box] = []
-    for b in boxes:
-        if b is None or any(box_within(b, c) for c in out):
-            continue
-        out = [c for c in out if not box_within(c, b)]
-        out.append(b)
-    return tuple(out)
+def box_zip(a: Box, b: Box) -> Box:
+    """Every defined zip of a member of `a` with a member of `b`.  A
+    variable whose zips are all undefined gets a 0 mask, which makes the
+    box empty."""
+    return tuple(ZIP_MASK[x][y] for x, y in zip(a, b))

@@ -276,3 +276,28 @@ class TestRepeatedVariable:
             assert verdict.reason == ("variable 'x: no variance of it "
                                       "derives constraint 'a = 'x * 'x")
             assert verdict.failing_constraint == 0
+
+
+IRRELEVANT_REF = """\
+base int
+base bool
+subbase bool <= int
+type (='a) ref =
+  | Mk of 'a -> 'a
+type (~'a, +'b) t =
+  | K of 'a ref * 'b
+"""
+
+
+class TestIrrelevantParameter:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: sc-Var at ~")
+    def test_constrained_path_rejects_what_the_plain_path_rejects(self):
+        # 'a occurs under ref's = parameter, so a ~ declaration is
+        # unsound: the oracle refutes it at depth 1.
+        sig = parse_signature(IRRELEVANT_REF)
+        compute_closure_flags(sig, "atomic")
+        decl = sig.info("t").decl
+        k = decl.ctors[0]
+        assert not check_adt_constructor(sig, decl, k.arg).accepted
+        for mode in ("fast", "exact"):
+            assert not check_gadt_constructor(sig, decl, k, mode).accepted, mode

@@ -4,9 +4,14 @@ sets pairwise, and the search that walks context families in
 `itertools.product` order.  Kept here as the specification that the box
 engine and the first-family search must reproduce: the same deriving
 contexts, the same witnesses and the same derivations.  Whole verdicts
-are also compared with a reference that runs the fast analysis first and
-the enumerative search only after a fast acceptance: exact mode now
-decides first, and its verdicts, reasons and witnesses must not change.
+are also compared with a reference that runs a set-based per-variable
+analysis first (`decomp_sets` over frozensets, as the checker once
+computed it, copied below) and the enumerative search only after that
+analysis accepts: its verdicts, reasons and witnesses must not change.
+
+The enumerative engine also states the lemma the checker rests on: every
+judgment's deriving contexts are one box, the product of their
+per-variable projections.
 
 `check_gadt_constructor_bruteforce` calls `DecompEngine.check`, so
 criterion 8 does not test the engine by itself; this file does.
@@ -14,10 +19,12 @@ criterion 8 does not test the engine by itself; this file does.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from hypothesis import given, seed, settings, strategies as st
 
+from vgadt import checker
 from vgadt.checker import (
     PRESETS,
     DecompEngine,
@@ -30,8 +37,6 @@ from vgadt.checker import (
 )
 from vgadt.criterion import (
     Verdict,
-    _analyze,
-    _rejection_reason,
     check_gadt_constructor,
     target_variance,
 )
@@ -42,9 +47,11 @@ from vgadt.syntax import (
     DataConstructorDecl,
     DatatypeDecl,
     FORM_CONSTRAINED,
+    Signature,
     TypeExpr,
     Var,
     arrow,
+    free_vars_ordered,
     normalize_constructor,
     parse_signature,
     product,
@@ -54,9 +61,11 @@ from vgadt.variance import (
     ALL_VARIANCES,
     COV,
     IRR,
+    Variance,
     VarianceContext,
     compose,
     ctx_zip_all,
+    render_variance_set,
     var_leq,
     zip_var,
 )
@@ -245,9 +254,15 @@ def test_boxes_equal_reference_sets(case):
     for t in terms:
         for v in ALL_VARIANCES:
             for v2 in ALL_VARIANCES:
+                want = ref.valid_set(t, v, v2)
                 got = {g.variances() for g in contexts
                        if engine.check(g, t, v, v2)}
-                assert got == ref.valid_set(t, v, v2), (render_type(t), v, v2)
+                assert got == want, (render_type(t), v, v2)
+                # The lemma: the deriving contexts are one box.
+                projections = [{tup[i] for tup in want}
+                               for i in range(len(ref.domain))]
+                assert not want or want == set(
+                    itertools.product(*projections)), (render_type(t), v, v2)
 
 
 @seed(20261018)
@@ -269,6 +284,166 @@ def test_witnesses_and_derivations_equal_reference(case):
     for gi, c in zip(verdict.gammas, norm.constraints):
         args = (c.bound, varis[c.param], target_variance(c.rel))
         assert engine.derive(gi, *args) == ref.derive(gi, *args)
+
+
+# ---------------------------------------------------------------------------
+# The set-based per-variable analysis, as the checker computed it before
+# decomposability was kept as one box per judgment.
+
+SetMap = dict[str, frozenset[Variance]]
+
+_FULL = frozenset(ALL_VARIANCES)
+
+
+def _zip_combine(sets: Iterable[frozenset[Variance]]) -> frozenset[Variance]:
+    acc: frozenset[Variance] = frozenset({IRR})
+    for s in sets:
+        acc = frozenset(
+            z for x in acc for y in s if (z := zip_var(x, y)) is not None
+        )
+        if not acc:
+            break
+    return acc
+
+
+def _union_maps(a: Optional[SetMap], b: Optional[SetMap],
+                domain: Sequence[str]) -> Optional[SetMap]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return {name: a[name] | b[name] for name in domain}
+
+
+def decomp_sets(sig: Signature, t: TypeExpr, v: Variance, v2: Variance,
+                domain: Optional[Sequence[str]] = None) -> Optional[SetMap]:
+    """Per-variable variance sets for the decomposability judgment.
+
+    None means no context at all derives the judgment.  A variable may
+    be mapped to the empty set when the zip of its per-child sets dies,
+    which equally means no context exists.  The map over-approximates
+    the exact deriving-context set (the union over rules of per-variable
+    products need not be a product), so it is a pruning filter; the
+    exact engine stays authoritative.  Variables absent from a subterm
+    carry the full set there.
+    """
+    if domain is None:
+        domain = free_vars_ordered(t)
+    domain = tuple(domain)
+
+    triv: Optional[SetMap] = None
+    if var_leq(v2, v):
+        triv = variance_sets(sig, t, v, domain)
+
+    rule: Optional[SetMap]
+    if isinstance(t, Var):
+        rule = {name: (frozenset({v}) if name == t.name else _FULL)
+                for name in domain}
+    else:
+        assert isinstance(t, App)
+        if not is_closed(sig, t.ctor, v):
+            rule = None
+        elif not t.args:
+            rule = {name: _FULL for name in domain}
+        else:
+            ws = sig.variances(t.ctor)
+            children = [
+                decomp_sets(sig, a, compose(v, w), compose(v2, w), domain)
+                for a, w in zip(t.args, ws)
+            ]
+            if any(c is None for c in children):
+                rule = None
+            else:
+                rule = {
+                    name: _zip_combine(c[name] for c in children)  # type: ignore[index]
+                    for name in domain
+                }
+    return _union_maps(triv, rule, domain)
+
+
+def _constraint_label(d: DatatypeDecl, c: Constraint) -> str:
+    return f"'{d.param_names()[c.param]} {c.rel.value} {render_type(c.bound)}"
+
+
+@dataclass
+class _FastAnalysis:
+    """Per-variable set computation shared by both modes."""
+    domain: tuple[str, ...]
+    arg_sets: SetMap
+    constraint_sets: list[Optional[SetMap]]
+    zipped: Optional[SetMap]
+    result: Optional[SetMap]
+    dead_constraint: Optional[int]      # first constraint with a None map
+
+    @property
+    def empty_vars(self) -> tuple[str, ...]:
+        if self.result is None:
+            return ()
+        return tuple(a for a in self.domain if not self.result[a])
+
+    @property
+    def accepted(self) -> bool:
+        return (self.dead_constraint is None and self.result is not None
+                and not self.empty_vars)
+
+
+def _analyze(sig: Signature, d: DatatypeDecl, norm: DataConstructorDecl,
+             arg_sets: SetMap) -> _FastAnalysis:
+    domain = norm.exist_vars
+    varis = d.param_variances()
+    constraint_sets: list[Optional[SetMap]] = []
+    dead = None
+    for i, c in enumerate(norm.constraints):
+        sets = decomp_sets(sig, c.bound, varis[c.param], target_variance(c.rel),
+                           domain)
+        constraint_sets.append(sets)
+        if sets is None and dead is None:
+            dead = i
+    if dead is not None:
+        return _FastAnalysis(domain, arg_sets, constraint_sets, None, None, dead)
+    zipped: SetMap = {
+        a: _zip_combine(s[a] for s in constraint_sets)  # type: ignore[index]
+        for a in domain
+    }
+    result = {a: zipped[a] & arg_sets[a] for a in domain}
+    return _FastAnalysis(domain, arg_sets, constraint_sets, zipped, result, None)
+
+
+def _rejection_reason(sig: Signature, d: DatatypeDecl,
+                      norm: DataConstructorDecl, fa: _FastAnalysis
+                      ) -> tuple[Optional[str], Optional[int], tuple[str, ...]]:
+    if fa.dead_constraint is not None:
+        c = norm.constraints[fa.dead_constraint]
+        v = d.param_variances()[c.param]
+        return (
+            f"constraint {_constraint_label(d, c)}: no context derives "
+            f"decomposability from {v} to {target_variance(c.rel)} "
+            f"(head of {render_type(c.bound)} is not {v}-closed)",
+            fa.dead_constraint, ())
+    empty = fa.empty_vars
+    a = empty[0]
+    assert fa.zipped is not None and fa.result is not None
+    if not fa.zipped[a]:
+        # Replay the zip fold to name the offending pair of variances.
+        acc = frozenset({Variance.IRR})
+        for i, sets in enumerate(fa.constraint_sets):
+            assert sets is not None
+            if not sets[a]:
+                label = _constraint_label(d, norm.constraints[i])
+                return (f"variable '{a}: no variance of it derives "
+                        f"constraint {label}", i, empty)
+            nxt = _zip_combine([acc, sets[a]])
+            if not nxt:
+                x = next(v for v in ALL_VARIANCES if v in acc)
+                y = next(v for v in ALL_VARIANCES if v in sets[a])
+                return (f"variable '{a}: zip({x}, {y}) undefined across "
+                        f"the constraints", i, empty)
+            acc = nxt
+        return (f"variable '{a}: constraints admit no common variance", None, empty)
+    return (
+        f"variable '{a}: constraints admit {render_variance_set(fa.zipped[a])} but the "
+        f"argument type requires {render_variance_set(fa.arg_sets[a])}",
+        None, empty)
 
 
 def reference_verdict(sig, d, k, mode: str) -> Verdict:
@@ -315,3 +490,22 @@ def test_verdicts_equal_fast_first_reference(case):
     for mode in ("fast", "exact"):
         assert (check_gadt_constructor(sig, d, k, mode)
                 == reference_verdict(sig, d, k, mode)), mode
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(constructors())
+def test_decomp_sets_equal_set_based_reference(case):
+    preset, d, k = case
+    sig = SIGS[preset]
+    norm = normalize_constructor(d, k)
+    terms = {s for c in norm.constraints for s in subterms(c.bound)}
+    terms |= set(subterms(norm.arg))
+    for t in terms:
+        for v in ALL_VARIANCES:
+            for v2 in ALL_VARIANCES:
+                want = decomp_sets(sig, t, v, v2, norm.exist_vars)
+                assert (checker.decomp_sets(sig, t, v, v2, norm.exist_vars)
+                        == want), (render_type(t), v, v2)
+                assert (checker.decomp_sets(sig, t, v, v2)
+                        == decomp_sets(sig, t, v, v2)), (render_type(t), v, v2)
