@@ -6,11 +6,20 @@ per-variable variance sets the judgments admit, and `oracle`
 cross-checks syntactic verdicts against the brute-force semantics on a
 bounded universe.
 
+Every command runs one pipeline: each file in turn is read, parsed and
+given the preset's closure flags, then handed to the command's body,
+which prints the file's records and says whether all of them are fine.
+`check` and `oracle` check the whole file before they print any of its
+records; `infer` prints each constructor as it goes.  The first
+file with a user error (unreadable or not UTF-8, a parse or
+well-formedness error, a constructor that cannot be normalized, a
+universe over the size cap) stops the run with its diagnostics on
+stderr; what earlier files printed stays.
+
 Exit codes: 0 all accepted / full agreement, 1 at least one rejection or
-disagreement, 2 unreadable input, parse error, ill-formed signature or
-internal error (reported in one line, never as a traceback).
-Structured output (`--format=structured`) is one JSON record per line on
-stdout; diagnostics go to stderr.
+disagreement, 2 a user error or an internal error (reported in one line,
+never as a traceback).  Structured output (`--format=structured`) is one
+JSON record per line on stdout; diagnostics go to stderr.
 
 `run` may be called repeatedly in one process.  The argument parser is
 built once per process, on the first call; nothing else outlives a
@@ -23,9 +32,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from .checker import (
@@ -49,13 +58,14 @@ from .oracle import (
 )
 from .syntax import (
     FORM_ADT,
+    Diagnostic,
     Signature,
     SignatureError,
     normalize_constructor,
     parse_signature,
-    render_type,
+    render_constraint,
 )
-from .variance import COV, Variance, VarianceContext, render_variance_set
+from .variance import COV, VarianceContext, render_variance_set
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -66,88 +76,10 @@ INCOMPLETENESS_NOTE = (
     "still be sound; no inhabitation reasoning is performed.")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    paths: list[str]
-    preset: str = "atomic"
-    mode: str = "exact"
-    depth: int = 2
-    format: str = "text"
-    explain: bool = False
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vgadt",
-        description="Check variance annotations on datatype declarations "
-                    "with subtyping.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("paths", nargs="+", metavar="FILE")
-        p.add_argument("--preset", choices=PRESETS, default="atomic",
-                       help="closure-flag preset (default: atomic)")
-        p.add_argument("--format", choices=("text", "structured"),
-                       default="text")
-
-    check = sub.add_parser("check", help="check declarations")
-    common(check)
-    check.add_argument("--mode", choices=("fast", "exact"), default="exact")
-    check.add_argument("--explain", action="store_true",
-                       help="print derivations with rule names")
-
-    infer = sub.add_parser("infer", help="print admissible variance sets")
-    common(infer)
-
-    oracle = sub.add_parser("oracle",
-                            help="cross-check verdicts against the "
-                                 "brute-force semantics")
-    common(oracle)
-    oracle.add_argument("--mode", choices=("fast", "exact"), default="exact")
-    oracle.add_argument("--depth", type=int, default=2,
-                        help="universe depth bound (default: 2)")
-    return parser
-
-
-def _load(path: str, err: TextIO) -> Optional[Signature]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"{path}: {exc}", file=err)
-        return None
-    try:
-        return parse_signature(text)
-    except SignatureError as exc:
-        for d in exc.diagnostics:
-            print(f"{path}:{d}", file=err)
-        return None
-
-
 def _render_gamma(g: Optional[VarianceContext]) -> Optional[dict[str, str]]:
     if g is None:
         return None
     return {name: v.value for name, v in g.entries}
-
-
-def _structured_record(verdict: Verdict) -> str:
-    record = {
-        "type": verdict.datatype,
-        "ctor": verdict.ctor,
-        "verdict": "accepted" if verdict.accepted else "rejected",
-        "gamma": _render_gamma(verdict.gamma),
-        "gammas": ([_render_gamma(g) for g in verdict.gammas]
-                   if verdict.gammas is not None else None),
-        "reason": verdict.reason,
-    }
-    return json.dumps(record)
-
-
-def _sets_text(sets: dict[str, frozenset[Variance]],
-               domain: Sequence[str]) -> str:
-    return "  ".join(f"{a}: {render_variance_set(sets[a])}" for a in domain)
 
 
 def _explain_verdict(sig: Signature, verdict: Verdict, out: TextIO) -> None:
@@ -172,160 +104,147 @@ def _explain_verdict(sig: Signature, verdict: Verdict, out: TextIO) -> None:
                 print(line, file=out)
 
 
-def _cmd_check(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
-    any_rejected = False
-    for path in cfg.paths:
-        sig = _load(path, err)
-        if sig is None:
-            return EXIT_ERROR
-        try:
-            compute_closure_flags(sig, cfg.preset)
-        except SignatureError as exc:
-            for d in exc.diagnostics:
-                print(f"{path}:{d}", file=err)
-            return EXIT_ERROR
-        try:
-            report = check_signature(sig, cfg.mode)
-        except ValueError as exc:
-            print(f"{path}: {exc}", file=err)
-            return EXIT_ERROR
-        for verdict in report.verdicts:
-            if cfg.format == "structured":
-                print(_structured_record(verdict), file=out)
+def _check(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
+    report = check_signature(sig, ns.mode)
+    for verdict in report.verdicts:
+        if ns.format == "structured":
+            print(json.dumps({
+                "type": verdict.datatype,
+                "ctor": verdict.ctor,
+                "verdict": "accepted" if verdict.accepted else "rejected",
+                "gamma": _render_gamma(verdict.gamma),
+                "gammas": ([_render_gamma(g) for g in verdict.gammas]
+                           if verdict.gammas is not None else None),
+                "reason": verdict.reason,
+            }), file=out)
+        else:
+            print(verdict.describe(), file=out)
+            if ns.explain:
+                _explain_verdict(sig, verdict, out)
+    return report.ok
+
+
+def _rendered_sets(sets, domain: Sequence[str]) -> Optional[dict[str, str]]:
+    if sets is None:
+        return None
+    return {a: render_variance_set(sets[a]) for a in domain}
+
+
+def _sets_line(sets: dict[str, str]) -> str:
+    return "  ".join(f"{a}: {s}" for a, s in sets.items())
+
+
+def _infer(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
+    for decl in sig.datatypes():
+        varis = decl.param_variances()
+        for k in decl.ctors:
+            if k.form == FORM_ADT:
+                domain, arg, constraints = decl.param_names(), k.arg, ()
             else:
-                print(verdict.describe(), file=out)
-                if cfg.explain:
-                    _explain_verdict(sig, verdict, out)
-        if not report.ok:
-            any_rejected = True
-    if any_rejected and cfg.format == "text":
-        print(INCOMPLETENESS_NOTE, file=out)
-    return EXIT_REJECTED if any_rejected else EXIT_OK
-
-
-def _cmd_infer(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
-    for path in cfg.paths:
-        sig = _load(path, err)
-        if sig is None:
-            return EXIT_ERROR
-        try:
-            compute_closure_flags(sig, cfg.preset)
-        except SignatureError as exc:
-            for d in exc.diagnostics:
-                print(f"{path}:{d}", file=err)
-            return EXIT_ERROR
-        for kind, payload in sig.decl_order:
-            if kind != "type":
-                continue
-            decl = sig.info(payload).decl
-            assert decl is not None
-            varis = decl.param_variances()
-            for k in decl.ctors:
-                if k.form == FORM_ADT:
-                    domain = decl.param_names()
-                    sets = variance_sets(sig, k.arg, COV, domain)
-                    principal = principal_context(sig, k.arg, COV, domain)
-                    record = {
-                        "type": decl.name, "ctor": k.name,
-                        "arg_sets": {a: render_variance_set(sets[a]) for a in domain},
-                        "principal": _render_gamma(principal),
-                        "constraints": [],
-                    }
-                    if cfg.format == "structured":
-                        print(json.dumps(record), file=out)
-                    else:
-                        print(f"{decl.name}.{k.name}: "
-                              f"{_sets_text(sets, domain)}", file=out)
-                        print(f"  principal: {principal}", file=out)
-                    continue
-                try:
-                    norm = normalize_constructor(decl, k)
-                except ValueError as exc:
-                    print(f"{path}: {exc}", file=err)
-                    return EXIT_ERROR
-                domain = norm.exist_vars
-                sets = variance_sets(sig, norm.arg, COV, domain)
-                principal = principal_context(sig, norm.arg, COV, domain)
-                constraints = []
-                for c in norm.constraints:
-                    dsets = decomp_sets(sig, c.bound, varis[c.param],
-                                        target_variance(c.rel), domain)
-                    label = (f"'{decl.param_names()[c.param]} {c.rel.value} "
-                             f"{render_type(c.bound)}")
-                    constraints.append((label, dsets))
-                if cfg.format == "structured":
-                    record = {
-                        "type": decl.name, "ctor": k.name,
-                        "arg_sets": {a: render_variance_set(sets[a]) for a in domain},
-                        "principal": _render_gamma(principal),
-                        "constraints": [
-                            {"constraint": label,
-                             "sets": ({a: render_variance_set(ds[a]) for a in domain}
-                                      if ds is not None else None)}
-                            for label, ds in constraints
-                        ],
-                    }
-                    print(json.dumps(record), file=out)
-                else:
-                    print(f"{decl.name}.{k.name}: "
-                          f"{_sets_text(sets, domain)}", file=out)
-                    print(f"  principal: {principal}", file=out)
-                    for label, ds in constraints:
-                        if ds is None:
-                            print(f"  [{label}]: unsatisfiable", file=out)
-                        else:
-                            print(f"  [{label}]: {_sets_text(ds, domain)}",
-                                  file=out)
-    return EXIT_OK
-
-
-def _cmd_oracle(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
-    all_agree = True
-    for path in cfg.paths:
-        sig = _load(path, err)
-        if sig is None:
-            return EXIT_ERROR
-        try:
-            compute_closure_flags(sig, cfg.preset)
-        except SignatureError as exc:
-            for d in exc.diagnostics:
-                print(f"{path}:{d}", file=err)
-            return EXIT_ERROR
-        try:
-            universe = enumerate_types(sig, cfg.depth)
-            report = check_signature(sig, cfg.mode)
-        except (UniverseSizeError, ValueError) as exc:
-            print(f"{path}: {exc}", file=err)
-            return EXIT_ERROR
-        for verdict in report.verdicts:
-            decl = sig.info(verdict.datatype).decl
-            assert decl is not None
-            k = next(c for c in decl.ctors if c.name == verdict.ctor)
-            result = req_sp(sig, universe, decl, k)
-            if verdict.accepted:
-                agree = "yes" if result.holds else "DISAGREE"
-            else:
-                agree = ("yes" if not result.holds
-                         else "unconfirmed (bounded search)")
-            if agree != "yes":
-                all_agree = False
-            if cfg.format == "structured":
-                record = {
-                    "type": verdict.datatype, "ctor": verdict.ctor,
-                    "verdict": "accepted" if verdict.accepted else "rejected",
-                    "req_sp": result.holds,
-                    "depth": universe.depth,
-                    "agree": agree,
-                    "counterexample": (None if result.holds else
-                                       result.describe()),
-                }
+                norm = normalize_constructor(decl, k)
+                domain, arg, constraints = (norm.exist_vars, norm.arg,
+                                            norm.constraints)
+            principal = principal_context(sig, arg, COV, domain)
+            record = {
+                "type": decl.name, "ctor": k.name,
+                "arg_sets": _rendered_sets(
+                    variance_sets(sig, arg, COV, domain), domain),
+                "principal": _render_gamma(principal),
+                "constraints": [
+                    {"constraint": render_constraint(decl, c),
+                     "sets": _rendered_sets(decomp_sets(
+                         sig, c.bound, varis[c.param],
+                         target_variance(c.rel), domain), domain)}
+                    for c in constraints],
+            }
+            if ns.format == "structured":
                 print(json.dumps(record), file=out)
-            else:
-                line = (f"{verdict.datatype}.{verdict.ctor}: "
-                        f"syntactic={'accepted' if verdict.accepted else 'rejected'} "
-                        f"req-sp={result.describe()} agree={agree}")
-                print(line, file=out)
-    return EXIT_OK if all_agree else EXIT_REJECTED
+                continue
+            print(f"{decl.name}.{k.name}: {_sets_line(record['arg_sets'])}",
+                  file=out)
+            print(f"  principal: {principal}", file=out)
+            for c in record["constraints"]:
+                sets = ("unsatisfiable" if c["sets"] is None
+                        else _sets_line(c["sets"]))
+                print(f"  [{c['constraint']}]: {sets}", file=out)
+    return True
+
+
+def _oracle(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
+    universe = enumerate_types(sig, ns.depth)
+    ctors = [(decl, k) for decl in sig.datatypes() for k in decl.ctors]
+    all_agree = True
+    for (decl, k), verdict in zip(ctors, check_signature(sig).verdicts):
+        result = req_sp(sig, universe, decl, k)
+        if verdict.accepted:
+            agree = "yes" if result.holds else "DISAGREE"
+        else:
+            agree = ("yes" if not result.holds
+                     else "unconfirmed (bounded search)")
+        all_agree = all_agree and agree == "yes"
+        syntactic = "accepted" if verdict.accepted else "rejected"
+        if ns.format == "structured":
+            print(json.dumps({
+                "type": decl.name, "ctor": k.name,
+                "verdict": syntactic,
+                "req_sp": result.holds,
+                "depth": universe.depth,
+                "agree": agree,
+                "counterexample": None if result.holds else result.describe(),
+            }), file=out)
+        else:
+            print(f"{decl.name}.{k.name}: syntactic={syntactic} "
+                  f"req-sp={result.describe()} agree={agree}", file=out)
+    return all_agree
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="vgadt",
+        description="Check variance annotations on datatype declarations "
+                    "with subtyping.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, body, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(body=body)
+        p.add_argument("paths", nargs="+", metavar="FILE")
+        p.add_argument("--preset", choices=PRESETS, default="atomic",
+                       help="closure-flag preset (default: atomic)")
+        p.add_argument("--format", choices=("text", "structured"),
+                       default="text")
+        return p
+
+    check = command("check", _check, "check declarations")
+    check.add_argument("--mode", choices=("fast", "exact"), default="exact")
+    check.add_argument("--explain", action="store_true",
+                       help="print derivations with rule names")
+    command("infer", _infer, "print admissible variance sets")
+    oracle = command("oracle", _oracle,
+                     "cross-check verdicts against the brute-force semantics")
+    oracle.add_argument("--depth", type=int, default=2,
+                        help="universe depth bound (default: 2)")
+    return parser
+
+
+def _decode(data: bytes) -> str:
+    return io.StringIO(data.decode("utf-8"), newline=None).read()
+
+
+def _read(path: str) -> str:
+    """The UTF-8 text of `path` with newlines translated as in text
+    mode; a byte that is not UTF-8 raises a positioned SignatureError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _decode(data)
+    except UnicodeDecodeError as exc:
+        lines = _decode(data[:exc.start]).split("\n")
+        raise SignatureError([Diagnostic(
+            len(lines), len(lines[-1]) + 1,
+            f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})")]
+        ) from None
 
 
 def run(argv: Sequence[str], out: Optional[TextIO] = None,
@@ -334,33 +253,35 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     current at the call."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            ns = parser.parse_args(list(argv))
+            ns = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags already; normalize the code.
         return EXIT_ERROR if exc.code else EXIT_OK
-    cfg = RunConfig(
-        command=ns.command,
-        paths=list(ns.paths),
-        preset=ns.preset,
-        mode=getattr(ns, "mode", "exact"),
-        depth=getattr(ns, "depth", 2),
-        format=ns.format,
-        explain=getattr(ns, "explain", False),
-    )
-    if cfg.depth < 1:
+    if getattr(ns, "depth", 1) < 1:
         print("--depth must be >= 1", file=err)
         return EXIT_ERROR
-    command = {"check": _cmd_check, "infer": _cmd_infer,
-               "oracle": _cmd_oracle}[cfg.command]
+    ok = True
     try:
-        return command(cfg, out, err)
+        for path in ns.paths:
+            sig = parse_signature(_read(path))
+            compute_closure_flags(sig, ns.preset)
+            ok = ns.body(ns, sig, out) and ok
+    except (OSError, SignatureError, ValueError, UniverseSizeError) as exc:
+        if isinstance(exc, SignatureError):
+            for d in exc.diagnostics:
+                print(f"{path}:{d}", file=err)
+        else:
+            print(f"{path}: {exc}", file=err)
+        return EXIT_ERROR
     except Exception as exc:   # exit 1 means "rejected", never a crash
         print(f"vgadt: internal error: {type(exc).__name__}: {exc}",
               file=err)
         return EXIT_ERROR
+    if not ok and ns.command == "check" and ns.format == "text":
+        print(INCOMPLETENESS_NOTE, file=out)
+    return EXIT_OK if ok else EXIT_REJECTED
 
 
 def main() -> None:

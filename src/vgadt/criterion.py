@@ -31,7 +31,6 @@ from .checker import (
     variance_sets,
 )
 from .syntax import (
-    Constraint,
     ConstraintRel,
     DataConstructorDecl,
     DatatypeDecl,
@@ -39,6 +38,7 @@ from .syntax import (
     Signature,
     TypeExpr,
     normalize_constructor,
+    render_constraint,
     render_type,
 )
 from .variance import (
@@ -119,10 +119,6 @@ def check_adt_constructor(sig: Signature, d: DatatypeDecl,
     return Verdict(d.name, "", False, "exact", reason=reason)
 
 
-def _constraint_label(d: DatatypeDecl, c: Constraint) -> str:
-    return f"'{d.param_names()[c.param]} {c.rel.value} {render_type(c.bound)}"
-
-
 def _rejection(d: DatatypeDecl, norm: DataConstructorDecl,
                boxes: list[Optional[Box]], arg: Box
                ) -> Optional[tuple[str, Optional[int], tuple[str, ...]]]:
@@ -132,7 +128,7 @@ def _rejection(d: DatatypeDecl, norm: DataConstructorDecl,
         if box is None:
             v = d.param_variances()[c.param]
             return (
-                f"constraint {_constraint_label(d, c)}: no context derives "
+                f"constraint {render_constraint(d, c)}: no context derives "
                 f"decomposability from {v} to {target_variance(c.rel)} "
                 f"(head of {render_type(c.bound)} is not {v}-closed)", i, ())
     domain = norm.exist_vars
@@ -155,7 +151,7 @@ def _rejection(d: DatatypeDecl, norm: DataConstructorDecl,
     died = boxes[i][x]
     if not died:
         return (f"variable '{a}: no variance of it derives "
-                f"constraint {_constraint_label(d, norm.constraints[i])}",
+                f"constraint {render_constraint(d, norm.constraints[i])}",
                 i, empty)
     u, w = (next(v for v in ALL_VARIANCES if m & MASK[v]) for m in (acc, died))
     return (f"variable '{a}: zip({u}, {w}) undefined across the constraints",
@@ -252,11 +248,7 @@ def check_signature(sig: Signature, mode: str = "exact") -> Report:
     constrained and generalized-codomain constructors through the
     criterion."""
     report = Report()
-    for kind, payload in sig.decl_order:
-        if kind != "type":
-            continue
-        decl = sig.info(payload).decl
-        assert decl is not None
+    for decl in sig.datatypes():
         for k in decl.ctors:
             if k.form == FORM_ADT:
                 verdict = check_adt_constructor(sig, decl, k.arg)

@@ -158,11 +158,6 @@ class VarianceContext(Mapping[str, Variance]):
     def variances(self) -> tuple[Variance, ...]:
         return self._variances
 
-    def with_entry(self, name: str, v: Variance) -> "VarianceContext":
-        return VarianceContext(
-            (n, v if n == name else w) for n, w in self._entries
-        )
-
     def __getitem__(self, name: str) -> Variance:
         return self._index[name]
 

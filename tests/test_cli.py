@@ -6,6 +6,9 @@ import io
 import json
 import pathlib
 
+import pytest
+
+import vgadt.cli
 from vgadt.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, run
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -208,6 +211,62 @@ class TestErrors:
             assert invoke(command, bad) == (EXIT_ERROR, "", want), command
 
 
+class TestOutputOrder:
+    """A file's output stays when a later file fails: `check` prints a
+    file's verdicts once the whole file is decided, `infer` prints each
+    constructor as it goes."""
+
+    LIST_LINES = {
+        "check": "list.Nil: accepted\nlist.Cons: accepted\n",
+        "infer": ("list.Nil: a: {+,-,=,~}\n  principal: (~'a)\n"
+                  "list.Cons: a: {+,=}\n  principal: (+'a)\n"),
+        "oracle": ("list.Nil: syntactic=accepted req-sp=holds (depth 2) "
+                   "agree=yes\nlist.Cons: syntactic=accepted req-sp=holds "
+                   "(depth 2) agree=yes\n"),
+    }
+    T_LINES = {"check": "", "infer": "t.K: a: {+,=}\n  principal: (+'a)\n",
+               "oracle": ""}
+
+    @pytest.mark.parametrize("command", ("check", "infer", "oracle"))
+    def test_error_in_a_later_file(self, command, tmp_path):
+        bad = tmp_path / "t.vt"
+        bad.write_text("base int\n"
+                       "type (+'a) t = K of 'a | L : ['a = int]. 'a\n")
+        code, out, err = invoke(command, CORPUS / "list.vt", bad)
+        assert code == EXIT_ERROR
+        assert out == self.LIST_LINES[command] + self.T_LINES[command]
+        assert err == (f"{bad}: t.L: parameter 'a is constrained and may "
+                       f"not also occur in the argument or a bound\n")
+
+
+#: Module attributes of `vgadt.cli` that perfbench/tracer.py wraps, and
+#: the commands that must call each through the module.
+HOOKS = (
+    ("parse_signature", ("check", "infer", "oracle")),
+    ("compute_closure_flags", ("check", "infer", "oracle")),
+    ("check_signature", ("check", "oracle")),
+    ("enumerate_types", ("oracle",)),
+    ("req_sp", ("oracle",)),
+)
+
+
+@pytest.mark.parametrize("name,commands", HOOKS, ids=[n for n, _ in HOOKS])
+def test_commands_call_the_traced_module_attributes(name, commands,
+                                                    monkeypatch):
+    calls = []
+    original = getattr(vgadt.cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(vgadt.cli, name, counted)
+    for command in commands:
+        calls.clear()
+        code, _, _ = invoke(command, CORPUS / "expr.vt", "--format=structured")
+        assert code == EXIT_OK, command
+        assert calls, f"{command} does not call vgadt.cli.{name}"
+
+
 class TestRobustness:
     """Every input ends in a verdict or a one-line diagnostic."""
 
@@ -242,6 +301,15 @@ class TestRobustness:
         for command in ("check", "infer", "oracle"):
             code, _, _ = invoke(command, ok)
             assert code == EXIT_OK
+
+    def test_non_utf8_input(self, tmp_path):
+        bad = tmp_path / "bad.vt"
+        bad.write_bytes(b"base int\n# caf\xc3\xa9\r\n"
+                        b"type (+'a) t = K of \xff'a\n")
+        for command in ("check", "infer", "oracle"):
+            code, out, err = invoke(command, bad)
+            assert out == ""
+            self.assert_one_line_error(code, err, f"{bad}:3:21: ", "0xff")
 
     def test_unexpected_exception_exits_2(self, monkeypatch):
         import vgadt.cli

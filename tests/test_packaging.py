@@ -1,10 +1,14 @@
 """The package has no runtime dependencies: every module of `vgadt`
 imports only the standard library and the package itself, and
-`pyproject.toml` declares no dependency."""
+`pyproject.toml` declares no dependency.  The installed `vgadt` script
+runs `vgadt.cli:main`, which prints what `vgadt.cli.run` prints."""
 from __future__ import annotations
 
 import ast
+import io
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -39,3 +43,26 @@ def test_pyproject_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_the_script_entry_point_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["vgadt"] == "vgadt.cli:main"
+
+
+def test_main_prints_what_run_prints(monkeypatch):
+    from vgadt.cli import EXIT_REJECTED, run
+
+    argv = ["check", "corpus/expr.vt", "corpus/eq_cov.vt"]
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "vgadt.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, timeout=60)
+    monkeypatch.chdir(ROOT)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == EXIT_REJECTED
+    assert proc.returncode == EXIT_REJECTED, proc.stderr
+    assert proc.stdout == out.getvalue().encode("utf-8")
