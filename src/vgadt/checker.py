@@ -67,25 +67,25 @@ PRESETS = ("atomic", "ml-open", "none")
 # Variance checking
 
 
+def _occurrence_requirements(sig: Signature, t: TypeExpr, v: Variance,
+                             acc: dict[str, Variance]) -> dict[str, Variance]:
+    """Add to `acc`, per variable of t in first-occurrence order, the
+    join of the variances at which it occurs in `_ |- t : v`: vc-Constr
+    composes them along the path, and vc-Var requires the variable's
+    entry to lie above each one."""
+    if isinstance(t, Var):
+        acc[t.name] = var_lub(acc.get(t.name, IRR), v)
+    else:
+        for a, w in zip(t.args, sig.variances(t.ctor)):
+            _occurrence_requirements(sig, a, compose(v, w), acc)
+    return acc
+
+
 def check_variance(sig: Signature, g: VarianceContext, t: TypeExpr,
                    v: Variance) -> bool:
     """Is the judgment `g |- t : v` derivable?"""
-    if isinstance(t, Var):
-        return var_leq(v, g[t.name])
-    assert isinstance(t, App)
-    ws = sig.variances(t.ctor)
-    return all(check_variance(sig, g, a, compose(v, w))
-               for a, w in zip(t.args, ws))
-
-
-def _occurrence_requirements(sig: Signature, t: TypeExpr, v: Variance,
-                             acc: dict[str, Variance]) -> None:
-    if isinstance(t, Var):
-        acc[t.name] = var_lub(acc.get(t.name, IRR), v)
-        return
-    assert isinstance(t, App)
-    for a, w in zip(t.args, sig.variances(t.ctor)):
-        _occurrence_requirements(sig, a, compose(v, w), acc)
+    need = _occurrence_requirements(sig, t, v, {})
+    return all(var_leq(w, g[x]) for x, w in need.items())
 
 
 def principal_context(sig: Signature, t: TypeExpr, v: Variance,
@@ -95,12 +95,11 @@ def principal_context(sig: Signature, t: TypeExpr, v: Variance,
     Each occurrence of a variable at composed variance u requires its
     entry to sit above u, so the minimum is the join of the occurrence
     requirements; variables without occurrences stay at the bottom.
+    The domain defaults to t's variables in first-occurrence order.
     """
-    if domain is None:
-        domain = free_vars_ordered(t)
-    acc: dict[str, Variance] = {}
-    _occurrence_requirements(sig, t, v, acc)
-    return VarianceContext((name, acc.get(name, IRR)) for name in domain)
+    need = _occurrence_requirements(sig, t, v, {})
+    return VarianceContext((x, need.get(x, IRR))
+                           for x in (need if domain is None else domain))
 
 
 def variance_sets(sig: Signature, t: TypeExpr, v: Variance,

@@ -44,7 +44,6 @@ from .checker import (
     decomp_sets,
     derive_variance,
     principal_context,
-    variance_sets,
 )
 from .criterion import (
     Verdict,
@@ -65,7 +64,7 @@ from .syntax import (
     parse_signature,
     render_constraint,
 )
-from .variance import COV, VarianceContext, render_variance_set
+from .variance import COV, VarianceContext, render_variance_set, up_set
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -147,8 +146,8 @@ def _infer(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
             principal = principal_context(sig, arg, COV, domain)
             record = {
                 "type": decl.name, "ctor": k.name,
-                "arg_sets": _rendered_sets(
-                    variance_sets(sig, arg, COV, domain), domain),
+                "arg_sets": {a: render_variance_set(up_set(w))
+                             for a, w in principal.entries},
                 "principal": _render_gamma(principal),
                 "constraints": [
                     {"constraint": render_constraint(decl, c),
@@ -229,12 +228,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _decode(data: bytes) -> str:
-    return io.StringIO(data.decode("utf-8"), newline=None).read()
+    text = io.StringIO(data.decode("utf-8"), newline=None).read()
+    return text.removeprefix("\ufeff")
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of `path` with newlines translated as in text
-    mode; a byte that is not UTF-8 raises a positioned SignatureError."""
+    """The UTF-8 text of `path` with newlines translated as in text mode
+    and one leading byte-order mark dropped; a byte that is not UTF-8
+    raises a positioned SignatureError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:

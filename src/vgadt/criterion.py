@@ -28,6 +28,7 @@ from .checker import (
     DecompEngine,
     check_variance,
     first_family,
+    principal_context,
     variance_sets,
 )
 from .syntax import (
@@ -57,6 +58,8 @@ from .variance import (
     mask_set,
     render_variance_set,
     set_mask,
+    up_set,
+    var_leq,
 )
 
 
@@ -105,18 +108,15 @@ def check_adt_constructor(sig: Signature, d: DatatypeDecl,
                           arg: TypeExpr) -> Verdict:
     """Well-signedness of a plain constructor: the argument type must
     covary with the declared parameter variances."""
-    g = VarianceContext(d.params)
-    if check_variance(sig, g, arg, COV):
-        return Verdict(d.name, "", True, "exact", gamma=g, arg=arg)
-    sets = variance_sets(sig, arg, COV, d.param_names())
-    reason = None
-    for name, declared in d.params:
-        if declared not in sets[name]:
-            need = render_variance_set(sets[name])
-            reason = (f"parameter '{name} is declared {declared} but its "
-                      f"occurrences require one of {need}")
-            break
-    return Verdict(d.name, "", False, "exact", reason=reason)
+    principal = principal_context(sig, arg, COV, d.param_names())
+    for (name, declared), need in zip(d.params, principal.variances()):
+        if not var_leq(need, declared):
+            return Verdict(d.name, "", False, "exact", reason=(
+                f"parameter '{name} is declared {declared} but its "
+                f"occurrences require one of "
+                f"{render_variance_set(up_set(need))}"))
+    return Verdict(d.name, "", True, "exact",
+                   gamma=VarianceContext(d.params), arg=arg)
 
 
 def _rejection(d: DatatypeDecl, norm: DataConstructorDecl,

@@ -36,6 +36,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .checker import principal_context
 from .criterion import target_variance
 from .syntax import (
     App,
@@ -57,7 +58,6 @@ from .variance import (
     IRR,
     Variance,
     VarianceContext,
-    compose,
 )
 
 DEFAULT_UNIVERSE_CAP = 200_000
@@ -485,41 +485,13 @@ def sem_variance(sig: Signature, u: GroundUniverse, g: VarianceContext,
     return sem_variance_cex(sig, u, g, t, v) is None
 
 
-def sem_decomp_cex(
-    sig: Signature, u: GroundUniverse, g: VarianceContext, t: TypeExpr,
-    v: Variance, v2: Variance,
-) -> Optional[tuple[tuple[TypeExpr, ...], TypeExpr]]:
-    """First counterexample to decomposability over u, or None: an
-    assignment and supertype (subtype) admitting no witness assignment
-    in the universe."""
-    orc = oracle_for(sig)
-    domain = g.domain()
-    m = len(domain)
-    rel = [orc.related(u, w) for w in g.variances()]
-    inst = _instantiator(u, t, domain)
-    for idx in _assignments(u, m):
-        lhs = inst(idx)
-        allowed = [rel[k][i] for k, i in enumerate(idx)]
-        for s in _members(u.row(v, lhs)):
-            witnesses = _witness_tuples(
-                [u.witness_order((s,), a) for a in allowed])
-            if not any(u.prec(v2, inst(jdx), s) for jdx in witnesses):
-                return (tuple(u.types[i] for i in idx), u.types[s])
-    return None
-
-
-def sem_decomp(sig: Signature, u: GroundUniverse, g: VarianceContext,
-               t: TypeExpr, v: Variance, v2: Variance) -> bool:
-    return sem_decomp_cex(sig, u, g, t, v, v2) is None
-
-
-def sem_simultaneous_decomp(
+def _decomp_cex(
     sig: Signature, u: GroundUniverse, g: VarianceContext,
     parts: Sequence[tuple[TypeExpr, Variance, Variance]],
-) -> bool:
-    """The simultaneous closure property for a family of type
-    expressions over a shared context: related instances of all family
-    members must admit one common witness assignment."""
+) -> Optional[tuple[tuple[TypeExpr, ...], tuple[TypeExpr, ...]]]:
+    """First counterexample to the simultaneous decomposition of
+    `parts` over u, or None: an assignment and one supertype (subtype)
+    per part admitting no common witness assignment in the universe."""
     orc = oracle_for(sig)
     domain = g.domain()
     m = len(domain)
@@ -536,8 +508,35 @@ def sem_simultaneous_decomp(
             if not any(all(u.prec(v2, inst(jdx), s)
                            for inst, (_, _, v2), s in zip(insts, parts, sdx))
                        for jdx in witnesses):
-                return False
-    return True
+                return (tuple(u.types[i] for i in idx),
+                        tuple(u.types[s] for s in sdx))
+    return None
+
+
+def sem_decomp_cex(
+    sig: Signature, u: GroundUniverse, g: VarianceContext, t: TypeExpr,
+    v: Variance, v2: Variance,
+) -> Optional[tuple[tuple[TypeExpr, ...], TypeExpr]]:
+    """First counterexample to decomposability over u, or None: an
+    assignment and supertype (subtype) admitting no witness assignment
+    in the universe."""
+    cex = _decomp_cex(sig, u, g, [(t, v, v2)])
+    return None if cex is None else (cex[0], cex[1][0])
+
+
+def sem_decomp(sig: Signature, u: GroundUniverse, g: VarianceContext,
+               t: TypeExpr, v: Variance, v2: Variance) -> bool:
+    return sem_decomp_cex(sig, u, g, t, v, v2) is None
+
+
+def sem_simultaneous_decomp(
+    sig: Signature, u: GroundUniverse, g: VarianceContext,
+    parts: Sequence[tuple[TypeExpr, Variance, Variance]],
+) -> bool:
+    """The simultaneous closure property for a family of type
+    expressions over a shared context: related instances of all family
+    members must admit one common witness assignment."""
+    return _decomp_cex(sig, u, g, parts) is None
 
 
 def sem_well_signed(sig: Signature, u: GroundUniverse, decl_params,
@@ -572,25 +571,6 @@ class ReqSpResult:
                 f"sigma'={tup(self.sigma_prime)} rho={tup(self.rho)}")
 
 
-def _occurrence_variances(sig: Signature, t: TypeExpr,
-                          domain: Sequence[str]) -> list[list[Variance]]:
-    """Per variable of `domain`, the variance of each of its occurrences
-    in t, composed along the path from the root.  Two instances of t
-    have the same heads at t's own nodes, which compare pointwise, so
-    t[rho] <= t[rho'] iff rho(x) prec_w rho'(x) for all these x and w."""
-    uses: dict[str, list[Variance]] = {x: [] for x in domain}
-    stack = [(t, COV)]
-    while stack:
-        node, v = stack.pop()
-        if isinstance(node, Var):
-            uses[node.name].append(v)
-        else:
-            assert isinstance(node, App)
-            stack.extend((a, compose(v, w)) for a, w
-                         in zip(node.args, sig.variances(node.ctor)))
-    return [uses[x] for x in domain]
-
-
 class _Group(NamedTuple):
     """Existential coordinates that constraint bounds link, and the
     constraints over them.  Bounds are instantiated from assignments to
@@ -604,8 +584,11 @@ class _Group(NamedTuple):
     pinned: tuple[tuple[int, int, Variance], ...]
     #: The other bounds, as in `cons`.
     others: tuple[tuple[int, Variance, Callable[[tuple[int, ...]], int]], ...]
-    #: Per local coordinate, the variances of its argument occurrences.
-    uses: tuple[list[Variance], ...]
+    #: Per local coordinate, the principal entry of the argument: two
+    #: instances of it have the same heads at its own nodes, which
+    #: compare pointwise, so arg[rho] <= arg[rho'] iff rho(x) prec_w
+    #: rho'(x) for each coordinate x and its entry w.
+    uses: tuple[Variance, ...]
 
 
 def _groups(sig: Signature, u: GroundUniverse,
@@ -613,17 +596,14 @@ def _groups(sig: Signature, u: GroundUniverse,
     """The constraints of a normalized constructor, split into groups:
     two constraints share a group when their bounds share a variable,
     and the closed bounds form the group with no coordinate.  Groups
-    come in the order of their coordinates.  (Two constraints on one
-    parameter, which only a constructor built in code can have, share
-    a group too, so that its search is the literal one.)"""
+    come in the order of their coordinates."""
     domain = norm.exist_vars
-    arg_uses = _occurrence_variances(sig, norm.arg, domain)
+    arg_uses = principal_context(sig, norm.arg, COV, domain).variances()
     parts: list[tuple[frozenset[str], list[Constraint]]] = []
     for c in norm.constraints:
         names = free_vars(c.bound)
         # A closed bound joins the part of the other closed bounds.
-        linked = [p for p in parts if p[0] & names or not (p[0] or names)
-                  or any(x.param == c.param for x in p[1])]
+        linked = [p for p in parts if p[0] & names or not (p[0] or names)]
         for p in linked:
             parts.remove(p)
         parts.append((names.union(*(p[0] for p in linked)),
@@ -683,7 +663,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     norm = normalize_constructor(d, k)
     rel_up = [orc.related(u, w) for w in d.param_variances()]
     groups = _groups(sig, u, norm)
-    prec_, row, full, types = u.prec, u.row, u.full, u.types
+    prec_, row, types = u.prec, u.row, u.types
 
     def exists_witness(g: _Group, params: tuple, allowed: list[int]) -> bool:
         if not g.others:
@@ -710,11 +690,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
                     return None
             # Witness coordinates keeping the argument above its
             # instance at r.
-            above = [full] * len(r)
-            for j, (i, uses) in enumerate(zip(r, g.uses)):
-                for w in uses:
-                    above[j] &= row(w, i)
-            bases.append(above)
+            bases.append([row(w, i) for i, w in zip(r, g.uses)])
 
         def fails(params: tuple) -> bool:
             for g, above in zip(part, bases):

@@ -126,37 +126,23 @@ def product(left: TypeExpr, right: TypeExpr) -> App:
     return App(PRODUCT, (left, right))
 
 
-def free_vars(t: TypeExpr) -> frozenset[str]:
-    """The exact set of variable names occurring in t."""
-    out: set[str] = set()
+def free_vars_ordered(t: TypeExpr) -> tuple[str, ...]:
+    """Variable names in first-occurrence (left-to-right) order."""
+    out: dict[str, None] = {}
     stack = [t]
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
-            out.add(node.name)
+            out[node.name] = None
         else:
             assert isinstance(node, App)
-            stack.extend(node.args)
-    return frozenset(out)
-
-
-def free_vars_ordered(t: TypeExpr) -> tuple[str, ...]:
-    """Variable names in first-occurrence (left-to-right) order."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def walk(node: TypeExpr) -> None:
-        if isinstance(node, Var):
-            if node.name not in seen:
-                seen.add(node.name)
-                out.append(node.name)
-        else:
-            assert isinstance(node, App)
-            for a in node.args:
-                walk(a)
-
-    walk(t)
+            stack.extend(reversed(node.args))
     return tuple(out)
+
+
+def free_vars(t: TypeExpr) -> frozenset[str]:
+    """The exact set of variable names occurring in t."""
+    return frozenset(free_vars_ordered(t))
 
 
 def mentioned_ctors(t: TypeExpr) -> frozenset[str]:
@@ -248,9 +234,6 @@ class DatatypeDecl:
 
     def param_variances(self) -> tuple[Variance, ...]:
         return tuple(v for _, v in self.params)
-
-    def param_index(self, name: str) -> int:
-        return self.param_names().index(name)
 
 
 @dataclass(frozen=True)
@@ -564,22 +547,17 @@ class _Parser:
             self.declare(
                 sig, tok,
                 CtorInfo(decl.name, len(decl.params),
-                         decl.param_variances(), "datatype", decl),
-                name_override=decl.name,
-            )
+                         decl.param_variances(), "datatype", decl))
             decl_order.append(("type", decl.name))
         else:
             raise self.error(f"unexpected keyword {tok.text!r}")
 
-    def declare(self, sig: Signature, tok, info: CtorInfo,
-                name_override: Optional[str] = None) -> None:
-        name = name_override or info.name
-        if sig.has_ctor(name):
-            where = tok if isinstance(tok, Token) else self.peek()
+    def declare(self, sig: Signature, tok: Token, info: CtorInfo) -> None:
+        if sig.has_ctor(info.name):
             self.diags.append(Diagnostic(
-                where.line, where.col, f"duplicate declaration of {name!r}"))
+                tok.line, tok.col, f"duplicate declaration of {info.name!r}"))
             return
-        sig.ctors[name] = info
+        sig.ctors[info.name] = info
 
     def parse_type_decl(self, sig: Signature) -> DatatypeDecl:
         self.expect("kw", "'type'")
@@ -837,23 +815,14 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
             bad(pos, f"private: {lo!r} and {hi!r} have different variances")
 
     # Private edges must be acyclic (the declared order may have cycles).
-    succ: dict[str, set[str]] = {}
+    # An edge lo -> hi closes a cycle iff lo is reachable from hi; a type
+    # on a cycle is reported once, at its first private edge.
+    reach = _reachability(sig.private_edges, {})
+    cyclic = {lo for lo, hi in sig.private_edges if lo in reach.get(hi, {hi})}
     for lo, hi in sig.private_edges:
-        succ.setdefault(lo, set()).add(hi)
-    for start in succ:
-        seen, stack = set(), [start]
-        while stack:
-            n = stack.pop()
-            for m in succ.get(n, ()):
-                if m == start:
-                    first = next(e for e in sig.private_edges if e[0] == start)
-                    bad(decl_pos("private", first),
-                        f"private: cycle through {start!r}")
-                    stack = []
-                    break
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
+        if lo in cyclic:
+            cyclic.remove(lo)
+            bad(decl_pos("private", (lo, hi)), f"private: cycle through {lo!r}")
 
     for v, name in sig.closed_decls:
         if not sig.has_ctor(name):
@@ -907,7 +876,9 @@ def normalize_constructor(
     and the argument type and every bound mention only the existential
     variables.  Fresh existentials are named after the parameter they
     replace, with a numeric suffix; the result is deterministic and the
-    operation is idempotent.
+    operation is idempotent.  A parameter constrained twice, which the
+    parser rejects but a constructor built in code can carry, raises
+    ValueError.
     """
     params = decl.param_names()
     if k.form == FORM_CODOMAIN:
@@ -923,7 +894,13 @@ def normalize_constructor(
     used = set(k.exist_vars) | set(params)
     exist = list(k.exist_vars)
     constraints = list(k.constraints)
-    constrained = {c.param for c in constraints}
+    constrained: set[int] = set()
+    for c in constraints:
+        if c.param in constrained:
+            raise ValueError(
+                f"{decl.name}.{k.name}: parameter '{params[c.param]} is "
+                f"constrained more than once")
+        constrained.add(c.param)
     occurring = free_vars(k.arg).union(*(free_vars(c.bound) for c in constraints)) \
         if constraints else free_vars(k.arg)
 

@@ -21,8 +21,8 @@ def corpus_text(name: str) -> str:
 def get_sig(name: str, preset: str = "atomic"):
     """One signature object per (corpus file, preset), flags computed.
 
-    Cached so subtyping memo tables and universe relation caches are
-    shared across tests.
+    Cached so the oracle's interned types and relation rows, which live
+    on the signature and its universes, are shared across tests.
     """
     key = (name, preset)
     if key not in _SIGS:

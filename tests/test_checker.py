@@ -1,12 +1,19 @@
-"""Variance checking, principal contexts, closure flags, decomposability."""
+"""Variance checking, principal contexts, closure flags, decomposability.
+
+`check_variance` and `principal_context` share one walk over the
+occurrences, so the variance judgment is compared with its two rules,
+vc-Var and vc-Constr, applied literally (`reference_check_variance`,
+the checker's recursion before the walk was shared).
+"""
 from __future__ import annotations
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import get_sig
+from test_decomp_reference import NAMES, SIGS, types
 from vgadt.checker import (
     DecompEngine,
     check_decomp,
@@ -18,16 +25,29 @@ from vgadt.checker import (
     principal_context,
     variance_sets,
 )
-from vgadt.syntax import SignatureError, parse_signature, parse_type
+from vgadt.syntax import (
+    App,
+    Signature,
+    SignatureError,
+    TypeExpr,
+    Var,
+    free_vars,
+    free_vars_ordered,
+    parse_signature,
+    parse_type,
+)
 from vgadt.variance import (
     ALL_VARIANCES,
     CONTRA,
     COV,
     INV,
     IRR,
+    Variance,
     VarianceContext,
+    compose,
     ctx_leq,
     up_set,
+    var_leq,
 )
 
 
@@ -38,6 +58,53 @@ def ctx(**kw):
 def all_contexts(domain):
     for tup in itertools.product(ALL_VARIANCES, repeat=len(domain)):
         yield VarianceContext(zip(domain, tup))
+
+
+def reference_check_variance(sig: Signature, g: VarianceContext,
+                             t: TypeExpr, v: Variance) -> bool:
+    """Is the judgment `g |- t : v` derivable?"""
+    if isinstance(t, Var):
+        return var_leq(v, g[t.name])
+    assert isinstance(t, App)
+    ws = sig.variances(t.ctor)
+    return all(reference_check_variance(sig, g, a, compose(v, w))
+               for a, w in zip(t.args, ws))
+
+
+def reference_free_vars_ordered(t: TypeExpr) -> tuple[str, ...]:
+    """Variable names in first-occurrence (left-to-right) order."""
+    out: list[str] = []
+    seen: set[str] = set()
+
+    def walk(node: TypeExpr) -> None:
+        if isinstance(node, Var):
+            if node.name not in seen:
+                seen.add(node.name)
+                out.append(node.name)
+        else:
+            assert isinstance(node, App)
+            for a in node.args:
+                walk(a)
+
+    walk(t)
+    return tuple(out)
+
+
+def assert_judgment_matches_rules(sig, t, domain):
+    """Over every context on `domain` and every variance: the judgment
+    agrees with the rules, and the principal context is the least
+    context the rules derive, its default domain being t's variables
+    in first-occurrence order."""
+    order = reference_free_vars_ordered(t)
+    assert free_vars_ordered(t) == order
+    assert free_vars(t) == frozenset(order)
+    for v in ALL_VARIANCES:
+        principal = principal_context(sig, t, v, domain)
+        assert principal_context(sig, t, v).domain() == order
+        for g in all_contexts(domain):
+            derivable = reference_check_variance(sig, g, t, v)
+            assert check_variance(sig, g, t, v) == derivable
+            assert derivable == ctx_leq(principal, g)
 
 
 class TestCheckVariance:
@@ -71,16 +138,15 @@ class TestPrincipalContext:
         assert principal_context(world, parse_type("'a -> 'a"), COV) == ctx(a=INV)
 
     def test_principality_exhaustive(self, world):
-        types = ["'a", "'a -> 'b", "'a * 'a", "'a ref * 'b", "'a list -> 'b",
-                 "('a -> 'b) -> 'a"]
-        for text in types:
-            t = parse_type(text)
-            for v in ALL_VARIANCES:
-                principal = principal_context(world, t, v, ["a", "b"])
-                assert check_variance(world, principal, t, v)
-                for g in all_contexts(["a", "b"]):
-                    if check_variance(world, g, t, v):
-                        assert ctx_leq(principal, g)
+        for text in ["'a", "'a -> 'b", "'a * 'a", "'a ref * 'b",
+                     "'a list -> 'b", "('a -> 'b) -> 'a", "'b * 'a"]:
+            assert_judgment_matches_rules(world, parse_type(text), ["a", "b"])
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(types(NAMES[3]))
+    def test_judgment_matches_rules_on_generated_types(self, t):
+        assert_judgment_matches_rules(SIGS["atomic"], t, NAMES[3])
 
     def test_monotonicity_exhaustive(self, world):
         types = ["'a", "'a -> 'b", "'a * 'a", "'a ref * 'b"]
@@ -117,6 +183,7 @@ class TestVarianceSets:
                         assert s >= up_set(w)
                 for g in all_contexts(["a", "b"]):
                     expected = all(g[n] in sets[n] for n in ("a", "b"))
+                    assert reference_check_variance(world, g, t, v) == expected
                     assert check_variance(world, g, t, v) == expected
 
 

@@ -311,6 +311,21 @@ class TestRobustness:
             assert out == ""
             self.assert_one_line_error(code, err, f"{bad}:3:21: ", "0xff")
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        bom = tmp_path / "bom.vt"
+        bom.write_bytes(b"\xef\xbb\xbf" + (CORPUS / "expr.vt").read_bytes())
+        for command in ("check", "infer", "oracle"):
+            assert invoke(command, bom) == invoke(command, CORPUS / "expr.vt")
+        # Line 1 counts columns from the character after the mark.
+        bom.write_bytes(b"\xef\xbb\xbfbase \xff\n")
+        code, _, err = invoke("check", bom)
+        self.assert_one_line_error(code, err, f"{bom}:1:6: ", "0xff")
+        # Only one mark is dropped.
+        bom.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfbase int\n")
+        code, _, err = invoke("check", bom)
+        self.assert_one_line_error(code, err, f"{bom}:1:1: ",
+                                   "unexpected character")
+
     def test_unexpected_exception_exits_2(self, monkeypatch):
         import vgadt.cli
 

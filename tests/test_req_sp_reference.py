@@ -3,10 +3,14 @@ visits every assignment to all existentials, then every sigma, then
 every sigma' above each sigma.  Kept here as the specification that the
 search per group of existentials, over reach sets, must reproduce: the
 same verdict and the same first counterexample (sigma, sigma', rho).
+The reference keeps every occurrence variance of the argument
+(`_occurrence_variances`, once the oracle's own); `req_sp` reads one
+principal entry per existential in their place.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -20,7 +24,6 @@ from vgadt.oracle import (
     _assignments,
     _instantiator,
     _members,
-    _occurrence_variances,
     _witness_tuples,
     enumerate_types,
     oracle_for,
@@ -34,15 +37,35 @@ from vgadt.syntax import (
     DatatypeDecl,
     FORM_CONSTRAINED,
     Signature,
+    TypeExpr,
     Var,
     arrow,
     normalize_constructor,
     parse_signature,
     product,
 )
-from vgadt.variance import ALL_VARIANCES, COV
+from vgadt.variance import ALL_VARIANCES, COV, Variance, compose
 
 from test_decomp_reference import NAMES, types
+
+
+def _occurrence_variances(sig: Signature, t: TypeExpr,
+                          domain: Sequence[str]) -> list[list[Variance]]:
+    """Per variable of `domain`, the variance of each of its occurrences
+    in t, composed along the path from the root.  Two instances of t
+    have the same heads at t's own nodes, which compare pointwise, so
+    t[rho] <= t[rho'] iff rho(x) prec_w rho'(x) for all these x and w."""
+    uses: dict[str, list[Variance]] = {x: [] for x in domain}
+    stack = [(t, COV)]
+    while stack:
+        node, v = stack.pop()
+        if isinstance(node, Var):
+            uses[node.name].append(v)
+        else:
+            assert isinstance(node, App)
+            stack.extend((a, compose(v, w)) for a, w
+                         in zip(node.args, sig.variances(node.ctor)))
+    return [uses[x] for x in domain]
 
 
 def reference_req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
@@ -243,11 +266,15 @@ def test_unlinked_groups_equal_reference():
 @pytest.mark.parametrize("rels", list(itertools.product(ConstraintRel,
                                                         repeat=2)))
 def test_two_constraints_on_one_parameter(depth, rels):
-    """The parser rejects this, but a constructor built in code can
-    carry it; req_sp keeps the literal search's verdict on it."""
+    """The parser rejects this, and so does normalization of a
+    constructor built in code, before req_sp searches anything."""
     k = DataConstructorDecl(
         "K", FORM_CONSTRAINED, ("x0", "x1"),
         tuple(Constraint(0, rel, Var(x)) for rel, x in zip(rels, NAMES[2])),
         product(Var("x0"), Var("x1")))
     d = DatatypeDecl("t", (("p0", COV),), (k,))
-    compare(("atomic", depth, d, k))
+    message = "t.K: parameter 'p0 is constrained more than once"
+    with pytest.raises(ValueError, match=message):
+        normalize_constructor(d, k)
+    with pytest.raises(ValueError, match=message):
+        req_sp(SIGS["atomic"], UNIVERSES["atomic", depth], d, k)

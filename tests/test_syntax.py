@@ -176,6 +176,16 @@ class TestWfCheck:
         with pytest.raises(SignatureError) as exc:
             parse_signature("base a\nbase b\nprivate a = b\nprivate b = a\n")
         assert "cycle" in str(exc.value)
+        # Each type on a cycle once, in the order of its first private
+        # edge and at that edge, even when that edge closes no cycle.
+        with pytest.raises(SignatureError) as exc:
+            parse_signature("base a\nbase b\nbase c\nprivate x = a\n"
+                            "private a = c\nprivate a = b\nprivate c = c\n"
+                            "private b = a\nprivate x = b\n")
+        assert [(d.line, d.col, d.message) for d in exc.value.diagnostics] == [
+            (5, 1, "private: cycle through 'a'"),
+            (7, 1, "private: cycle through 'c'"),
+            (8, 1, "private: cycle through 'b'")]
 
     def test_subbase_requires_bases(self):
         with pytest.raises(SignatureError) as exc:
