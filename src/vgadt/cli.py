@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, body, summary):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(body=body)
+        p.set_defaults(body=body, parser=p)
         p.add_argument("paths", nargs="+", metavar="FILE")
         p.add_argument("--preset", choices=PRESETS, default="atomic",
                        help="closure-flag preset (default: atomic)")
@@ -218,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check = command("check", _check, "check declarations")
     check.add_argument("--mode", choices=("fast", "exact"), default="exact")
     check.add_argument("--explain", action="store_true",
-                       help="print derivations with rule names")
+                       help="print derivations with rule names "
+                            "(text format only)")
     command("infer", _infer, "print admissible variance sets")
     oracle = command("oracle", _oracle,
                      "cross-check verdicts against the brute-force semantics")
@@ -257,6 +258,9 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             ns = _build_parser().parse_args(list(argv))
+            if getattr(ns, "explain", False) and ns.format != "text":
+                ns.parser.error("--explain prints text only, "
+                                "not --format=structured")
     except SystemExit as exc:
         # argparse exits 2 on bad flags already; normalize the code.
         return EXIT_ERROR if exc.code else EXIT_OK

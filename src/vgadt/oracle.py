@@ -16,10 +16,14 @@ ids, one row per type, so the quantifier loops run over integers and bit
 tests instead of type trees.  Instances deeper than the universe (a
 bound `'b pos` at depth d + 1) get an id on demand.
 
-Existential witnesses are searched through the subterm-closed universe,
-trying the subterms of the candidate supertype first: in head-atomic
-worlds witnesses arise by inversion on that type, so a statement true at
-depth d is not falsified by a witness living one level deeper.
+The witnesses of decomposability are searched through the
+subterm-closed universe, trying the subterms of the candidate supertype
+first: in head-atomic worlds witnesses arise by inversion on that type,
+so a statement true at depth d is not falsified by a witness living one
+level deeper.  req-SP takes that inversion literally: an instance of a
+constraint bound relates to a universe type s only through the bound's
+own heads, so its witnesses are read off rows at the subterms of s, one
+coordinate at a time, and no witness is searched.
 
 The subtyping decision procedure is structural: same heads compare
 pointwise under the declared variances, distinct heads are incomparable
@@ -58,6 +62,7 @@ from .variance import (
     IRR,
     Variance,
     VarianceContext,
+    compose,
 )
 
 DEFAULT_UNIVERSE_CAP = 200_000
@@ -179,6 +184,16 @@ class TypeTable:
             return up & down
         return self.full
 
+    def heads_related(self, v: Variance, h: str) -> frozenset[str]:
+        """The heads g such that a type of head h may be prec_v a type
+        of head g, for v other than IRR."""
+        up, down = self._up[h], self._down[h]
+        if v is COV:
+            return up
+        if v is CONTRA:
+            return frozenset(down)
+        return up.intersection(down)
+
     def _up_down(self, a: int) -> tuple[int, int]:
         """The dense ids above and below a."""
         if a < self.dense:
@@ -285,6 +300,8 @@ class GroundUniverse(TypeTable):
         super().__init__(sig)
         self.depth = depth
         self.types: tuple[TypeExpr, ...] = ()
+        #: within[k]: the ids of depth <= k, a prefix of the universe.
+        self.within: list[int] = [0]
         self._subterms: dict[int, tuple[tuple[int, ...], int]] = {}
         self._related: dict[Variance, list[int]] = {}
 
@@ -358,6 +375,7 @@ def enumerate_types(sig: Signature, depth: int,
             u.intern(info.name, ())
     if len(u.heads) > cap:
         raise UniverseSizeError(f"universe exceeds cap of {cap} types")
+    u.within.append((1 << len(u.heads)) - 1)
     known = u._ids
     for _ in range(depth - 1):
         prev = range(len(u.heads))
@@ -371,6 +389,7 @@ def enumerate_types(sig: Signature, depth: int,
                         raise UniverseSizeError(
                             f"universe exceeds cap of {cap} types "
                             f"(depth {depth})")
+        u.within.append((1 << len(u.heads)) - 1)
     u._seal()
     return u
 
@@ -571,19 +590,103 @@ class ReqSpResult:
                 f"sigma'={tup(self.sigma_prime)} rho={tup(self.rho)}")
 
 
+#: The kinds of step in the walk of a compiled bound.
+_HEADS, _CLOSED, _LEAF = range(3)
+
+
+class _Bound(NamedTuple):
+    """A constraint "parameter rel bound", compiled for inversion.
+
+    Types compare structurally, so an instance of the bound relates to
+    a type s only through the bound's own heads: bound[rho'] prec_v s
+    iff at the path of each node of the bound (the argument positions
+    from its root), s|path passes the node's step.  The step of a node
+    at composed variance w is, by its kind:
+
+    - `_HEADS`, a node with a variable below it: the head of s|path is
+      one of `arg`, so the node's children exist in s;
+    - `_CLOSED`, a maximal closed subterm of id `arg`: arg prec_w s|path;
+    - `_LEAF`, an occurrence of the existential of local coordinate
+      `arg`: rho'(arg) lies in row(_REVERSE[w], s|path).
+
+    A node at composed variance IRR constrains nothing, so it and its
+    subterms have no step."""
+    param: int
+    v: Variance
+    #: The bound's instances, from an assignment to the group.
+    at: Callable[[tuple[int, ...]], int]
+    #: (path, w, kind, arg) per node, in preorder.
+    steps: tuple[tuple[tuple[int, ...], Variance, int, object], ...]
+
+
+def _compile_bound(u: GroundUniverse, param: int, v: Variance,
+                   bound: TypeExpr, local: Sequence[str]) -> _Bound:
+    """`param rel bound` with "bound prec_v param", over the existentials
+    `local`; the closed subterms are interned once, here."""
+    at = _instantiator(u, bound, local)
+    steps = []
+    stack = [((), v, bound)]
+    while stack:
+        path, w, node = stack.pop()
+        if w is IRR:
+            continue
+        if isinstance(node, Var):
+            steps.append((path, w, _LEAF, local.index(node.name)))
+        elif is_ground(node):
+            steps.append((path, w, _CLOSED, u.intern_expr(node)))
+        else:
+            assert isinstance(node, App)
+            steps.append((path, w, _HEADS, u.heads_related(w, node.ctor)))
+            stack.extend((path + (i,), compose(w, x), a) for i, (a, x)
+                         in enumerate(zip(node.args, u._variances[node.ctor])))
+    return _Bound(param, v, at, tuple(steps))
+
+
+def _invert(u: GroundUniverse, b: _Bound, s: int, allowed: list[int]) -> bool:
+    """Whether the universe type s passes the head and closed steps of
+    b.  If it does, each allowed[j] is intersected with the rows of the
+    leaves of coordinate j: of the rho' in the product of the masks as
+    they were, bound[rho'] prec_v s holds for exactly those in the
+    product of the narrowed masks."""
+    heads, kids, row = u.heads, u.kids, u.row
+    for path, w, kind, arg in b.steps:
+        t = s
+        for p in path:
+            t = kids[t][p]
+        if kind == _LEAF:
+            allowed[arg] &= row(_REVERSE[w], t)
+        elif kind == _HEADS:
+            if heads[t] not in arg:
+                return False
+        elif not u.prec(w, arg, t):
+            return False
+    return True
+
+
+def _narrowed(u: GroundUniverse, bounds: Sequence[_Bound],
+              width: int) -> list[Sequence[int]]:
+    """Per local coordinate, the ids it may take at an assignment rho
+    where every bound has a candidate.  A universe type s with
+    bound[rho] prec_v s has depth at most d, so at the path of each
+    occurrence of x it has a subterm of depth at most d - |path| that
+    rho(x) is prec_w.  An occurrence at the root asks nothing: s may be
+    rho(x) itself."""
+    needs: list[list[tuple[Variance, int]]] = [[] for _ in range(width)]
+    for b in bounds:
+        for path, w, kind, j in b.steps:
+            if kind == _LEAF and path:
+                needs[j].append((w, u.within[max(u.depth - len(path), 0)]))
+    row = u.row
+    return [[i for i in range(len(u)) if all(row(w, i) & ok for w, ok in n)]
+            if n else range(len(u)) for n in needs]
+
+
 class _Group(NamedTuple):
     """Existential coordinates that constraint bounds link, and the
     constraints over them.  Bounds are instantiated from assignments to
     the group's own coordinates, in ascending order."""
     coords: tuple[int, ...]
-    params: tuple[int, ...]
-    #: (parameter, v, bound instances), with "parameter rel bound" iff
-    #: bound prec_v parameter.
-    cons: tuple[tuple[int, Variance, Callable[[tuple[int, ...]], int]], ...]
-    #: Bare-variable bounds: (local coordinate, parameter, v).
-    pinned: tuple[tuple[int, int, Variance], ...]
-    #: The other bounds, as in `cons`.
-    others: tuple[tuple[int, Variance, Callable[[tuple[int, ...]], int]], ...]
+    bounds: tuple[_Bound, ...]
     #: Per local coordinate, the principal entry of the argument: two
     #: instances of it have the same heads at its own nodes, which
     #: compare pointwise, so arg[rho] <= arg[rho'] iff rho(x) prec_w
@@ -613,15 +716,10 @@ def _groups(sig: Signature, u: GroundUniverse,
         coords = tuple(sorted(domain.index(x) for x in names))
         local = [domain[j] for j in coords]
         cs.sort(key=lambda c: c.param)
-        cons = tuple((c.param, target_variance(c.rel),
-                      _instantiator(u, c.bound, local)) for c in cs)
         groups.append(_Group(
-            coords, tuple(c.param for c in cs), cons,
-            tuple((local.index(c.bound.name), c.param, v)
-                  for c, (_, v, _) in zip(cs, cons)
-                  if isinstance(c.bound, Var)),
-            tuple(con for c, con in zip(cs, cons)
-                  if not isinstance(c.bound, Var)),
+            coords,
+            tuple(_compile_bound(u, c.param, target_variance(c.rel),
+                                 c.bound, local) for c in cs),
             tuple(arg_uses[j] for j in coords)))
     groups.sort(key=lambda g: g.coords)
     return groups
@@ -643,11 +741,20 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     search for rho', split into one part per group.  So some rho fails
     iff every group has an assignment at which each of its parameters
     has a candidate, and some group has an assignment at which some
-    sigma' fails.  Each group is searched over its own assignments,
-    n^|group| of them in place of n^m.  At one assignment, sigma'
-    ranges over the product of the parameters' reach sets (the
-    parameters above some candidate), which is the union of the sigma'
-    ranges of all sigma, so each sigma' is checked once.
+    sigma' fails.  At one assignment, sigma' ranges over the product of
+    the parameters' reach sets (the parameters above some candidate),
+    which is the union of the sigma' ranges of all sigma, so each
+    sigma' is checked once.
+
+    Both quantifiers are decided coordinate by coordinate.  The witness
+    rho' is found by inversion through each bound (`_invert`): the
+    argument and every bound at sigma' admit a set of witnesses per
+    coordinate, so some rho' exists iff no test fails and no set is
+    empty.  A group's assignments are the product of its narrowed
+    coordinates (`_narrowed`); every assignment left out has a
+    parameter with no candidate, where the literal search finds nothing
+    either, so `expr.Prod` (`['a = 'b * 'c]`) visits 3 x 3 assignments
+    at depth 2, not 24^2.
 
     A failure reports the counterexample the literal reading finds
     first.  rho is the first failing assignment in product order: the
@@ -663,16 +770,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     norm = normalize_constructor(d, k)
     rel_up = [orc.related(u, w) for w in d.param_variances()]
     groups = _groups(sig, u, norm)
-    prec_, row, types = u.prec, u.row, u.types
-
-    def exists_witness(g: _Group, params: tuple, allowed: list[int]) -> bool:
-        if not g.others:
-            return all(allowed)
-        targets = [params[p] for p in g.params]
-        return any(all(prec_(v, bound_at(idx), params[p])
-                       for p, v, bound_at in g.others)
-                   for idx in _witness_tuples(
-                       [u.witness_order(targets, a) for a in allowed]))
+    row, types = u.row, u.types
 
     def search(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]],
                pairs: bool = False) -> Optional[tuple]:
@@ -684,9 +782,9 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         cands: list[Optional[int]] = [None] * len(rel_up)
         bases = []
         for g, r in zip(part, rhos):
-            for p, v, bound_at in g.cons:
-                cands[p] = row(v, bound_at(r))
-                if not cands[p]:
+            for b in g.bounds:
+                cands[b.param] = row(b.v, b.at(r))
+                if not cands[b.param]:
                     return None
             # Witness coordinates keeping the argument above its
             # instance at r.
@@ -695,9 +793,10 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         def fails(params: tuple) -> bool:
             for g, above in zip(part, bases):
                 allowed = list(above)
-                for j, p, v in g.pinned:
-                    allowed[j] &= row(_REVERSE[v], params[p])
-                if not exists_witness(g, params, allowed):
+                for b in g.bounds:
+                    if not _invert(u, b, params[b.param], allowed):
+                        return True
+                if not all(allowed):
                     return True
             return False
 
@@ -729,7 +828,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     firsts: list[tuple[tuple[int, ...], Optional[tuple[int, ...]]]] = []
     for g in groups:
         first = bad = None
-        for r in itertools.product(range(len(types)), repeat=len(g.coords)):
+        for r in itertools.product(*_narrowed(u, g.bounds, len(g.coords))):
             visited += 1
             found = search((g,), (r,))
             if found is None:

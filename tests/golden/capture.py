@@ -5,7 +5,7 @@
 Four suites, one directory each:
 
 - `oracle/`: `vgadt oracle` at depth 2 over every corpus file x preset x
-  format, and at depth 3 for three files;
+  format, and at depth 3 for six files;
 - `check/`: `vgadt check` over every corpus file x preset x mode x
   format, `check --explain` (text) over every corpus file x preset x
   mode, and exact `check` / `check --explain` for the generated wide
@@ -37,7 +37,8 @@ GOLDEN = HERE / "oracle"
 PRESETS = ("atomic", "ml-open", "none")
 FORMATS = ("text", "structured")
 MODES = ("exact", "fast")
-DEPTH3_FILES = ("ml_open_demo", "object_emulation", "sink_sub")
+DEPTH3_FILES = ("arrow_bound", "expr", "expr_sup", "ml_open_demo",
+                "object_emulation", "sink_sub")
 
 
 def _corpus() -> list[str]:

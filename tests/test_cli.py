@@ -185,6 +185,15 @@ class TestErrors:
             assert "--bogus" in err
         assert capsys.readouterr() == ("", "")
 
+    def test_explain_is_text_only(self):
+        """Structured records carry no derivations, so the combination
+        is a usage error rather than a silent drop of `--explain`."""
+        code, out, err = invoke("check", CORPUS / "list.vt", "--explain",
+                                "--format=structured")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("usage: vgadt check")
+        assert "--explain prints text only" in err
+
     def test_help_goes_to_the_given_stream(self, capsys):
         code, out, err = invoke("--help")
         assert code == EXIT_OK

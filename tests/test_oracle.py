@@ -272,7 +272,8 @@ class TestReqSp:
 
 class TestReqSpAssignments:
     """`assignments` counts the assignments of the groups of existentials
-    that req_sp visits: n^|group| per group, in place of n^m."""
+    that req_sp visits: at most n^|group| per group, in place of n^m,
+    and fewer where a bound narrows its coordinates."""
 
     def result(self, sig, u, name, ctor):
         decl = sig.info(name).decl
@@ -289,7 +290,22 @@ class TestReqSpAssignments:
         u = get_universe("expr", 2)
         result = self.result(get_sig("expr"), u, "expr", "Prod")
         assert result.holds
-        assert (len(u), result.assignments) == (24, 24 ** 2)
+        assert (len(u), result.assignments) == (24, 9)
+
+    def test_linked_arrow(self):
+        """`['a = 'b -> 'c]`: an instance has an id of the universe
+        only when both existentials are constants, 3 x 3 of them."""
+        u = get_universe("arrow_bound", 2)
+        result = self.result(get_sig("arrow_bound"), u, "arr", "A")
+        assert (len(u), result.assignments) == (24, 9)
+
+    def test_linked_pair_depth3(self):
+        """At depth 3 the existentials range over the 24 types of depth
+        2, not over all 1179 types."""
+        u = get_universe("expr", 3)
+        result = self.result(get_sig("expr"), u, "expr", "Prod")
+        assert result.holds
+        assert (len(u), result.assignments) == (1179, 24 ** 2)
 
     def test_three_unlinked(self):
         sig = parse_signature("base int\nbase bool\nsubbase bool <= int\n"

@@ -1,8 +1,10 @@
 """`req_sp` against a reference: the literal evaluation of req-SP, which
 visits every assignment to all existentials, then every sigma, then
 every sigma' above each sigma.  Kept here as the specification that the
-search per group of existentials, over reach sets, must reproduce: the
-same verdict and the same first counterexample (sigma, sigma', rho).
+search per group of existentials, over reach sets, with witnesses found
+by inversion through the bounds and assignments narrowed per
+coordinate, must reproduce: the same verdict and the same first
+counterexample (sigma, sigma', rho).
 The reference keeps every occurrence variance of the argument
 (`_occurrence_variances`, once the oracle's own); `req_sp` reads one
 principal entry per existential in their place.
@@ -22,8 +24,11 @@ from vgadt.oracle import (
     GroundUniverse,
     ReqSpResult,
     _assignments,
+    _compile_bound,
     _instantiator,
+    _invert,
     _members,
+    _narrowed,
     _witness_tuples,
     enumerate_types,
     oracle_for,
@@ -40,11 +45,13 @@ from vgadt.syntax import (
     TypeExpr,
     Var,
     arrow,
+    free_vars,
     normalize_constructor,
     parse_signature,
     product,
+    render_type,
 )
-from vgadt.variance import ALL_VARIANCES, COV, Variance, compose
+from vgadt.variance import ALL_VARIANCES, COV, IRR, Variance, compose
 
 from test_decomp_reference import NAMES, types
 
@@ -162,6 +169,8 @@ TYPES = [types(names, ("ref", "sink")) for names in NAMES]
 CLOSED = st.sampled_from([App(c, ()) for c in ("int", "bool", "pint", "unit")]
                          + [App("ref", (App("bool", ()),)),
                             arrow(App("int", ()), App("pint", ()))])
+CLOSED_LEAVES = st.sampled_from([App(c, ())
+                                 for c in ("int", "bool", "pint", "unit")])
 
 
 @st.composite
@@ -224,6 +233,50 @@ def unlinked_cases(draw):
             DatatypeDecl("t", params, (k,)), k)
 
 
+@st.composite
+def linked_bounds(draw, names: tuple[str, ...]):
+    """A bound that is never a bare variable: a product, an arrow, a
+    `ref` or a `sink` over existentials and closed leaves, now and then
+    nested one level more, with at least one existential.  Variables
+    repeat when drawn twice; a nested bound has no instance of depth 2,
+    so it tests that skipping assignments loses no candidate."""
+    def node(nest: int) -> TypeExpr:
+        head = draw(st.sampled_from(["*", "->", "ref", "sink"]))
+        arity = 2 if head in ("*", "->") else 1
+        var_at = draw(st.integers(0, arity - 1))
+        return App(head, tuple(child(nest, i == var_at)
+                               for i in range(arity)))
+
+    def child(nest: int, need_var: bool) -> TypeExpr:
+        if nest and not draw(st.integers(0, 3)):
+            return node(nest - 1)
+        if need_var or draw(st.integers(0, 2)):
+            return Var(draw(st.sampled_from(names)))
+        return draw(CLOSED_LEAVES)
+    return node(1)
+
+
+@st.composite
+def linked_cases(draw):
+    """(preset, 2, datatype, constructor): 1-2 parameters, each bounded
+    by a type of `linked_bounds` over 1-2 existentials, so two bounds
+    often share one.  Depth 2 only: at depth 1 no bound that is not a
+    variable has an instance in the universe."""
+    depth = 2
+    m = draw(st.integers(1, MAX_SIZE[depth]))
+    n = draw(st.integers(1, MAX_SIZE[depth]))
+    params = tuple((f"p{i}", draw(st.sampled_from(ALL_VARIANCES)))
+                   for i in range(n))
+    constraints = tuple(
+        Constraint(i, draw(st.sampled_from(list(ConstraintRel))),
+                   draw(linked_bounds(NAMES[m])))
+        for i in range(n))
+    k = DataConstructorDecl("K", FORM_CONSTRAINED, NAMES[m], constraints,
+                            draw(TYPES[m]))
+    return (draw(st.sampled_from(PRESETS)), depth,
+            DatatypeDecl("t", params, (k,)), k)
+
+
 def compare(case) -> bool:
     """Whether req-SP holds on the case, once it is asserted to give the
     reference's result."""
@@ -260,6 +313,80 @@ def test_unlinked_groups_equal_reference():
 
     check()
     assert holds.count(False) >= 0.25 * len(holds)
+
+
+def test_linked_groups_equal_reference():
+    holds = []
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(linked_cases())
+    def check(case):
+        holds.append(compare(case))
+
+    check()
+    assert holds.count(False) >= 0.15 * len(holds)
+
+
+#: Bounds over x0 and x1 whose inversion is pinned below: two linked
+#: existentials, the same under `ref`, a repeated one under an arrow
+#: under `sink`, a closed leaf, and a bare variable.
+INVERTED = [
+    product(Var("x0"), Var("x1")),
+    App("ref", (product(Var("x0"), Var("x1")),)),
+    App("sink", (arrow(Var("x0"), Var("x0")),)),
+    product(Var("x0"), App("int", ())),
+    Var("x0"),
+]
+
+#: PRELUDE with a private edge between two covariant datatypes, so that
+#: a bound's head relates to a head other than its own: a `pbox` lies
+#: below the `box` of the same argument.
+PRIVATE_SIG = parse_signature(PRELUDE + """
+type (+'a) box =
+  | B of 'a
+
+type (+'a) pbox =
+  | P of 'a
+
+private pbox = box
+""")
+PRIVATE_UNIVERSES = {depth: enumerate_types(PRIVATE_SIG, depth)
+                     for depth in (1, 2)}
+PRIVATE_BOUNDS = [
+    App("box", (Var("x0"),)),
+    App("pbox", (Var("x0"),)),
+    App("pbox", (product(Var("x0"), Var("x1")),)),
+]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize(
+    "universes,bound",
+    [({d: UNIVERSES["atomic", d] for d in (1, 2)}, b) for b in INVERTED]
+    + [(PRIVATE_UNIVERSES, b) for b in PRIVATE_BOUNDS],
+    ids=[render_type(b) for b in INVERTED + PRIVATE_BOUNDS])
+def test_inversion_and_narrowing(depth, universes, bound):
+    """Against every assignment: the witnesses `_invert` admits for a
+    universe type s are exactly the rho' with bound[rho'] prec_v s, and
+    every assignment `_narrowed` skips has no candidate at all."""
+    u = universes[depth]
+    local = [x for x in NAMES[2] if x in free_vars(bound)]
+    rhos = list(itertools.product(range(len(u)), repeat=len(local)))
+    for v in ALL_VARIANCES:
+        b = _compile_bound(u, 0, v, bound, local)
+        instances = [b.at(r) for r in rhos]
+        for s in range(len(u)):
+            allowed = [u.full] * len(local)
+            admitted = (set(itertools.product(*map(_members, allowed)))
+                        if _invert(u, b, s, allowed) else set())
+            assert admitted == {r for r, i in zip(rhos, instances)
+                                if u.prec(v, i, s)}, (v, s)
+        kept = set(itertools.product(*_narrowed(u, [b], len(local))))
+        for r, i in zip(rhos, instances):
+            assert r in kept or not u.row(v, i), (v, r)
+        if v is not IRR and not isinstance(bound, Var):
+            assert len(kept) < len(rhos)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
