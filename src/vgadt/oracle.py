@@ -16,13 +16,9 @@ ids, one row per type, so the quantifier loops run over integers and bit
 tests instead of type trees.  Instances deeper than the universe (a
 bound `'b pos` at depth d + 1) get an id on demand.
 
-The witnesses of decomposability are searched through the
-subterm-closed universe, trying the subterms of the candidate supertype
-first: in head-atomic worlds witnesses arise by inversion on that type,
-so a statement true at depth d is not falsified by a witness living one
-level deeper.  req-SP takes that inversion literally: an instance of a
-constraint bound relates to a universe type s only through the bound's
-own heads, so its witnesses are read off rows at the subterms of s, one
+Decomposability and req-SP find their witnesses by inversion: an
+instance of a type t relates to a universe type s only through t's own
+heads, so the witnesses are read off rows at the subterms of s, one
 coordinate at a time, and no witness is searched.
 
 The subtyping decision procedure is structural: same heads compare
@@ -302,7 +298,6 @@ class GroundUniverse(TypeTable):
         self.types: tuple[TypeExpr, ...] = ()
         #: within[k]: the ids of depth <= k, a prefix of the universe.
         self.within: list[int] = [0]
-        self._subterms: dict[int, tuple[tuple[int, ...], int]] = {}
         self._related: dict[Variance, list[int]] = {}
 
     def __len__(self) -> int:
@@ -316,50 +311,6 @@ class GroundUniverse(TypeTable):
             types.append(App(head, tuple(types[k] for k in kids)))
         self.types = tuple(types)
         self.index = {t: i for i, t in enumerate(types)}
-
-    def _subterm_ids(self, target: int) -> tuple[tuple[int, ...], int]:
-        """The universe ids among the subterms of `target`, depth-first,
-        and their set."""
-        cached = self._subterms.get(target)
-        if cached is None:
-            n = len(self.types)
-            first: list[int] = []
-            seen = 0
-            stack = [target]
-            while stack:
-                node = stack.pop()
-                if node < n and not seen >> node & 1:
-                    seen |= 1 << node
-                    first.append(node)
-                stack.extend(self.kids[node])
-            cached = self._subterms[target] = (tuple(first), seen)
-        return cached
-
-    def witness_order(self, targets: Sequence[int],
-                      allowed: int) -> Iterator[int]:
-        """The universe ids in `allowed`, lazily: the subterms of every
-        target first, then the remaining ids in order."""
-        seen = 0
-        for t in targets:
-            ids, mask = self._subterm_ids(t)
-            for i in ids:
-                if allowed >> i & 1 and not seen >> i & 1:
-                    yield i
-            seen |= mask
-        yield from _members(allowed & ~seen)
-
-
-def _witness_tuples(orders: Sequence[Iterable[int]]
-                    ) -> Iterator[tuple[int, ...]]:
-    """The lexicographic product of the orders, lazy in the first one
-    (a witness is usually among the first few candidates)."""
-    if not orders:
-        yield ()
-        return
-    tail = [tuple(o) for o in orders[1:]]
-    for i in orders[0]:
-        for rest in itertools.product(*tail):
-            yield (i,) + rest
 
 
 def enumerate_types(sig: Signature, depth: int,
@@ -470,9 +421,83 @@ def _instantiator(u: GroundUniverse, t: TypeExpr, domain: Sequence[str]
                 raise ValueError(f"unbound type variable '{node.name}")
             return operator.itemgetter(pos[node.name])
         assert isinstance(node, App)
-        head, fns = node.ctor, [compile(a) for a in node.args]
+        head, fns = _known(u, node.ctor), [compile(a) for a in node.args]
         return lambda idx: intern(head, tuple([f(idx) for f in fns]))
     return compile(t)
+
+
+def _known(u: GroundUniverse, head: str) -> str:
+    if head not in u._variances:
+        raise ValueError(f"unknown type constructor {head!r}")
+    return head
+
+
+#: The kinds of step in a compiled walk.
+_HEADS, _CLOSED, _LEAF = range(3)
+
+#: A compiled walk: (path, w, kind, arg) per node, in preorder.
+_Walk = tuple[tuple[tuple[int, ...], Variance, int, object], ...]
+
+
+def _walk(u: GroundUniverse, t: TypeExpr, v: Variance,
+          domain: Sequence[str]) -> _Walk:
+    """t at v over the variables `domain`, compiled for inversion.
+
+    Types compare structurally, so an instance of t relates to a type s
+    only through t's own heads: t[rho'] prec_v s iff at the path of each
+    node of t (the argument positions from its root), s|path passes the
+    node's step.  The step of a node at composed variance w is, by its
+    kind:
+
+    - `_HEADS`, a node with a variable below it: the head of s|path is
+      one of `arg`, so the node's children exist in s;
+    - `_CLOSED`, a maximal closed subterm of id `arg`: arg prec_w s|path;
+    - `_LEAF`, an occurrence of the variable of coordinate `arg`:
+      rho'(arg) lies in row(_REVERSE[w], s|path).
+
+    A node at composed variance IRR constrains nothing, so it and its
+    subterms have no step.  The closed subterms are interned once, here,
+    and a head outside the signature raises ValueError.
+    """
+    steps = []
+    stack = [((), v, t)]
+    while stack:
+        path, w, node = stack.pop()
+        if w is IRR:
+            continue
+        if isinstance(node, Var):
+            steps.append((path, w, _LEAF, domain.index(node.name)))
+        elif is_ground(node):
+            steps.append((path, w, _CLOSED, _instantiator(u, node, ())(())))
+        else:
+            assert isinstance(node, App)
+            head = _known(u, node.ctor)
+            steps.append((path, w, _HEADS, u.heads_related(w, head)))
+            stack.extend((path + (i,), compose(w, x), a) for i, (a, x)
+                         in enumerate(zip(node.args, u._variances[head])))
+    return tuple(steps)
+
+
+def _invert(u: GroundUniverse, walk: _Walk, s: int,
+            allowed: list[int]) -> bool:
+    """Whether the universe type s passes the head and closed steps of
+    the walk of t at v.  If it does, each allowed[j] is intersected with
+    the rows of the leaves of coordinate j: of the rho' in the product
+    of the masks as they were, t[rho'] prec_v s holds for exactly those
+    in the product of the narrowed masks."""
+    heads, kids, row = u.heads, u.kids, u.row
+    for path, w, kind, arg in walk:
+        t = s
+        for p in path:
+            t = kids[t][p]
+        if kind == _LEAF:
+            allowed[arg] &= row(_REVERSE[w], t)
+        elif kind == _HEADS:
+            if heads[t] not in arg:
+                return False
+        elif not u.prec(w, arg, t):
+            return False
+    return True
 
 
 def sem_variance_cex(
@@ -513,20 +538,16 @@ def _decomp_cex(
     per part admitting no common witness assignment in the universe."""
     orc = oracle_for(sig)
     domain = g.domain()
-    m = len(domain)
     rel = [orc.related(u, w) for w in g.variances()]
     insts = [_instantiator(u, t, domain) for t, _, _ in parts]
-    for idx in _assignments(u, m):
-        lhss = [inst(idx) for inst in insts]
-        allowed = [rel[k][i] for k, i in enumerate(idx)]
-        targets = [_members(u.row(v, lhs))
-                   for lhs, (_, v, _) in zip(lhss, parts)]
+    walks = [_walk(u, t, v2, domain) for t, _, v2 in parts]
+    for idx in _assignments(u, len(domain)):
+        targets = [_members(u.row(v, inst(idx)))
+                   for inst, (_, v, _) in zip(insts, parts)]
         for sdx in itertools.product(*targets):
-            witnesses = _witness_tuples(
-                [u.witness_order(sdx[:1], a) for a in allowed])
-            if not any(all(u.prec(v2, inst(jdx), s)
-                           for inst, (_, _, v2), s in zip(insts, parts, sdx))
-                       for jdx in witnesses):
+            allowed = [rel[k][i] for k, i in enumerate(idx)]
+            if not (all(_invert(u, walk, s, allowed)
+                        for walk, s in zip(walks, sdx)) and all(allowed)):
                 return (tuple(u.types[i] for i in idx),
                         tuple(u.types[s] for s in sdx))
     return None
@@ -590,80 +611,15 @@ class ReqSpResult:
                 f"sigma'={tup(self.sigma_prime)} rho={tup(self.rho)}")
 
 
-#: The kinds of step in the walk of a compiled bound.
-_HEADS, _CLOSED, _LEAF = range(3)
-
-
 class _Bound(NamedTuple):
-    """A constraint "parameter rel bound", compiled for inversion.
-
-    Types compare structurally, so an instance of the bound relates to
-    a type s only through the bound's own heads: bound[rho'] prec_v s
-    iff at the path of each node of the bound (the argument positions
-    from its root), s|path passes the node's step.  The step of a node
-    at composed variance w is, by its kind:
-
-    - `_HEADS`, a node with a variable below it: the head of s|path is
-      one of `arg`, so the node's children exist in s;
-    - `_CLOSED`, a maximal closed subterm of id `arg`: arg prec_w s|path;
-    - `_LEAF`, an occurrence of the existential of local coordinate
-      `arg`: rho'(arg) lies in row(_REVERSE[w], s|path).
-
-    A node at composed variance IRR constrains nothing, so it and its
-    subterms have no step."""
+    """A constraint "parameter rel bound", with "bound prec_v param"."""
     param: int
     v: Variance
     #: The bound's instances, from an assignment to the group.
     at: Callable[[tuple[int, ...]], int]
-    #: (path, w, kind, arg) per node, in preorder.
-    steps: tuple[tuple[tuple[int, ...], Variance, int, object], ...]
 
 
-def _compile_bound(u: GroundUniverse, param: int, v: Variance,
-                   bound: TypeExpr, local: Sequence[str]) -> _Bound:
-    """`param rel bound` with "bound prec_v param", over the existentials
-    `local`; the closed subterms are interned once, here."""
-    at = _instantiator(u, bound, local)
-    steps = []
-    stack = [((), v, bound)]
-    while stack:
-        path, w, node = stack.pop()
-        if w is IRR:
-            continue
-        if isinstance(node, Var):
-            steps.append((path, w, _LEAF, local.index(node.name)))
-        elif is_ground(node):
-            steps.append((path, w, _CLOSED, u.intern_expr(node)))
-        else:
-            assert isinstance(node, App)
-            steps.append((path, w, _HEADS, u.heads_related(w, node.ctor)))
-            stack.extend((path + (i,), compose(w, x), a) for i, (a, x)
-                         in enumerate(zip(node.args, u._variances[node.ctor])))
-    return _Bound(param, v, at, tuple(steps))
-
-
-def _invert(u: GroundUniverse, b: _Bound, s: int, allowed: list[int]) -> bool:
-    """Whether the universe type s passes the head and closed steps of
-    b.  If it does, each allowed[j] is intersected with the rows of the
-    leaves of coordinate j: of the rho' in the product of the masks as
-    they were, bound[rho'] prec_v s holds for exactly those in the
-    product of the narrowed masks."""
-    heads, kids, row = u.heads, u.kids, u.row
-    for path, w, kind, arg in b.steps:
-        t = s
-        for p in path:
-            t = kids[t][p]
-        if kind == _LEAF:
-            allowed[arg] &= row(_REVERSE[w], t)
-        elif kind == _HEADS:
-            if heads[t] not in arg:
-                return False
-        elif not u.prec(w, arg, t):
-            return False
-    return True
-
-
-def _narrowed(u: GroundUniverse, bounds: Sequence[_Bound],
+def _narrowed(u: GroundUniverse, walks: Sequence[_Walk],
               width: int) -> list[Sequence[int]]:
     """Per local coordinate, the ids it may take at an assignment rho
     where every bound has a candidate.  A universe type s with
@@ -672,8 +628,8 @@ def _narrowed(u: GroundUniverse, bounds: Sequence[_Bound],
     rho(x) is prec_w.  An occurrence at the root asks nothing: s may be
     rho(x) itself."""
     needs: list[list[tuple[Variance, int]]] = [[] for _ in range(width)]
-    for b in bounds:
-        for path, w, kind, j in b.steps:
+    for walk in walks:
+        for path, w, kind, j in walk:
             if kind == _LEAF and path:
                 needs[j].append((w, u.within[max(u.depth - len(path), 0)]))
     row = u.row
@@ -687,6 +643,8 @@ class _Group(NamedTuple):
     the group's own coordinates, in ascending order."""
     coords: tuple[int, ...]
     bounds: tuple[_Bound, ...]
+    #: Per bound, its walk at its variance over the local coordinates.
+    walks: tuple[_Walk, ...]
     #: Per local coordinate, the principal entry of the argument: two
     #: instances of it have the same heads at its own nodes, which
     #: compare pointwise, so arg[rho] <= arg[rho'] iff rho(x) prec_w
@@ -716,10 +674,12 @@ def _groups(sig: Signature, u: GroundUniverse,
         coords = tuple(sorted(domain.index(x) for x in names))
         local = [domain[j] for j in coords]
         cs.sort(key=lambda c: c.param)
+        vs = [target_variance(c.rel) for c in cs]
         groups.append(_Group(
             coords,
-            tuple(_compile_bound(u, c.param, target_variance(c.rel),
-                                 c.bound, local) for c in cs),
+            tuple(_Bound(c.param, v, _instantiator(u, c.bound, local))
+                  for c, v in zip(cs, vs)),
+            tuple(_walk(u, c.bound, v, local) for c, v in zip(cs, vs)),
             tuple(arg_uses[j] for j in coords)))
     groups.sort(key=lambda g: g.coords)
     return groups
@@ -793,8 +753,8 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         def fails(params: tuple) -> bool:
             for g, above in zip(part, bases):
                 allowed = list(above)
-                for b in g.bounds:
-                    if not _invert(u, b, params[b.param], allowed):
+                for b, walk in zip(g.bounds, g.walks):
+                    if not _invert(u, walk, params[b.param], allowed):
                         return True
                 if not all(allowed):
                     return True
@@ -828,7 +788,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     firsts: list[tuple[tuple[int, ...], Optional[tuple[int, ...]]]] = []
     for g in groups:
         first = bad = None
-        for r in itertools.product(*_narrowed(u, g.bounds, len(g.coords))):
+        for r in itertools.product(*_narrowed(u, g.walks, len(g.coords))):
             visited += 1
             found = search((g,), (r,))
             if found is None:

@@ -24,12 +24,11 @@ from vgadt.oracle import (
     GroundUniverse,
     ReqSpResult,
     _assignments,
-    _compile_bound,
     _instantiator,
     _invert,
     _members,
     _narrowed,
-    _witness_tuples,
+    _walk,
     enumerate_types,
     oracle_for,
     req_sp,
@@ -102,8 +101,8 @@ def reference_req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     def exists_witness(params: tuple[int, ...], allowed: list[int]) -> bool:
         if not others:
             return all(allowed)
-        return any(satisfied(params, idx) for idx in _witness_tuples(
-            [u.witness_order(params, a) for a in allowed]))
+        return any(satisfied(params, idx) for idx in itertools.product(
+            *(_members(a) for a in allowed)))
 
     for ridx in _assignments(u, m):
         # Parameter tuples satisfying the constraints at this rho.
@@ -373,16 +372,17 @@ def test_inversion_and_narrowing(depth, universes, bound):
     u = universes[depth]
     local = [x for x in NAMES[2] if x in free_vars(bound)]
     rhos = list(itertools.product(range(len(u)), repeat=len(local)))
+    at = _instantiator(u, bound, local)
+    instances = [at(r) for r in rhos]
     for v in ALL_VARIANCES:
-        b = _compile_bound(u, 0, v, bound, local)
-        instances = [b.at(r) for r in rhos]
+        walk = _walk(u, bound, v, local)
         for s in range(len(u)):
             allowed = [u.full] * len(local)
             admitted = (set(itertools.product(*map(_members, allowed)))
-                        if _invert(u, b, s, allowed) else set())
+                        if _invert(u, walk, s, allowed) else set())
             assert admitted == {r for r, i in zip(rhos, instances)
                                 if u.prec(v, i, s)}, (v, s)
-        kept = set(itertools.product(*_narrowed(u, [b], len(local))))
+        kept = set(itertools.product(*_narrowed(u, [walk], len(local))))
         for r, i in zip(rhos, instances):
             assert r in kept or not u.row(v, i), (v, r)
         if v is not IRR and not isinstance(bound, Var):

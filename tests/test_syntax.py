@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import corpus_text, get_sig
 from vgadt.syntax import (
@@ -328,10 +328,14 @@ types = st.recursive(
 
 
 class TestRoundTripProperties:
+    @seed(20261018)
+    @settings(database=None)
     @given(types)
     def test_render_parse_identity(self, t):
         assert parse_type(render_type(t)) == t
 
+    @seed(20261018)
+    @settings(database=None)
     @given(types)
     def test_free_vars_subset(self, t):
         assert free_vars(t) <= {"a", "b"}
