@@ -226,13 +226,16 @@ def verify_witnesses(sig: Signature, d: DatatypeDecl, verdict: Verdict) -> bool:
     if not (verdict.accepted and verdict.mode == "exact"):
         return False
     norm = verdict.normalized
-    if norm is None or verdict.gamma is None:
+    arg = verdict.arg if norm is None else norm.arg
+    if verdict.gamma is None or arg is None:
+        return False
+    if not check_variance(sig, verdict.gamma, arg, COV):
+        return False
+    if norm is None:
         # Plain constructors: the witness is the parameter context itself.
-        return verdict.gamma is not None
+        return verdict.gamma == VarianceContext(d.params)
     gammas = verdict.gammas or ()
     if ctx_zip_all(gammas, norm.exist_vars) != verdict.gamma:
-        return False
-    if not check_variance(sig, verdict.gamma, norm.arg, COV):
         return False
     varis = d.param_variances()
     engine = DecompEngine(sig, norm.exist_vars)

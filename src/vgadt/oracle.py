@@ -18,8 +18,9 @@ bound `'b pos` at depth d + 1) get an id on demand.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
-heads, so the witnesses are read off rows at the subterms of s, one
-coordinate at a time, and no witness is searched.
+heads, so t compiles to one step per node, a leaf row or a set of
+allowed ids, and the witnesses are read off rows at the subterms of s,
+one coordinate at a time, and no witness is searched.
 
 The subtyping decision procedure is structural: same heads compare
 pointwise under the declared variances, distinct heads are incomparable
@@ -130,9 +131,15 @@ class TypeTable:
         if i is None:
             if not isinstance(t, App):
                 raise ValueError("ground types only")
-            i = self.intern(t.ctor, tuple(self.intern_expr(a) for a in t.args))
+            i = self.intern(self._known(t.ctor),
+                            tuple(self.intern_expr(a) for a in t.args))
             self.index[t] = i
         return i
+
+    def _known(self, head: str) -> str:
+        if head not in self._variances:
+            raise ValueError(f"unknown type constructor {head!r}")
+        return head
 
     def build(self) -> None:
         """Make every id interned so far dense and compute the rows.
@@ -180,32 +187,12 @@ class TypeTable:
             return up & down
         return self.full
 
-    def heads_related(self, v: Variance, h: str) -> frozenset[str]:
-        """The heads g such that a type of head h may be prec_v a type
-        of head g, for v other than IRR."""
-        up, down = self._up[h], self._down[h]
-        if v is COV:
-            return up
-        if v is CONTRA:
-            return frozenset(down)
-        return up.intersection(down)
-
-    def _up_down(self, a: int) -> tuple[int, int]:
-        """The dense ids above and below a."""
-        if a < self.dense:
-            return self.le[a], self.ge[a]
-        return self._rows_from_kids(a)
-
     def prec(self, v: Variance, a: int, b: int) -> bool:
         """a prec_v b: a bit test when both ids are dense."""
         if v is IRR:
             return True
         if a < self.dense and b < self.dense:
-            if v is COV:
-                return self.le[a] >> b & 1 == 1
-            if v is CONTRA:
-                return self.ge[a] >> b & 1 == 1
-            return self.le[a] >> b & self.ge[a] >> b & 1 == 1
+            return self._pick(v, self.le[a], self.ge[a]) >> b & 1 == 1
         if v is COV:
             return self._sub(a, b)
         if v is CONTRA:
@@ -216,23 +203,11 @@ class TypeTable:
         """a <= b, structurally down to pairs of dense ids."""
         if a == b:
             return True
-        heads, d, le = self.heads, self.dense, self.le
-        h = heads[a]
-        if heads[b] not in self._up[h]:
+        h = self.heads[a]
+        if self.heads[b] not in self._up[h]:
             return False
         for w, x, y in zip(self._variances[h], self.kids[a], self.kids[b]):
-            if w is IRR or x == y:
-                continue
-            if x < d and y < d:
-                if w is COV:
-                    ok = le[x] >> y & 1
-                elif w is CONTRA:
-                    ok = le[y] >> x & 1
-                else:
-                    ok = le[x] >> y & le[y] >> x & 1
-            else:
-                ok = self.prec(w, x, y)
-            if not ok:
+            if x != y and not self.prec(w, x, y):
                 return False
         return True
 
@@ -246,7 +221,8 @@ class TypeTable:
         ws = self._variances[h]
         above, below = [], []
         for w, k in zip(ws, self.kids[x]):
-            up, down = self._up_down(k)
+            up, down = ((self.le[k], self.ge[k]) if k < self.dense
+                        else self._rows_from_kids(k))
             above.append(self._pick(w, up, down))
             below.append(self._pick(_REVERSE[w], up, down))
         up = down = 0
@@ -421,22 +397,15 @@ def _instantiator(u: GroundUniverse, t: TypeExpr, domain: Sequence[str]
                 raise ValueError(f"unbound type variable '{node.name}")
             return operator.itemgetter(pos[node.name])
         assert isinstance(node, App)
-        head, fns = _known(u, node.ctor), [compile(a) for a in node.args]
+        head, fns = u._known(node.ctor), [compile(a) for a in node.args]
         return lambda idx: intern(head, tuple([f(idx) for f in fns]))
     return compile(t)
 
 
-def _known(u: GroundUniverse, head: str) -> str:
-    if head not in u._variances:
-        raise ValueError(f"unknown type constructor {head!r}")
-    return head
-
-
-#: The kinds of step in a compiled walk.
-_HEADS, _CLOSED, _LEAF = range(3)
-
-#: A compiled walk: (path, w, kind, arg) per node, in preorder.
-_Walk = tuple[tuple[tuple[int, ...], Variance, int, object], ...]
+#: A compiled walk: (path, w, x) per node, in preorder.  A leaf has the
+#: composed variance w and its coordinate x; any other node has w None
+#: and the set x of ids s|path may be.
+_Walk = tuple[tuple[tuple[int, ...], Optional[Variance], int], ...]
 
 
 def _walk(u: GroundUniverse, t: TypeExpr, v: Variance,
@@ -446,19 +415,20 @@ def _walk(u: GroundUniverse, t: TypeExpr, v: Variance,
     Types compare structurally, so an instance of t relates to a type s
     only through t's own heads: t[rho'] prec_v s iff at the path of each
     node of t (the argument positions from its root), s|path passes the
-    node's step.  The step of a node at composed variance w is, by its
-    kind:
+    node's step.  The step of a node at composed variance w is a leaf
+    row or a set of allowed ids:
 
-    - `_HEADS`, a node with a variable below it: the head of s|path is
-      one of `arg`, so the node's children exist in s;
-    - `_CLOSED`, a maximal closed subterm of id `arg`: arg prec_w s|path;
-    - `_LEAF`, an occurrence of the variable of coordinate `arg`:
-      rho'(arg) lies in row(_REVERSE[w], s|path).
+    - an occurrence of the variable of coordinate x: rho'(x) lies in
+      row(_REVERSE[w], s|path);
+    - a node with a variable below it: the ids whose head is related to
+      the node's head at w, so the node's children exist in s;
+    - a maximal closed subterm of id c: row(w, c).
 
     A node at composed variance IRR constrains nothing, so it and its
     subterms have no step.  The closed subterms are interned once, here,
     and a head outside the signature raises ValueError.
     """
+    ids = u._head_ids
     steps = []
     stack = [((), v, t)]
     while stack:
@@ -466,13 +436,16 @@ def _walk(u: GroundUniverse, t: TypeExpr, v: Variance,
         if w is IRR:
             continue
         if isinstance(node, Var):
-            steps.append((path, w, _LEAF, domain.index(node.name)))
+            steps.append((path, w, domain.index(node.name)))
         elif is_ground(node):
-            steps.append((path, w, _CLOSED, _instantiator(u, node, ())(())))
+            steps.append((path, None, u.row(w, u.intern_expr(node))))
         else:
             assert isinstance(node, App)
-            head = _known(u, node.ctor)
-            steps.append((path, w, _HEADS, u.heads_related(w, head)))
+            head = u._known(node.ctor)
+            # Each id has one head, so these sums are unions.
+            up = sum(ids.get(g, 0) for g in u._up[head])
+            down = sum(ids.get(g, 0) for g in u._down[head])
+            steps.append((path, None, u._pick(w, up, down)))
             stack.extend((path + (i,), compose(w, x), a) for i, (a, x)
                          in enumerate(zip(node.args, u._variances[head])))
     return tuple(steps)
@@ -480,24 +453,34 @@ def _walk(u: GroundUniverse, t: TypeExpr, v: Variance,
 
 def _invert(u: GroundUniverse, walk: _Walk, s: int,
             allowed: list[int]) -> bool:
-    """Whether the universe type s passes the head and closed steps of
-    the walk of t at v.  If it does, each allowed[j] is intersected with
-    the rows of the leaves of coordinate j: of the rho' in the product
-    of the masks as they were, t[rho'] prec_v s holds for exactly those
-    in the product of the narrowed masks."""
-    heads, kids, row = u.heads, u.kids, u.row
-    for path, w, kind, arg in walk:
+    """Whether the universe type s passes the id-set steps of the walk
+    of t at v.  If it does, each allowed[j] is intersected with the rows
+    of the leaves of coordinate j: of the rho' in the product of the
+    masks as they were, t[rho'] prec_v s holds for exactly those in the
+    product of the narrowed masks.  s and its subterms are universe
+    types, so their ids are dense and each id-set test is exact."""
+    kids, row = u.kids, u.row
+    for path, w, x in walk:
         t = s
         for p in path:
             t = kids[t][p]
-        if kind == _LEAF:
-            allowed[arg] &= row(_REVERSE[w], t)
-        elif kind == _HEADS:
-            if heads[t] not in arg:
+        if w is None:
+            if not x >> t & 1:
                 return False
-        elif not u.prec(w, arg, t):
-            return False
+        else:
+            allowed[x] &= row(_REVERSE[w], t)
     return True
+
+
+def _witnessed(u: GroundUniverse, walks: Sequence[_Walk],
+               targets: Sequence[int], allowed: list[int]) -> bool:
+    """Whether some rho' in the product of the masks `allowed` has
+    t[rho'] prec_v s for the walk of each t at v and its target s.  The
+    masks are narrowed in place."""
+    for walk, s in zip(walks, targets):
+        if not _invert(u, walk, s, allowed):
+            return False
+    return all(allowed)
 
 
 def sem_variance_cex(
@@ -546,8 +529,7 @@ def _decomp_cex(
                    for inst, (_, v, _) in zip(insts, parts)]
         for sdx in itertools.product(*targets):
             allowed = [rel[k][i] for k, i in enumerate(idx)]
-            if not (all(_invert(u, walk, s, allowed)
-                        for walk, s in zip(walks, sdx)) and all(allowed)):
+            if not _witnessed(u, walks, sdx, allowed):
                 return (tuple(u.types[i] for i in idx),
                         tuple(u.types[s] for s in sdx))
     return None
@@ -629,8 +611,8 @@ def _narrowed(u: GroundUniverse, walks: Sequence[_Walk],
     rho(x) itself."""
     needs: list[list[tuple[Variance, int]]] = [[] for _ in range(width)]
     for walk in walks:
-        for path, w, kind, j in walk:
-            if kind == _LEAF and path:
+        for path, w, j in walk:
+            if w is not None and path:
                 needs[j].append((w, u.within[max(u.depth - len(path), 0)]))
     row = u.row
     return [[i for i in range(len(u)) if all(row(w, i) & ok for w, ok in n)]
@@ -707,7 +689,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     sigma' is checked once.
 
     Both quantifiers are decided coordinate by coordinate.  The witness
-    rho' is found by inversion through each bound (`_invert`): the
+    rho' is found by inversion through each bound (`_witnessed`): the
     argument and every bound at sigma' admit a set of witnesses per
     coordinate, so some rho' exists iff no test fails and no set is
     empty.  A group's assignments are the product of its narrowed
@@ -732,55 +714,36 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     groups = _groups(sig, u, norm)
     row, types = u.row, u.types
 
-    def search(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]],
-               pairs: bool = False) -> Optional[tuple]:
-        """The condition at one assignment of each group of `part`: None
-        when some parameter has no candidate, () when no sigma' fails,
-        else (sigma, sigma').  With `pairs` these are the first in the
-        literal order, else sigma is None.  Parameters outside `part`
-        are held at None."""
+    def candidates(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]]
+                   ) -> Optional[list[Optional[int]]]:
+        """Per parameter, the ids sigma may take there at one assignment
+        of each group of `part`, None outside `part`; or None when some
+        parameter has no candidate."""
         cands: list[Optional[int]] = [None] * len(rel_up)
-        bases = []
         for g, r in zip(part, rhos):
             for b in g.bounds:
                 cands[b.param] = row(b.v, b.at(r))
                 if not cands[b.param]:
                     return None
-            # Witness coordinates keeping the argument above its
-            # instance at r.
-            bases.append([row(w, i) for i, w in zip(r, g.uses)])
+        return cands
 
-        def fails(params: tuple) -> bool:
+    def first_failing(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]],
+                      reach: Sequence[Optional[int]]) -> Optional[tuple]:
+        """The first sigma' in product order over `reach` (held at None
+        where reach is None) at which some group of `part` has no witness
+        at its assignment, or None."""
+        # Per group, the witness coordinates keeping the argument above
+        # its instance at the group's assignment.
+        bases = [[row(w, i) for i, w in zip(r, g.uses)]
+                 for g, r in zip(part, rhos)]
+        for spidx in itertools.product(*[(None,) if s is None
+                                         else tuple(_members(s))
+                                         for s in reach]):
             for g, above in zip(part, bases):
-                allowed = list(above)
-                for b, walk in zip(g.bounds, g.walks):
-                    if not _invert(u, walk, params[b.param], allowed):
-                        return True
-                if not all(allowed):
-                    return True
-            return False
-
-        def members(sets: Iterable[Optional[int]]) -> list:
-            return [(None,) if s is None else tuple(_members(s))
-                    for s in sets]
-
-        if not pairs:
-            # Per parameter, the ids above some candidate.
-            reach = [None if s is None else
-                     functools.reduce(operator.or_, map(up.__getitem__,
-                                                        _members(s)))
-                     for up, s in zip(rel_up, cands)]
-            for spidx in itertools.product(*members(reach)):
-                if fails(spidx):
-                    return None, spidx
-            return ()
-        for sidx in itertools.product(*members(cands)):
-            for spidx in itertools.product(*members(
-                    None if s is None else up[s]
-                    for up, s in zip(rel_up, sidx))):
-                if fails(spidx):
-                    return sidx, spidx
-        return ()
+                targets = [spidx[b.param] for b in g.bounds]
+                if not _witnessed(u, g.walks, targets, list(above)):
+                    return spidx
+        return None
 
     # Per group, its first assignment with candidates and its first
     # failing one, in product order.
@@ -790,12 +753,18 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         first = bad = None
         for r in itertools.product(*_narrowed(u, g.walks, len(g.coords))):
             visited += 1
-            found = search((g,), (r,))
-            if found is None:
+            cands = candidates((g,), (r,))
+            if cands is None:
                 continue
             if first is None:
                 first = r
-            if found:
+            # Per parameter, the ids above some candidate: the union of
+            # the sigma' ranges of all sigma.
+            reach = [None if s is None else
+                     functools.reduce(operator.or_, map(up.__getitem__,
+                                                        _members(s)))
+                     for up, s in zip(rel_up, cands)]
+            if first_failing((g,), (r,), reach) is not None:
                 bad = r
                 break
         if first is None:
@@ -818,9 +787,13 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     if not failing:
         return ReqSpResult(True, u.depth, assignments=visited)
     rhos = min(failing, key=spread)
-    found = search(groups, rhos, pairs=True)
-    assert found, "a group failed at this rho"
-    sidx, spidx = found
+    # Every parameter has candidates at rho, and sigma' ranges above sigma.
+    for sidx in itertools.product(*map(_members, candidates(groups, rhos))):
+        spidx = first_failing(groups, rhos,
+                              [up[i] for up, i in zip(rel_up, sidx)])
+        if spidx is not None:
+            break
+    assert spidx is not None, "a group failed at this rho"
     return ReqSpResult(
         False, u.depth,
         sigma=tuple(types[i] for i in sidx),

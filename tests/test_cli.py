@@ -5,8 +5,11 @@ import contextlib
 import io
 import json
 import pathlib
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import vgadt.cli
 from vgadt.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, run
@@ -360,3 +363,50 @@ class TestExplainWide:
         assert lines[0] == "w.K: accepted"
         assert sum("[sc-Var]" in l for l in lines) == 8
         assert sum("[sc-Constr]" in l for l in lines) == 6
+
+
+#: A source text as pieces: runs of blanks and tokens.  Joined, they
+#: give the text back.
+_PIECES = re.compile(r"\s+|'?\w+|->|<=|>=|\S")
+_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.vt"))]
+_VOCABULARY = sorted({piece for text in _TEXTS
+                      for piece in _PIECES.findall(text)
+                      if not piece.isspace()} | {"\ufeff", "\u00e9", "@"})
+_COMMANDS = (["check"], ["check", "--explain", "--preset=none"], ["infer"],
+             ["oracle", "--depth=1"])
+
+
+@st.composite
+def _mutated(draw):
+    """A corpus file with 1-3 tokens deleted, inserted or replaced."""
+    pieces = _PIECES.findall(draw(st.sampled_from(_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.sampled_from([i for i, p in enumerate(pieces)
+                                   if p.strip()]))
+        edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if edit == "delete":
+            del pieces[at]
+        elif edit == "insert":
+            pieces[at:at] = [draw(st.sampled_from(_VOCABULARY)), " "]
+        else:
+            pieces[at] = draw(st.sampled_from(_VOCABULARY))
+    return "".join(pieces)
+
+
+class TestGeneratedInput:
+    @seed(20261018)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(_mutated())
+    def test_every_input_ends_in_a_verdict_or_a_diagnostic(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "mutated.vt"
+            path.write_text(text, encoding="utf-8")
+            positioned = re.compile(re.escape(str(path)) + r"(:\d+:\d+)?: ")
+            for command in _COMMANDS:
+                code, _, err = invoke(*command, path)
+                assert code in (EXIT_OK, EXIT_REJECTED, EXIT_ERROR)
+                assert "internal error" not in err, (command, err)
+                if code == EXIT_ERROR:
+                    lines = err.splitlines()
+                    assert lines and all(positioned.match(line)
+                                         for line in lines), (command, err)

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import get_sig
+from conftest import CORPUS, get_sig
 from vgadt.criterion import (
+    Verdict,
     check_adt_constructor,
     check_gadt_constructor,
     check_gadt_constructor_bruteforce,
@@ -12,7 +13,7 @@ from vgadt.criterion import (
     target_variance,
     verify_witnesses,
 )
-from vgadt.checker import check_variance, compute_closure_flags
+from vgadt.checker import PRESETS, check_variance, compute_closure_flags
 from vgadt.syntax import (
     ConstraintRel,
     FORM_ADT,
@@ -138,6 +139,28 @@ class TestWitnesses:
                 verdict = check_gadt_constructor(sig, decl, k)
                 if verdict.accepted:
                     assert verify_witnesses(sig, decl, verdict)
+
+    def test_plain_acceptances_reverify(self):
+        accepted = 0
+        for name in sorted(p.stem for p in CORPUS.glob("*.vt")):
+            for preset in PRESETS:
+                sig = get_sig(name, preset)
+                for verdict in check_signature(sig).verdicts:
+                    decl = sig.info(verdict.datatype).decl
+                    if verdict.accepted and verdict.normalized is None:
+                        accepted += 1
+                        assert verify_witnesses(sig, decl, verdict), (
+                            name, preset, verdict.describe())
+        assert accepted
+
+    def test_forged_plain_verdict_fails(self):
+        sig = get_sig("fun_cov")
+        decl = sig.info("t").decl
+        k = decl.ctors[0]
+        assert not check_adt_constructor(sig, decl, k.arg).accepted
+        forged = Verdict(decl.name, k.name, True, "exact",
+                         gamma=VarianceContext(decl.params), arg=k.arg)
+        assert not verify_witnesses(sig, decl, forged)
 
     def test_witness_order_prefers_informative(self):
         vs = verdicts_by_name(get_sig("expr"))

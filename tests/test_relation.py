@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import CORPUS, get_sig
+from test_decomp_reference import SIGS
 from vgadt.oracle import enumerate_types, oracle_for
 from vgadt.syntax import App, Signature, TypeExpr, parse_type
 from vgadt.variance import ALL_VARIANCES, CONTRA, COV, INV, IRR, Variance
@@ -86,27 +87,46 @@ def test_sampled_pairs_world_min_depth3(world_min, world_min_u3):
     assert_agrees(u, Reference(world_min), pairs)
 
 
+#: Per signature, types deeper than its depth-2 universe, and checks
+#: (v, i, j, holds) on them: the PRELUDE of test_decomp_reference has a
+#: private edge (pint = int) and a `~` parameter (phantom).
+DEEP = {
+    "world": (
+        ("int list list list", "bool list list list",
+         "(bool -> int) list ref", "(int -> bool) list ref",
+         "(bool * int) list -> int list",
+         "bool list -> int list", "int list -> bool list",
+         "int list ref", "int list list ref"),
+        ((COV, 1, 0, True), (COV, 0, 1, False), (INV, 2, 2, True))),
+    "prelude": (
+        ("pint list list list", "int list list list",
+         "int sink sink sink", "pint sink sink sink",
+         "int list phantom ref", "bool sink phantom ref",
+         "(pint -> int) list phantom", "pint ref list list",
+         "int phantom phantom phantom", "pint phantom list ref"),
+        ((COV, 0, 1, True), (COV, 1, 0, False), (COV, 2, 3, True),
+         (COV, 3, 2, False), (INV, 4, 5, True), (INV, 6, 8, True),
+         (INV, 7, 7, True), (COV, 7, 0, False))),
+}
+
+
 def test_types_deeper_than_the_universe():
-    sig = get_sig("world")
-    u = enumerate_types(sig, 2)
-    n = len(u)
-    deep = [u.intern_expr(parse_type(text)) for text in (
-        "int list list list", "bool list list list",
-        "(bool -> int) list ref", "(int -> bool) list ref",
-        "(bool * int) list -> int list",
-        "bool list -> int list", "int list -> bool list",
-        "int list ref", "int list list ref")]
-    assert min(deep) >= n
-    ids = list(range(n)) + deep
-    assert_agrees(u, Reference(sig),
-                  [(i, j) for i in ids for j in ids if i in deep or j in deep])
-    assert u.prec(COV, deep[1], deep[0])
-    assert not u.prec(COV, deep[0], deep[1])
-    assert u.prec(INV, deep[2], deep[2])
-    # The universe's own relation is unchanged by the deeper types.
-    # Their rows over the universe come from their children's rows.
-    ref = Reference(sig)
-    for x in deep:
-        for v in ALL_VARIANCES:
-            assert u.row(v, x) == sum(1 << j for j in range(n)
-                                      if ref.prec(v, u_type(u, x), u.types[j]))
+    for name, (texts, checks) in DEEP.items():
+        sig = SIGS["atomic"] if name == "prelude" else get_sig(name)
+        u = enumerate_types(sig, 2)
+        n = len(u)
+        deep = [u.intern_expr(parse_type(text)) for text in texts]
+        assert min(deep) >= n
+        ids = list(range(n)) + deep
+        assert_agrees(u, Reference(sig), [(i, j) for i in ids for j in ids
+                                          if i in deep or j in deep])
+        for v, i, j, holds in checks:
+            assert u.prec(v, deep[i], deep[j]) == holds, (v, texts[i], texts[j])
+        # The universe's own relation is unchanged by the deeper types.
+        # Their rows over the universe come from their children's rows.
+        ref = Reference(sig)
+        for x in deep:
+            for v in ALL_VARIANCES:
+                assert u.row(v, x) == sum(
+                    1 << j for j in range(n)
+                    if ref.prec(v, u_type(u, x), u.types[j]))

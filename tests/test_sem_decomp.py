@@ -28,9 +28,11 @@ from vgadt.oracle import (
     _walk,
     enumerate_types,
     oracle_for,
+    prec,
     sem_decomp,
     sem_decomp_cex,
     sem_simultaneous_decomp,
+    subtype,
 )
 from vgadt.syntax import (
     DatatypeDecl,
@@ -246,3 +248,8 @@ def test_unknown_constructor(text):
     for v, v2 in itertools.product(ALL_VARIANCES, repeat=2):
         with pytest.raises(ValueError, match=message):
             sem_decomp_cex(sig, u, g, t, v, v2)
+    int_list, int_ = parse_type("int list"), parse_type("int")
+    with pytest.raises(ValueError, match=message):
+        subtype(sig, int_list, int_)
+    with pytest.raises(ValueError, match=message):
+        prec(sig, INV, int_, int_list)
