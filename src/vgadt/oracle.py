@@ -11,10 +11,13 @@ never a theorem: `True` means "no counterexample up to this depth".
 Ground types are hash-consed into dense integer ids (Filliâtre &
 Conchon, "Type-safe modular hash-consing", 2006): a type is its head
 and the tuple of its children's ids, and children always get their ids
-first.  The subtyping relation is kept as Python-int bitsets over the
-ids, one row per type, so the quantifier loops run over integers and bit
+first.  A universe's subtyping relation is kept as Python-int bitsets
+over its ids, one row per type, built once in one pass from the rows of
+each type's children, so the quantifier loops run over integers and bit
 tests instead of type trees.  Instances deeper than the universe (a
-bound `'b pos` at depth d + 1) get an id on demand.
+bound `'b pos` at depth d + 1) get an id on demand, and their rows are
+computed from their children's.  Types compared outside a universe get
+no rows: they compare structurally.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -79,13 +82,15 @@ def _members(bits: int) -> Iterator[int]:
 
 
 class TypeTable:
-    """Hash-consed ground types and their subtyping relation as bitsets.
+    """Hash-consed ground types and their subtyping relation.
 
-    `build` fixes the ids interned so far as the dense ones and computes
-    their rows: `le[i]` is the set of dense ids j with type i <= type j,
-    and `ge[i]` the set of dense j with type j <= type i.  Ids interned
-    later are deep: they keep no rows, and their relations are computed
-    from their children's when asked for.
+    Ids are compared structurally (`prec`).  A universe calls `build`
+    once, when it is sealed: its ids become the dense ones, with rows
+    `le[i]`, the set of dense ids j with type i <= type j, and `ge[i]`,
+    the set of dense j with type j <= type i.  Ids interned later are
+    deep: they keep no rows, and their rows over the dense ids are
+    computed from their children's when asked for.  A table that is
+    never built has no dense id, and every comparison is structural.
     """
 
     def __init__(self, sig: Signature):
@@ -113,8 +118,12 @@ class TypeTable:
                                if ws[g] == ws[h] and h in reach.get(g, ()))
                       for h in sig.ctors}
         self._head_ids: dict[str, int] = {}
-        # (head, argument position) -> {child id -> ids with that child}.
+        # (head, argument position) -> {child id -> dense ids with that
+        # child there}.
         self._by_kid: dict[tuple[str, int], dict[int, int]] = {}
+        # (head, argument position, set of children) -> the dense ids
+        # with a child in the set there.
+        self._kid_hits: dict[tuple[str, int, int], int] = {}
 
     def intern(self, head: str, kids: tuple[int, ...]) -> int:
         """The id of head(kids), added if new."""
@@ -142,33 +151,28 @@ class TypeTable:
         return head
 
     def build(self) -> None:
-        """Make every id interned so far dense and compute the rows.
+        """Make every id interned so far dense and compute its rows, in
+        one pass.
 
-        Ids are related in order: type x is compared with every earlier
-        type whose head is related to its own, as the intersection over
-        argument positions of the types whose child there is related to
-        x's child.  Children have smaller ids, so their rows exist."""
-        if self.dense == len(self.heads):
-            return
-        le, ge = self.le, self.ge
-        for x in range(self.dense, len(self.heads)):
+        Every id's head and children are indexed first.  Then the rows
+        are computed in id order, each from its children's rows: the
+        children have smaller ids, so their rows are complete, and the
+        ids above (below) x are those of a head related to x's whose
+        child at each position is related to x's child there.  No row
+        is revisited."""
+        assert not self.dense, "a table is built once"
+        for x, (h, kids) in enumerate(zip(self.heads, self.kids)):
             bit = 1 << x
-            up, down = self._rows_from_kids(x)
-            up |= bit
-            down |= bit
-            le.append(up)
-            ge.append(down)
-            for j in _members(down ^ bit):
-                le[j] |= bit
-            for j in _members(up ^ bit):
-                ge[j] |= bit
-            h = self.heads[x]
             self._head_ids[h] = self._head_ids.get(h, 0) | bit
-            for p, k in enumerate(self.kids[x]):
+            for p, k in enumerate(kids):
                 by_kid = self._by_kid.setdefault((h, p), {})
                 by_kid[k] = by_kid.get(k, 0) | bit
-            self.dense = x + 1
+        self.dense = len(self.heads)
         self.full = (1 << self.dense) - 1
+        for x in range(self.dense):
+            up, down = self._rows_from_kids(x)
+            self.le.append(up)
+            self.ge.append(down)
 
     def row(self, v: Variance, a: int) -> int:
         """The set of dense ids b with a prec_v b."""
@@ -188,35 +192,31 @@ class TypeTable:
         return self.full
 
     def prec(self, v: Variance, a: int, b: int) -> bool:
-        """a prec_v b: a bit test when both ids are dense."""
-        if v is IRR:
+        """a prec_v b: a bit test when both ids are dense, else one
+        structural recursion: the heads relate at v, and the children
+        at each position of variance w relate at compose(v, w).  So `=`
+        asks for heads related both ways and equivalent children at
+        every position that is not `~`, one call per pair of children,
+        not one per direction at every level."""
+        if v is IRR or a == b:
             return True
         if a < self.dense and b < self.dense:
             return self._pick(v, self.le[a], self.ge[a]) >> b & 1 == 1
-        if v is COV:
-            return self._sub(a, b)
-        if v is CONTRA:
-            return self._sub(b, a)
-        return self._sub(a, b) and self._sub(b, a)
-
-    def _sub(self, a: int, b: int) -> bool:
-        """a <= b, structurally down to pairs of dense ids."""
-        if a == b:
-            return True
-        h = self.heads[a]
-        if self.heads[b] not in self._up[h]:
+        h, g = self.heads[a], self.heads[b]
+        if (v is not CONTRA and g not in self._up[h]
+                or v is not COV and h not in self._up[g]):
             return False
         for w, x, y in zip(self._variances[h], self.kids[a], self.kids[b]):
-            if x != y and not self.prec(w, x, y):
+            if not self.prec(compose(v, w), x, y):
                 return False
         return True
 
     def _rows_from_kids(self, x: int, v: Optional[Variance] = None
                         ) -> tuple[int, int]:
-        """The dense ids other than x above and below x, from the rows
-        of its children.  Given v, only as much as `row(v, x)` needs:
-        the ids above x for COV, those below for CONTRA, and for INV
-        those below among those above."""
+        """The dense ids above and below x, from the rows of its
+        children.  Given v, only as much as `row(v, x)` needs: the ids
+        above x for COV, those below for CONTRA, and for INV those
+        below among those above."""
         h = self.heads[x]
         ws = self._variances[h]
         above, below = [], []
@@ -246,10 +246,14 @@ class TypeTable:
                 break
             if w is IRR:
                 continue
-            by_kid = self._by_kid.get((head, p), {})
-            hits = 0
-            for c in _members(ok):
-                hits |= by_kid.get(c, 0)
+            key = (head, p, ok)
+            hits = self._kid_hits.get(key)
+            if hits is None:
+                by_kid = self._by_kid.get((head, p), {})
+                hits = 0
+                for c in _members(ok):
+                    hits |= by_kid.get(c, 0)
+                self._kid_hits[key] = hits
             out &= hits
         return out
 
@@ -328,7 +332,7 @@ def enumerate_types(sig: Signature, depth: int,
 class SemanticOracle:
     """Subtyping on type expressions, and the per-variance relations of
     a universe.  Type expressions are interned into a table of the
-    oracle's own, whose rows grow with every new type."""
+    oracle's own, which has no rows: its ids compare structurally."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -339,9 +343,7 @@ class SemanticOracle:
 
     def prec(self, v: Variance, a: TypeExpr, b: TypeExpr) -> bool:
         table = self.table
-        i, j = table.intern_expr(a), table.intern_expr(b)
-        table.build()
-        return table.prec(v, i, j)
+        return table.prec(v, table.intern_expr(a), table.intern_expr(b))
 
     def related(self, u: GroundUniverse, w: Variance) -> list[int]:
         """Bitset rows over the universe: related[i] = the set of j with
@@ -759,12 +761,15 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
             if first is None:
                 first = r
             # Per parameter, the ids above some candidate: the union of
-            # the sigma' ranges of all sigma.
+            # the sigma' ranges of all sigma.  Where every reach set is
+            # its candidate set, each sigma' satisfies the constraints
+            # at r, so r itself is a witness and no sigma' fails.
             reach = [None if s is None else
                      functools.reduce(operator.or_, map(up.__getitem__,
                                                         _members(s)))
                      for up, s in zip(rel_up, cands)]
-            if first_failing((g,), (r,), reach) is not None:
+            if (reach != cands
+                    and first_failing((g,), (r,), reach) is not None):
                 bad = r
                 break
         if first is None:

@@ -5,7 +5,7 @@
 Four suites, one directory each:
 
 - `oracle/`: `vgadt oracle` at depth 2 over every corpus file x preset x
-  format, and at depth 3 for six files;
+  format, and at depth 3 (preset `atomic`) for every corpus file;
 - `check/`: `vgadt check` over every corpus file x preset x mode x
   format, `check --explain` (text) over every corpus file x preset x
   mode, and exact `check` / `check --explain` for the generated wide
@@ -37,8 +37,10 @@ GOLDEN = HERE / "oracle"
 PRESETS = ("atomic", "ml-open", "none")
 FORMATS = ("text", "structured")
 MODES = ("exact", "fast")
-DEPTH3_FILES = ("arrow_bound", "expr", "expr_sup", "ml_open_demo",
-                "object_emulation", "sink_sub")
+DEPTH3_FILES = ("arrow_bound", "eq_cov", "eq_inv", "expr", "expr_sup",
+                "fun_cov", "list", "ml_open_demo", "object_emulation",
+                "pair_ref", "private_fd", "sink_sub", "world", "world_min",
+                "world_ref")
 
 
 def _corpus() -> list[str]:

@@ -7,10 +7,11 @@ import random
 
 import pytest
 
-from conftest import CORPUS, get_sig
+from conftest import CORPUS, get_sig, get_universe
 from test_decomp_reference import SIGS
-from vgadt.oracle import enumerate_types, oracle_for
-from vgadt.syntax import App, Signature, TypeExpr, parse_type
+from vgadt.oracle import TypeTable, enumerate_types, oracle_for
+from vgadt.oracle import prec as prec_expr
+from vgadt.syntax import App, Signature, TypeExpr, parse_signature, parse_type
 from vgadt.variance import ALL_VARIANCES, CONTRA, COV, INV, IRR, Variance
 
 CORPUS_FILES = sorted(p.stem for p in CORPUS.glob("*.vt"))
@@ -130,3 +131,62 @@ def test_types_deeper_than_the_universe():
                 assert u.row(v, x) == sum(
                     1 << j for j in range(n)
                     if ref.prec(v, u_type(u, x), u.types[j]))
+
+
+def transpose(rows: list[int]) -> list[int]:
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j, bit in enumerate(reversed(bin(row)[2:])):
+            if bit == "1":
+                out[j] |= 1 << i
+    return out
+
+
+@pytest.mark.parametrize("name", ["sink_sub", "object_emulation"])
+def test_rows_depth3(name):
+    """The one-pass rows of a 1179-type universe, with a base order
+    (sink_sub) or a private edge (object_emulation): le and ge are
+    transposes everywhere, and sampled rows equal the reference."""
+    u = get_universe(name, 3)
+    n = len(u)
+    assert n == 1179
+    assert transpose(u.le) == u.ge
+    ref = Reference(get_sig(name))
+    for i in random.Random(12).sample(range(n), 50):
+        for v in ALL_VARIANCES:
+            assert u.row(v, i) == sum(
+                1 << j for j in range(n)
+                if ref.prec(v, u.types[i], u.types[j])), (v, u.types[i])
+
+
+#: Two distinct but equivalent bases under an invariant parameter.
+EQUIV = ("base b1\nbase b2\nbase b3\nsubbase b1 <= b2\nsubbase b2 <= b1\n"
+         "type (='a) ref = | Mk of 'a -> 'a\n")
+
+
+def test_invariant_comparison_is_linear(monkeypatch):
+    """b2 ref^k and b1 ref^k are equivalent; deciding it compares each
+    level once, not once per direction of every enclosing `=`."""
+    sig = parse_signature(EQUIV)
+    u = enumerate_types(sig, 2)
+    k = 40
+    types = [parse_type(b + " ref" * k) for b in ("b1", "b2", "b3")]
+    ids = [u.intern_expr(t) for t in types]
+    assert min(ids) >= len(u)
+    calls = [0]
+    prec = TypeTable.prec
+
+    def counted(table, v, a, b):
+        calls[0] += 1
+        assert calls[0] <= 4 * k, "prec recursed more than linearly"
+        return prec(table, v, a, b)
+    monkeypatch.setattr(TypeTable, "prec", counted)
+    for v in (COV, CONTRA, INV):
+        for i, j, holds in ((1, 0, True), (0, 1, True),
+                            (2, 0, False), (0, 2, False)):
+            # On deep universe ids, and on a table with no rows.
+            for decide in (lambda: u.prec(v, ids[i], ids[j]),
+                           lambda: prec_expr(sig, v, types[i], types[j])):
+                calls[0] = 0
+                assert decide() is holds, (v, types[i], types[j])
+                assert calls[0] <= k + 1
