@@ -14,10 +14,14 @@ and the tuple of its children's ids, and children always get their ids
 first.  A universe's subtyping relation is kept as Python-int bitsets
 over its ids, one row per type, built once in one pass from the rows of
 each type's children, so the quantifier loops run over integers and bit
-tests instead of type trees.  Instances deeper than the universe (a
-bound `'b pos` at depth d + 1) get an id on demand, and their rows are
-computed from their children's.  Types compared outside a universe get
-no rows: they compare structurally.
+tests instead of type trees.  A row is read off per-head plans: the
+heads related to the type's head and, per argument position, a table
+from a child's id to the ids whose child there is related to it.
+Instances deeper than the universe (a bound `'b pos` at depth d + 1) get
+an id on demand, and their rows are computed from their children's by
+the same plans.  A universe type's tree is built only when it is
+rendered.  Types compared outside a universe get no rows: they compare
+structurally.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -63,6 +67,7 @@ from .variance import (
     Variance,
     VarianceContext,
     compose,
+    var_leq,
 )
 
 DEFAULT_UNIVERSE_CAP = 200_000
@@ -85,12 +90,14 @@ class TypeTable:
     """Hash-consed ground types and their subtyping relation.
 
     Ids are compared structurally (`prec`).  A universe calls `build`
-    once, when it is sealed: its ids become the dense ones, with rows
-    `le[i]`, the set of dense ids j with type i <= type j, and `ge[i]`,
-    the set of dense j with type j <= type i.  Ids interned later are
-    deep: they keep no rows, and their rows over the dense ids are
-    computed from their children's when asked for.  A table that is
-    never built has no dense id, and every comparison is structural.
+    once, when it is enumerated: its ids become the dense ones, with
+    rows `le[i]`, the set of dense ids j with type i <= type j, and
+    `ge[i]`, the set of dense j with type j <= type i.  Every row is read
+    off the plans of its head (`_plan`), whose tables are memoized by
+    child id.  Ids interned later are deep: they keep no rows, and their
+    rows over the dense ids are read off the same plans when asked for.
+    A table that is never built has no dense id, and every comparison is
+    structural.
     """
 
     def __init__(self, sig: Signature):
@@ -102,8 +109,8 @@ class TypeTable:
         #: The number of dense ids, and their set.
         self.dense = 0
         self.full = 0
-        #: The id of every type interned from a TypeExpr.
-        self.index: dict[TypeExpr, int] = {}
+        # The id of every type interned from a TypeExpr.
+        self._exprs: dict[TypeExpr, int] = {}
         self._ids: dict[tuple[str, tuple[int, ...]], int] = {}
         self._variances = {name: info.variances
                            for name, info in sig.ctors.items()}
@@ -118,12 +125,9 @@ class TypeTable:
                                if ws[g] == ws[h] and h in reach.get(g, ()))
                       for h in sig.ctors}
         self._head_ids: dict[str, int] = {}
-        # (head, argument position) -> {child id -> dense ids with that
-        # child there}.
-        self._by_kid: dict[tuple[str, int], dict[int, int]] = {}
-        # (head, argument position, set of children) -> the dense ids
-        # with a child in the set there.
-        self._kid_hits: dict[tuple[str, int, int], int] = {}
+        # Per head h, the plans of the ids above and below a type of
+        # head h (`_plan`), made by `build`.
+        self._plans: dict[str, tuple[_Plan, _Plan]] = {}
 
     def intern(self, head: str, kids: tuple[int, ...]) -> int:
         """The id of head(kids), added if new."""
@@ -136,13 +140,13 @@ class TypeTable:
         return i
 
     def intern_expr(self, t: TypeExpr) -> int:
-        i = self.index.get(t)
+        i = self._exprs.get(t)
         if i is None:
             if not isinstance(t, App):
                 raise ValueError("ground types only")
             i = self.intern(self._known(t.ctor),
                             tuple(self.intern_expr(a) for a in t.args))
-            self.index[t] = i
+            self._exprs[t] = i
         return i
 
     def _known(self, head: str) -> str:
@@ -154,21 +158,29 @@ class TypeTable:
         """Make every id interned so far dense and compute its rows, in
         one pass.
 
-        Every id's head and children are indexed first.  Then the rows
-        are computed in id order, each from its children's rows: the
-        children have smaller ids, so their rows are complete, and the
-        ids above (below) x are those of a head related to x's whose
-        child at each position is related to x's child there.  No row
-        is revisited."""
+        Every id's head and children are indexed first, and each head's
+        plans are made.  Then the rows are computed in id order, each
+        from its children's rows: the children have smaller ids, so
+        their rows are complete, and the ids above (below) x are those
+        of a head related to x's whose child at each position is related
+        to x's child there.  No row is revisited."""
         assert not self.dense, "a table is built once"
+        head_ids = self._head_ids
+        # Per head and argument position: child id -> the ids with that
+        # child there.
+        by_kid: dict[str, list[dict[int, int]]] = {
+            h: [{} for _ in ws] for h, ws in self._variances.items()}
         for x, (h, kids) in enumerate(zip(self.heads, self.kids)):
             bit = 1 << x
-            self._head_ids[h] = self._head_ids.get(h, 0) | bit
-            for p, k in enumerate(kids):
-                by_kid = self._by_kid.setdefault((h, p), {})
-                by_kid[k] = by_kid.get(k, 0) | bit
+            head_ids[h] = head_ids.get(h, 0) | bit
+            for k, at in zip(kids, by_kid[h]):
+                at[k] = at.get(k, 0) | bit
         self.dense = len(self.heads)
         self.full = (1 << self.dense) - 1
+        tables: dict[tuple[str, int, Variance], _KidTable] = {}
+        for h in self._variances:
+            self._plans[h] = (self._plan(h, COV, by_kid, tables),
+                              self._plan(h, CONTRA, by_kid, tables))
         for x in range(self.dense):
             up, down = self._rows_from_kids(x)
             self.le.append(up)
@@ -217,45 +229,78 @@ class TypeTable:
         children.  Given v, only as much as `row(v, x)` needs: the ids
         above x for COV, those below for CONTRA, and for INV those
         below among those above."""
-        h = self.heads[x]
-        ws = self._variances[h]
-        above, below = [], []
-        for w, k in zip(ws, self.kids[x]):
-            up, down = ((self.le[k], self.ge[k]) if k < self.dense
-                        else self._rows_from_kids(k))
-            above.append(self._pick(w, up, down))
-            below.append(self._pick(_REVERSE[w], up, down))
+        kids = self.kids[x]
+        above, below = self._plans[self.heads[x]]
         up = down = 0
         if v is not CONTRA:
-            for g in self._up[h]:
-                up |= self._with_kids(g, ws, above)
+            up = _select(above, kids)
         if v is None or v is CONTRA or up and v is INV:
-            within = up if v is INV else -1
-            for g in self._down[h]:
-                down |= self._with_kids(g, ws, below, within)
+            down = _select(below, kids, up if v is INV else -1)
         return up, down
 
-    def _with_kids(self, head: str, ws: Sequence[Variance],
-                   allowed: Sequence[int], within: int = -1) -> int:
-        """Dense ids of head `head` in `within` whose child at each
-        position p lies in allowed[p] (positions of variance IRR are
-        unconstrained)."""
-        out = self._head_ids.get(head, 0) & within
-        for p, (w, ok) in enumerate(zip(ws, allowed)):
+    def _plan(self, h: str, v: Variance,
+              by_kid: dict[str, list[dict[int, int]]],
+              tables: dict[tuple[str, int, Variance], _KidTable]) -> _Plan:
+        """How the ids above (v = COV) or below (v = CONTRA) a type of
+        head h are found: per head g that `_up[h]` (`_down[h]`) relates
+        to h, the ids of head g, and a step (p, table) per position p
+        whose variance w is not `~`.  The table maps a child id k to the
+        ids of head g whose child at p lies in row(w, k) (in
+        row(_REVERSE[w], k) for the ids below); the edges between heads
+        preserve variances, so w is also g's variance at p.  A table
+        serves every plan that asks for its (g, p, variance)."""
+        plan = []
+        for g in (self._up[h] if v is COV else self._down[h]):
+            if g not in self._head_ids:
+                continue
+            steps = []
+            for p, w in enumerate(self._variances[h]):
+                if w is IRR:
+                    continue
+                key = (g, p, w if v is COV else _REVERSE[w])
+                if key not in tables:
+                    tables[key] = _KidTable(self, key[2], by_kid[g][p])
+                steps.append((p, tables[key]))
+            plan.append((self._head_ids[g], tuple(steps)))
+        return tuple(plan)
+
+
+def _select(plan: _Plan, kids: tuple[int, ...], within: int = -1) -> int:
+    """The ids in `within` that a plan selects for a type with children
+    `kids`."""
+    ids = 0
+    for out, steps in plan:
+        out &= within
+        for p, table in steps:
             if not out:
                 break
-            if w is IRR:
-                continue
-            key = (head, p, ok)
-            hits = self._kid_hits.get(key)
-            if hits is None:
-                by_kid = self._by_kid.get((head, p), {})
-                hits = 0
-                for c in _members(ok):
-                    hits |= by_kid.get(c, 0)
-                self._kid_hits[key] = hits
-            out &= hits
-        return out
+            out &= table[kids[p]]
+        ids |= out
+    return ids
+
+
+class _KidTable(dict):
+    """Child id k -> the dense ids of one head whose child at one
+    position lies in row(v, k), filled on first use of each k."""
+
+    def __init__(self, table: TypeTable, v: Variance,
+                 by_kid: dict[int, int]):
+        super().__init__()
+        self.table, self.v, self.by_kid = table, v, by_kid
+        self.present = sum(1 << c for c in by_kid)
+
+    def __missing__(self, k: int) -> int:
+        by_kid = self.by_kid
+        hits = 0
+        for c in _members(self.table.row(self.v, k) & self.present):
+            hits |= by_kid[c]
+        self[k] = hits
+        return hits
+
+
+#: Per head g related to a type's head, g's ids and a step (p, table)
+#: per position p that is not `~`.
+_Plan = tuple[tuple[int, tuple[tuple[int, _KidTable], ...]], ...]
 
 
 #: prec_v(a, b) iff prec_{_REVERSE[v]}(b, a).
@@ -269,28 +314,39 @@ class GroundUniverse(TypeTable):
     declaration order, then argument order) and duplicate-free; the list
     is closed under subterms because every shallower type is included.
     The universe's types are the dense ids 0..n-1, in that order; deeper
-    types (instances of a bound, say) are interned on demand.
+    types (instances of a bound, say) are interned on demand.  A type's
+    tree is built only when it is asked for (`type`), since an oracle
+    run renders only the few types of its counterexamples.
     """
 
     def __init__(self, sig: Signature, depth: int):
         super().__init__(sig)
         self.depth = depth
-        self.types: tuple[TypeExpr, ...] = ()
         #: within[k]: the ids of depth <= k, a prefix of the universe.
         self.within: list[int] = [0]
         self._related: dict[Variance, list[int]] = {}
+        self._trees: dict[int, TypeExpr] = {}
 
     def __len__(self) -> int:
-        return len(self.types)
+        return self.dense
 
-    def _seal(self) -> None:
-        """Fix the universe to the types enumerated so far."""
-        self.build()
-        types: list[TypeExpr] = []
-        for head, kids in zip(self.heads, self.kids):
-            types.append(App(head, tuple(types[k] for k in kids)))
-        self.types = tuple(types)
-        self.index = {t: i for i, t in enumerate(types)}
+    def type(self, i: int) -> TypeExpr:
+        """The type tree of id i, built once."""
+        t = self._trees.get(i)
+        if t is None:
+            t = self._trees[i] = App(self.heads[i],
+                                     tuple(map(self.type, self.kids[i])))
+        return t
+
+    @functools.cached_property
+    def types(self) -> tuple[TypeExpr, ...]:
+        """The universe's types, in id order."""
+        return tuple(map(self.type, range(self.dense)))
+
+    @functools.cached_property
+    def index(self) -> dict[TypeExpr, int]:
+        """The id of each of the universe's types."""
+        return {t: i for i, t in enumerate(self.types)}
 
 
 def enumerate_types(sig: Signature, depth: int,
@@ -321,7 +377,7 @@ def enumerate_types(sig: Signature, depth: int,
                             f"universe exceeds cap of {cap} types "
                             f"(depth {depth})")
         u.within.append((1 << len(u.heads)) - 1)
-    u._seal()
+    u.build()
     return u
 
 
@@ -382,7 +438,7 @@ def prec(sig: Signature, v: Variance, a: TypeExpr, b: TypeExpr) -> bool:
 
 
 def _assignments(u: GroundUniverse, m: int) -> Iterable[tuple[int, ...]]:
-    return itertools.product(range(len(u.types)), repeat=m)
+    return itertools.product(range(len(u)), repeat=m)
 
 
 def _instantiator(u: GroundUniverse, t: TypeExpr, domain: Sequence[str]
@@ -504,8 +560,7 @@ def sem_variance_cex(
         for jdx in itertools.product(*(_members(rel[k][i])
                                        for k, i in enumerate(idx))):
             if not u.prec(v, lhs, inst(jdx)):
-                return (tuple(u.types[i] for i in idx),
-                        tuple(u.types[j] for j in jdx))
+                return (tuple(map(u.type, idx)), tuple(map(u.type, jdx)))
     return None
 
 
@@ -527,13 +582,16 @@ def _decomp_cex(
     insts = [_instantiator(u, t, domain) for t, _, _ in parts]
     walks = [_walk(u, t, v2, domain) for t, _, v2 in parts]
     for idx in _assignments(u, len(domain)):
-        targets = [_members(u.row(v, inst(idx)))
-                   for inst, (_, v, _) in zip(insts, parts)]
+        # A part at v2 = ~ has an empty walk and asks nothing of its
+        # target, so its first target stands for all of them: where a
+        # tuple fails, so does the earlier one with that first target.
+        targets = [itertools.islice(_members(u.row(v, inst(idx))),
+                                    None if walk else 1)
+                   for inst, (_, v, _), walk in zip(insts, parts, walks)]
         for sdx in itertools.product(*targets):
             allowed = [rel[k][i] for k, i in enumerate(idx)]
             if not _witnessed(u, walks, sdx, allowed):
-                return (tuple(u.types[i] for i in idx),
-                        tuple(u.types[s] for s in sdx))
+                return (tuple(map(u.type, idx)), tuple(map(u.type, sdx)))
     return None
 
 
@@ -593,6 +651,26 @@ class ReqSpResult:
             return "(" + ", ".join(render_type(t) for t in ts) + ")"
         return (f"fails (depth {self.depth}): sigma={tup(self.sigma)} "
                 f"sigma'={tup(self.sigma_prime)} rho={tup(self.rho)}")
+
+
+def _reach(u: GroundUniverse, v: Variance, w: Variance, at: int,
+           cands: int) -> int:
+    """The ids s' with c prec_w s' for some candidate c, at prec_v c:
+    the union of the rows at w of the candidates `cands` = row(v, at),
+    which is not empty.
+
+    Rows are reflexive and transitive, and prec_w lies within prec_v
+    iff var_leq(v, w).  So if var_leq(v, w), the union is the candidates
+    themselves.  If var_leq(w, v), then w is ~ or v is =, so every
+    candidate c has at prec_w c and c prec_w at, and the union is
+    row(w, at).  Only the pair of + and - takes the union literally.
+    """
+    if var_leq(v, w):
+        return cands
+    if var_leq(w, v):
+        return u.row(w, at)
+    return functools.reduce(operator.or_,
+                            (u.row(w, c) for c in _members(cands)))
 
 
 class _Bound(NamedTuple):
@@ -688,7 +766,9 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     sigma' fails.  At one assignment, sigma' ranges over the product of
     the parameters' reach sets (the parameters above some candidate),
     which is the union of the sigma' ranges of all sigma, so each
-    sigma' is checked once.
+    sigma' is checked once.  A reach set is one row unless the
+    constraint's variance and the parameter's are + and - (`_reach`),
+    and where every reach set is its candidate set no sigma' can fail.
 
     Both quantifiers are decided coordinate by coordinate.  The witness
     rho' is found by inversion through each bound (`_witnessed`): the
@@ -710,24 +790,29 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     product order with a failing sigma', and sigma' the first failing
     one above it.
     """
-    orc = oracle_for(sig)
     norm = normalize_constructor(d, k)
-    rel_up = [orc.related(u, w) for w in d.param_variances()]
+    ws = d.param_variances()
     groups = _groups(sig, u, norm)
-    row, types = u.row, u.types
+    row = u.row
 
     def candidates(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]]
-                   ) -> Optional[list[Optional[int]]]:
+                   ) -> Optional[tuple[list[Optional[int]],
+                                       list[Optional[int]]]]:
         """Per parameter, the ids sigma may take there at one assignment
-        of each group of `part`, None outside `part`; or None when some
-        parameter has no candidate."""
-        cands: list[Optional[int]] = [None] * len(rel_up)
+        of each group of `part`, and its reach set, the ids above some
+        candidate: the union of the sigma' ranges of all sigma.  Both
+        are None outside `part`; or None when some parameter has no
+        candidate."""
+        cands: list[Optional[int]] = [None] * len(ws)
+        reach = list(cands)
         for g, r in zip(part, rhos):
             for b in g.bounds:
-                cands[b.param] = row(b.v, b.at(r))
-                if not cands[b.param]:
+                at = b.at(r)
+                s = cands[b.param] = row(b.v, at)
+                if not s:
                     return None
-        return cands
+                reach[b.param] = _reach(u, b.v, ws[b.param], at, s)
+        return cands, reach
 
     def first_failing(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]],
                       reach: Sequence[Optional[int]]) -> Optional[tuple]:
@@ -755,19 +840,15 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         first = bad = None
         for r in itertools.product(*_narrowed(u, g.walks, len(g.coords))):
             visited += 1
-            cands = candidates((g,), (r,))
-            if cands is None:
+            found = candidates((g,), (r,))
+            if found is None:
                 continue
             if first is None:
                 first = r
-            # Per parameter, the ids above some candidate: the union of
-            # the sigma' ranges of all sigma.  Where every reach set is
-            # its candidate set, each sigma' satisfies the constraints
-            # at r, so r itself is a witness and no sigma' fails.
-            reach = [None if s is None else
-                     functools.reduce(operator.or_, map(up.__getitem__,
-                                                        _members(s)))
-                     for up, s in zip(rel_up, cands)]
+            # Where every reach set is its candidate set, each sigma'
+            # satisfies the constraints at r, so r itself is a witness
+            # and no sigma' fails.
+            cands, reach = found
             if (reach != cands
                     and first_failing((g,), (r,), reach) is not None):
                 bad = r
@@ -793,17 +874,18 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         return ReqSpResult(True, u.depth, assignments=visited)
     rhos = min(failing, key=spread)
     # Every parameter has candidates at rho, and sigma' ranges above sigma.
-    for sidx in itertools.product(*map(_members, candidates(groups, rhos))):
+    cands, _ = candidates(groups, rhos)
+    for sidx in itertools.product(*map(_members, cands)):
         spidx = first_failing(groups, rhos,
-                              [up[i] for up, i in zip(rel_up, sidx)])
+                              [row(w, i) for w, i in zip(ws, sidx)])
         if spidx is not None:
             break
     assert spidx is not None, "a group failed at this rho"
     return ReqSpResult(
         False, u.depth,
-        sigma=tuple(types[i] for i in sidx),
-        sigma_prime=tuple(types[i] for i in spidx),
-        rho=tuple(types[i] for i in spread(rhos)),
+        sigma=tuple(map(u.type, sidx)),
+        sigma_prime=tuple(map(u.type, spidx)),
+        rho=tuple(map(u.type, spread(rhos))),
         assignments=visited)
 
 
@@ -830,12 +912,15 @@ def check_sp_requirements(sig: Signature, u: GroundUniverse
     (private edges) are expected to violate incomparability."""
     report = SpRequirementsReport()
     le = u.le
-    heads, kids, types = u.heads, u.kids, u.types
+    heads, kids = u.heads, u.kids
+
+    def render(i: int) -> str:
+        return render_type(u.type(i))
     is_base = {
         name: info.arity == 0 and info.kind != "builtin"
         for name, info in sig.ctors.items()
     }
-    for i in range(len(types)):
+    for i in range(len(u)):
         a = heads[i]
         for j in _members(le[i]):
             b = heads[j]
@@ -844,8 +929,7 @@ def check_sp_requirements(sig: Signature, u: GroundUniverse
             if is_base[a] and is_base[b] and sig.base_leq(a, b):
                 continue
             report.incomparability_violations.append(
-                f"{render_type(types[i])} <= {render_type(types[j])} "
-                f"with distinct heads")
+                f"{render(i)} <= {render(j)} with distinct heads")
     for head, contra_first in (("->", True), ("*", False)):
         members = u._head_ids.get(head, 0)
         for f1 in _members(members):
@@ -855,7 +939,6 @@ def check_sp_requirements(sig: Signature, u: GroundUniverse
                         else u.prec(COV, d1, d2))
                 if not (d_ok and u.prec(COV, c1, c2)):
                     report.decomposition_violations.append(
-                        f"{render_type(types[f1])} <= "
-                        f"{render_type(types[f2])} does not "
+                        f"{render(f1)} <= {render(f2)} does not "
                         f"decompose componentwise")
     return report

@@ -3,13 +3,16 @@ definitions, and their agreement with the paper-level expectations."""
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import random
 
 import pytest
 
-from conftest import get_sig, get_universe
+from conftest import CORPUS, get_sig, get_universe
+from vgadt import cli
 from vgadt.oracle import (
+    GroundUniverse,
     UniverseSizeError,
     check_sp_requirements,
     enumerate_types,
@@ -89,6 +92,54 @@ class TestEnumerateTypes:
         for t in world_u2.types:
             for a in t.args:
                 assert a in world_u2.index
+
+
+#: The inputs of the benchmark's oracle-d3 workload.
+DEPTH3_FILES = ["ml_open_demo", "object_emulation", "sink_sub"]
+
+
+@pytest.mark.parametrize("name,depth", [
+    *((p.stem, 2) for p in sorted(CORPUS.glob("*.vt"))),
+    *((name, 3) for name in DEPTH3_FILES)])
+def test_views_equal_eager_trees(name, depth):
+    """`types` and `index`, built from the trees `type` makes on demand,
+    equal the trees built eagerly in id order."""
+    u = get_universe(name, depth)
+    n = len(u)
+    trees: list = []
+    for head, kids in zip(u.heads[:n], u.kids):
+        trees.append(App(head, tuple(trees[k] for k in kids)))
+    assert u.types == tuple(trees)
+    assert u.index == {t: i for i, t in enumerate(trees)}
+    assert all(u.type(i) is t for i, t in enumerate(u.types))
+
+
+def test_oracle_builds_only_the_rendered_trees(monkeypatch):
+    """`vgadt oracle --depth 3` on object_emulation renders sigma =
+    (obj_m) and sigma' = (obj_empty): of the 1179 types, it builds the
+    trees of those two and of no other."""
+    universes = []
+
+    def enumerate_kept(*args):
+        universes.append(enumerate_types(*args))
+        return universes[-1]
+    built = []
+    make = GroundUniverse.type
+
+    def counted(u, i):
+        if i not in u._trees:
+            built.append(u.heads[i])
+        return make(u, i)
+    monkeypatch.setattr(cli, "enumerate_types", enumerate_kept)
+    monkeypatch.setattr(GroundUniverse, "type", counted)
+    out = io.StringIO()
+    path = str(CORPUS / "object_emulation.vt")
+    assert cli.run(["oracle", "--depth", "3", path], out, io.StringIO()) == 0
+    assert "sigma=(obj_m) sigma'=(obj_empty) rho=()" in out.getvalue()
+    [u] = universes
+    assert len(u) == 1179
+    assert sorted(built) == ["obj_empty", "obj_m"]
+    assert "types" not in vars(u) and "index" not in vars(u)
 
 
 class TestSubtype:

@@ -28,6 +28,7 @@ from vgadt.oracle import (
     _invert,
     _members,
     _narrowed,
+    _reach,
     _walk,
     enumerate_types,
     oracle_for,
@@ -50,8 +51,18 @@ from vgadt.syntax import (
     product,
     render_type,
 )
-from vgadt.variance import ALL_VARIANCES, COV, IRR, Variance, compose
+from vgadt.variance import (
+    ALL_VARIANCES,
+    CONTRA,
+    COV,
+    INV,
+    IRR,
+    Variance,
+    compose,
+)
 
+import test_decomp_reference
+from conftest import get_sig
 from test_decomp_reference import NAMES, types
 
 
@@ -405,3 +416,35 @@ def test_two_constraints_on_one_parameter(depth, rels):
         normalize_constructor(d, k)
     with pytest.raises(ValueError, match=message):
         req_sp(SIGS["atomic"], UNIVERSES["atomic", depth], d, k)
+
+
+@pytest.mark.parametrize("name", ["sink_sub", "object_emulation", "prelude"])
+def test_reach_equals_union(name):
+    """`_reach` reads one row where it can; it must equal the union of
+    the candidates' rows at w, for every v a constraint gives, every w
+    and every instance `at` of the depth-2 universe.  The universes have
+    a base order (sink_sub), a private edge (object_emulation) and a `~`
+    parameter (the PRELUDE of test_decomp_reference.py); each head over
+    each type of depth 2 adds a deeper `at`, and under `~` such an
+    instance has candidates."""
+    sig = (test_decomp_reference.SIGS["atomic"] if name == "prelude"
+           else get_sig(name))
+    u = enumerate_types(sig, 2)
+    n = len(u)
+    deep = [u.intern(h, (i,) * info.arity) for h, info in sig.ctors.items()
+            if info.arity for i in _members(u.within[2] & ~u.within[1])]
+    assert min(deep) >= n
+    deep_with_candidates = 0
+    for at in [*range(n), *deep]:
+        for v in (INV, COV, CONTRA):
+            cands = u.row(v, at)
+            if not cands:
+                continue
+            deep_with_candidates += at >= n
+            for w in ALL_VARIANCES:
+                union = 0
+                for c in _members(cands):
+                    union |= u.row(w, c)
+                assert _reach(u, v, w, at, cands) == union, (v, w, at)
+    if name == "prelude":
+        assert deep_with_candidates

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from conftest import CORPUS, get_sig
+import vgadt.oracle
 from vgadt.checker import PRESETS, check_decomp, compute_closure_flags
 from vgadt.criterion import Verdict, check_signature, target_variance
 from vgadt.oracle import (
@@ -46,6 +47,7 @@ from vgadt.variance import (
     CONTRA,
     COV,
     INV,
+    IRR,
     Variance,
     VarianceContext,
 )
@@ -135,6 +137,62 @@ def test_small_decomp_equals_reference(text):
         assert _decomp_cex(SIG, UNIVERSE, g, [(t, v, v2)]) == want, (w, v, v2)
         fails += want is not None
     assert fails
+
+
+#: Parts at v2 = ~, whose walks are empty, and parts with a walk.
+TILDE_PARTS = [("'x0 list sink", IRR, IRR), ("'x0 phantom", COV, IRR),
+               ("'x0 ref", INV, IRR)]
+WALKED_PARTS = [("'x0", CONTRA, CONTRA), ("'x0 list", COV, INV),
+                ("'x0 sink", CONTRA, COV), ("'x0", COV, INV),
+                ("'x0 -> 'x0", COV, COV)]
+
+
+@pytest.mark.parametrize("tilde", TILDE_PARTS)
+def test_tilde_parts_equal_reference(tilde):
+    """A part at v2 = ~ asks nothing of its target, and `_decomp_cex`
+    tries only its first one; the reference tries them all.  Every
+    context, with the `~` part first and last."""
+    fails = 0
+    for w, walked, tilde_first in itertools.product(
+            ALL_VARIANCES, WALKED_PARTS, (True, False)):
+        g = VarianceContext([("x0", w)])
+        parts = [(parse_type(t), v, v2) for t, v, v2
+                 in ((tilde, walked) if tilde_first else (walked, tilde))]
+        want = reference_decomp_cex(SIG, UNIVERSE, g, parts)
+        assert _decomp_cex(SIG, UNIVERSE, g, parts) == want, (w, parts)
+        fails += want is not None
+    assert fails
+
+
+def test_tilde_parts_try_one_target(monkeypatch):
+    """Two parts at v = v2 = ~ over two variables: each of the 52^2
+    assignments has 52^2 target tuples of theirs, one witness search
+    each, which took 14.6M inversions.  With one target per `~` part, an
+    assignment costs at most one inversion per part and target of the
+    walked part, and the counterexample is the walked part's own, with
+    the first universe type as the target of each `~` part."""
+    g = VarianceContext([("x0", INV), ("x1", CONTRA)])
+    parts = [(parse_type(t), v, v2) for t, v, v2 in
+             (("'x0 list", COV, INV), ("'x0 list sink", IRR, IRR),
+              ("'x1 sink", IRR, IRR))]
+    want = reference_decomp_cex(SIG, UNIVERSE, g, parts[:1])
+    assert want is not None
+    n = len(UNIVERSE)
+    targets = sum(bin(UNIVERSE.row(COV, UNIVERSE.intern("list", (i,))))
+                  .count("1") for i in range(n))
+    bound = len(parts) * n * targets
+    calls = [0]
+    invert = vgadt.oracle._invert
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= bound, "a `~` part's targets were all tried"
+        return invert(*args)
+    monkeypatch.setattr(vgadt.oracle, "_invert", counted)
+    first = UNIVERSE.type(0)
+    assert _decomp_cex(SIG, UNIVERSE, g, parts) == (
+        want[0], want[1] + (first, first))
+    assert 0 < calls[0] <= bound
 
 
 def test_decomp_equals_reference():
