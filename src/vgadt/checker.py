@@ -206,7 +206,6 @@ def compute_closure_flags(sig: Signature, preset: str
 
     table = {name: frozenset(fs) for name, fs in flags.items()}
     sig.closure_flags = table
-    sig.preset = preset
     return table
 
 

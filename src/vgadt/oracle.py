@@ -70,7 +70,7 @@ from .variance import (
     var_leq,
 )
 
-DEFAULT_UNIVERSE_CAP = 200_000
+DEFAULT_UNIVERSE_CAP = 40_000
 
 
 class UniverseSizeError(Exception):
@@ -94,8 +94,9 @@ class TypeTable:
     rows `le[i]`, the set of dense ids j with type i <= type j, and
     `ge[i]`, the set of dense j with type j <= type i.  Every row is read
     off the plans of its head (`_plan`), whose tables are memoized by
-    child id.  Ids interned later are deep: they keep no rows, and their
-    rows over the dense ids are read off the same plans when asked for.
+    child id.  Ids interned later are deep: they keep no rows, and
+    `row` computes both of a deep id's rows over the dense ids from the
+    same plans, as `build` does, and picks from them.
     A table that is never built has no dense id, and every comparison is
     structural.
     """
@@ -116,14 +117,12 @@ class TypeTable:
                            for name, info in sig.ctors.items()}
         ws = self._variances
         reach = sig.head_reach()
-        # Heads a type of head h may lie below (up) or above (down); the
-        # edges between heads preserve arity and variances.
+        # The heads a type of head h may lie below; it may lie above the
+        # heads g with h in _up[g].  The edges between heads preserve
+        # arity and variances.
         self._up = {h: frozenset(g for g in reach.get(h, {h})
                                  if ws.get(g) == ws[h])
                     for h in sig.ctors}
-        self._down = {h: tuple(g for g in sig.ctors
-                               if ws[g] == ws[h] and h in reach.get(g, ()))
-                      for h in sig.ctors}
         self._head_ids: dict[str, int] = {}
         # Per head h, the plans of the ids above and below a type of
         # head h (`_plan`), made by `build`.
@@ -192,7 +191,7 @@ class TypeTable:
             return self.full
         if a < self.dense:
             return self._pick(v, self.le[a], self.ge[a])
-        return self._pick(v, *self._rows_from_kids(a, v))
+        return self._pick(v, *self._rows_from_kids(a))
 
     def _pick(self, v: Variance, up: int, down: int) -> int:
         if v is COV:
@@ -223,34 +222,27 @@ class TypeTable:
                 return False
         return True
 
-    def _rows_from_kids(self, x: int, v: Optional[Variance] = None
-                        ) -> tuple[int, int]:
+    def _rows_from_kids(self, x: int) -> tuple[int, int]:
         """The dense ids above and below x, from the rows of its
-        children.  Given v, only as much as `row(v, x)` needs: the ids
-        above x for COV, those below for CONTRA, and for INV those
-        below among those above."""
+        children."""
         kids = self.kids[x]
         above, below = self._plans[self.heads[x]]
-        up = down = 0
-        if v is not CONTRA:
-            up = _select(above, kids)
-        if v is None or v is CONTRA or up and v is INV:
-            down = _select(below, kids, up if v is INV else -1)
-        return up, down
+        return _select(above, kids), _select(below, kids)
 
     def _plan(self, h: str, v: Variance,
               by_kid: dict[str, list[dict[int, int]]],
               tables: dict[tuple[str, int, Variance], _KidTable]) -> _Plan:
         """How the ids above (v = COV) or below (v = CONTRA) a type of
-        head h are found: per head g that `_up[h]` (`_down[h]`) relates
-        to h, the ids of head g, and a step (p, table) per position p
+        head h are found: per head g in `_up[h]` (per head g with h in
+        `_up[g]`), the ids of head g, and a step (p, table) per position p
         whose variance w is not `~`.  The table maps a child id k to the
         ids of head g whose child at p lies in row(w, k) (in
         row(_REVERSE[w], k) for the ids below); the edges between heads
         preserve variances, so w is also g's variance at p.  A table
         serves every plan that asks for its (g, p, variance)."""
         plan = []
-        for g in (self._up[h] if v is COV else self._down[h]):
+        up = self._up
+        for g in (up[h] if v is COV else [g for g in up if h in up[g]]):
             if g not in self._head_ids:
                 continue
             steps = []
@@ -265,12 +257,10 @@ class TypeTable:
         return tuple(plan)
 
 
-def _select(plan: _Plan, kids: tuple[int, ...], within: int = -1) -> int:
-    """The ids in `within` that a plan selects for a type with children
-    `kids`."""
+def _select(plan: _Plan, kids: tuple[int, ...]) -> int:
+    """The ids that a plan selects for a type with children `kids`."""
     ids = 0
     for out, steps in plan:
-        out &= within
         for p, table in steps:
             if not out:
                 break
@@ -324,7 +314,6 @@ class GroundUniverse(TypeTable):
         self.depth = depth
         #: within[k]: the ids of depth <= k, a prefix of the universe.
         self.within: list[int] = [0]
-        self._related: dict[Variance, list[int]] = {}
         self._trees: dict[int, TypeExpr] = {}
 
     def __len__(self) -> int:
@@ -352,7 +341,10 @@ class GroundUniverse(TypeTable):
 def enumerate_types(sig: Signature, depth: int,
                     cap: int = DEFAULT_UNIVERSE_CAP) -> GroundUniverse:
     """All ground types of syntactic depth <= depth (constants have
-    depth 1).  Raises UniverseSizeError beyond `cap` types."""
+    depth 1).  Raises UniverseSizeError beyond `cap` types, before any
+    row is built.  Rows are Python ints and each holds its own type's
+    bit, so the rows of n types take about n^2/8 bytes: the default cap
+    of 40,000 types bounds them to about 200 MB."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u = GroundUniverse(sig, depth)
@@ -404,10 +396,7 @@ class SemanticOracle:
     def related(self, u: GroundUniverse, w: Variance) -> list[int]:
         """Bitset rows over the universe: related[i] = the set of j with
         types[i] prec_w types[j]."""
-        cached = u._related.get(w)
-        if cached is None:
-            cached = u._related[w] = [u.row(w, i) for i in range(len(u))]
-        return cached
+        return [u.row(w, i) for i in range(len(u))]
 
 
 _ORACLE_ATTR = "_semantic_oracle"
@@ -502,7 +491,7 @@ def _walk(u: GroundUniverse, t: TypeExpr, v: Variance,
             head = u._known(node.ctor)
             # Each id has one head, so these sums are unions.
             up = sum(ids.get(g, 0) for g in u._up[head])
-            down = sum(ids.get(g, 0) for g in u._down[head])
+            down = sum(ids.get(g, 0) for g in u._up if head in u._up[g])
             steps.append((path, None, u._pick(w, up, down)))
             stack.extend((path + (i,), compose(w, x), a) for i, (a, x)
                          in enumerate(zip(node.args, u._variances[head])))
@@ -548,17 +537,16 @@ def sem_variance_cex(
     """First counterexample to the variance interpretation over u, or
     None: assignments related under g whose instances are not related
     under v."""
-    orc = oracle_for(sig)
     domain = g.domain()
     m = len(domain)
     if m == 0:
         return None
-    rel = [orc.related(u, w) for w in g.variances()]
+    ws = g.variances()
     inst = _instantiator(u, t, domain)
     for idx in _assignments(u, m):
         lhs = inst(idx)
-        for jdx in itertools.product(*(_members(rel[k][i])
-                                       for k, i in enumerate(idx))):
+        for jdx in itertools.product(*(_members(u.row(w, i))
+                                       for w, i in zip(ws, idx))):
             if not u.prec(v, lhs, inst(jdx)):
                 return (tuple(map(u.type, idx)), tuple(map(u.type, jdx)))
     return None
@@ -576,12 +564,12 @@ def _decomp_cex(
     """First counterexample to the simultaneous decomposition of
     `parts` over u, or None: an assignment and one supertype (subtype)
     per part admitting no common witness assignment in the universe."""
-    orc = oracle_for(sig)
     domain = g.domain()
-    rel = [orc.related(u, w) for w in g.variances()]
+    ws = g.variances()
     insts = [_instantiator(u, t, domain) for t, _, _ in parts]
     walks = [_walk(u, t, v2, domain) for t, _, v2 in parts]
     for idx in _assignments(u, len(domain)):
+        rows = [u.row(w, i) for w, i in zip(ws, idx)]
         # A part at v2 = ~ has an empty walk and asks nothing of its
         # target, so its first target stands for all of them: where a
         # tuple fails, so does the earlier one with that first target.
@@ -589,8 +577,7 @@ def _decomp_cex(
                                     None if walk else 1)
                    for inst, (_, v, _), walk in zip(insts, parts, walks)]
         for sdx in itertools.product(*targets):
-            allowed = [rel[k][i] for k, i in enumerate(idx)]
-            if not _witnessed(u, walks, sdx, allowed):
+            if not _witnessed(u, walks, sdx, list(rows)):
                 return (tuple(map(u.type, idx)), tuple(map(u.type, sdx)))
     return None
 

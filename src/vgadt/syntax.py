@@ -33,6 +33,7 @@ left-associative; postfix constructor application binds tightest.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -282,7 +283,6 @@ class Signature:
     decl_pos: dict[tuple[str, object], tuple[int, int]] = field(
         default_factory=dict)
     closure_flags: Optional[dict[str, frozenset[Variance]]] = None
-    preset: Optional[str] = None
 
     def has_ctor(self, name: str) -> bool:
         return name in self.ctors
@@ -307,24 +307,20 @@ class Signature:
 
     def base_leq(self, b: str, c: str) -> bool:
         """Reflexive-transitive closure of the declared base order."""
-        return c in self._base_reach().get(b, {b})
+        return c in self._base_reach.get(b, {b})
 
+    @functools.cached_property
     def _base_reach(self) -> dict[str, set[str]]:
-        cached = getattr(self, "_base_reach_cache", None)
-        if cached is None:
-            cached = _reachability(self.base_edges, self.ctors)
-            object.__setattr__(self, "_base_reach_cache", cached)
-        return cached
+        return _reachability(self.base_edges, self.ctors)
 
     def head_reach(self) -> dict[str, set[str]]:
         """Upward reachability of head constructors: private edges plus,
         between arity-0 constructors, the declared base order."""
-        cached = getattr(self, "_head_reach_cache", None)
-        if cached is None:
-            edges = list(self.private_edges) + list(self.base_edges)
-            cached = _reachability(tuple(edges), self.ctors)
-            object.__setattr__(self, "_head_reach_cache", cached)
-        return cached
+        return self._head_reach
+
+    @functools.cached_property
+    def _head_reach(self) -> dict[str, set[str]]:
+        return _reachability(self.private_edges + self.base_edges, self.ctors)
 
 
 def _reachability(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import vgadt.cli
+import vgadt.oracle
 from vgadt.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, run
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -305,6 +306,22 @@ class TestRobustness:
         code, _, err = invoke("check", bad)
         self.assert_one_line_error(code, err, "deep.vt:3:10:",
                                    "nested more than 100 levels")
+
+    def test_universe_over_the_cap(self, tmp_path, monkeypatch):
+        """Nine bases give 88,210 types at depth 3, whose rows would take
+        about 1 GB (n^2/8 bytes): the universe is refused while it is
+        enumerated, before any row is built."""
+        bases = tmp_path / "bases.vt"
+        bases.write_text("".join(f"base b{i}\n" for i in range(9)))
+
+        def build(self):
+            raise AssertionError("rows built past the cap")
+        monkeypatch.setattr(vgadt.oracle.TypeTable, "build", build)
+        code, out, err = invoke("oracle", "--depth=3", bases)
+        assert out == ""
+        self.assert_one_line_error(
+            code, err,
+            f"{bases}: universe exceeds cap of 40000 types (depth 3)")
 
     def test_nesting_at_the_limit_is_checked(self, tmp_path):
         ok = tmp_path / "ok.vt"
