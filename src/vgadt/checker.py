@@ -192,11 +192,13 @@ def compute_closure_flags(sig: Signature, preset: str
             flags[name] = {COV} if name in upward else set()
 
     diags: list[Diagnostic] = []
-    for v, name in sig.closed_decls:
+    for d in sig.decls:
+        if d.kind != "closed":
+            continue
+        v, name = d.payload
         if v in stripped.get(name, set()):
-            line, col = sig.decl_pos.get(("closed", (v, name)), (0, 0))
             diags.append(Diagnostic(
-                line, col,
+                *d.pos,
                 f"closed {v.value} {name}: contradicted by a private or "
                 f"base-order edge"))
         else:

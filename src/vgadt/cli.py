@@ -170,8 +170,10 @@ def _infer(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
 
 
 def _oracle(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
-    universe = enumerate_types(sig, ns.depth)
     ctors = [(decl, k) for decl in sig.datatypes() for k in decl.ctors]
+    if not ctors:       # no verdict would read the universe
+        return True
+    universe = enumerate_types(sig, ns.depth)
     all_agree = True
     for (decl, k), verdict in zip(ctors, check_signature(sig).verdicts):
         result = req_sp(sig, universe, decl, k)

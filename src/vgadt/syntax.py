@@ -37,7 +37,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .variance import Variance, variance_of
 
@@ -50,65 +50,20 @@ UNIT = "unit"
 # Type expressions
 
 
-class TypeExpr:
-    """A type expression: a variable or a constructor application.
-
-    Nodes are immutable and hash-consed by value (the hash is computed
-    once at construction; the oracle memoizes heavily on type pairs).
-    """
-
-    __slots__ = ()
+class Var(NamedTuple):
+    """A type variable."""
+    name: str
 
 
-class Var(TypeExpr):
-    __slots__ = ("name", "_hash")
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("var", name)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Var is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Var)
-            and self._hash == other._hash
-            and self.name == other.name
-        )
-
-    def __repr__(self) -> str:
-        return f"Var({self.name!r})"
+class App(NamedTuple):
+    """A constructor applied to its arguments; a base takes none."""
+    ctor: str
+    args: tuple[TypeExpr, ...] = ()
 
 
-class App(TypeExpr):
-    __slots__ = ("ctor", "args", "_hash")
-
-    def __init__(self, ctor: str, args: Iterable[TypeExpr] = ()):
-        args = tuple(args)
-        object.__setattr__(self, "ctor", ctor)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(("app", ctor, args)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("App is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, App)
-            and self._hash == other._hash
-            and self.ctor == other.ctor
-            and self.args == other.args
-        )
-
-    def __repr__(self) -> str:
-        return f"App({self.ctor!r}, {self.args!r})"
+#: A type expression.  Both kinds are tuples, so they are immutable and
+#: compared and hashed by value, and a `Var` never equals an `App`.
+TypeExpr = Var | App
 
 
 def tvar(name: str) -> Var:
@@ -264,25 +219,38 @@ class SignatureError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
+class Decl(NamedTuple):
+    """One top-level declaration as written: its keyword, its payload (a
+    base's name, a `subbase` or `private` edge (lo, hi), a `closed` flag
+    (variance, name) or a `type`'s DatatypeDecl) and the keyword's
+    line:col."""
+    kind: str
+    payload: object
+    pos: tuple[int, int]
+
+
 @dataclass
 class Signature:
     """The declaration table every later phase reads from.
 
-    `decl_order` records top-level declarations as written, for the
-    pretty-printer; `ctors` is the resolved constructor table.  Closure
-    flags are attached by `checker.compute_closure_flags` and read
-    through `checker.is_closed`.
+    `decls` holds the top-level declarations in source order; `ctors` is
+    the resolved constructor table.  Closure flags are attached by
+    `checker.compute_closure_flags` and read through `checker.is_closed`.
     """
 
     ctors: dict[str, CtorInfo] = field(default_factory=dict)
-    base_edges: tuple[tuple[str, str], ...] = ()          # declared b <= c
-    private_edges: tuple[tuple[str, str], ...] = ()       # t' below t
-    closed_decls: tuple[tuple[Variance, str], ...] = ()
-    decl_order: tuple[tuple[str, object], ...] = ()
-    #: line:col of the keyword of each `decl_order` entry in the source.
-    decl_pos: dict[tuple[str, object], tuple[int, int]] = field(
-        default_factory=dict)
+    decls: tuple[Decl, ...] = ()
     closure_flags: Optional[dict[str, frozenset[Variance]]] = None
+
+    @property
+    def base_edges(self) -> tuple[tuple[str, str], ...]:
+        """The declared base order: (b, c) for each `subbase b <= c`."""
+        return tuple(d.payload for d in self.decls if d.kind == "subbase")
+
+    @property
+    def private_edges(self) -> tuple[tuple[str, str], ...]:
+        """(t', t) for each `private t' = t`: t' lies below t."""
+        return tuple(d.payload for d in self.decls if d.kind == "private")
 
     def has_ctor(self, name: str) -> bool:
         return name in self.ctors
@@ -472,22 +440,16 @@ class _Parser:
 
     def parse_file(self) -> Signature:
         sig = builtin_signature()
-        decl_order: list[tuple[str, object]] = []
-        base_edges: list[tuple[str, str]] = []
-        private_edges: list[tuple[str, str]] = []
-        closed_decls: list[tuple[Variance, str]] = []
+        decls: list[Decl] = []
         while not self.at("eof"):
-            tok, first = self.peek(), len(decl_order)
+            tok = self.peek()
             try:
-                self.parse_decl(sig, decl_order, base_edges, private_edges, closed_decls)
+                kind, payload = self.parse_decl(sig)
             except _ParseAbort:
                 self.skip_to_next_decl()
-            for entry in decl_order[first:]:
-                sig.decl_pos.setdefault(entry, (tok.line, tok.col))
-        sig.base_edges = tuple(base_edges)
-        sig.private_edges = tuple(private_edges)
-        sig.closed_decls = tuple(closed_decls)
-        sig.decl_order = tuple(decl_order)
+                continue
+            decls.append(Decl(kind, payload, (tok.line, tok.col)))
+        sig.decls = tuple(decls)
         return sig
 
     def skip_to_next_decl(self) -> None:
@@ -497,7 +459,9 @@ class _Parser:
         ):
             self.next()
 
-    def parse_decl(self, sig, decl_order, base_edges, private_edges, closed_decls):
+    def parse_decl(self, sig: Signature) -> tuple[str, object]:
+        """One declaration: its keyword and payload, as a `Decl` holds
+        them.  Bases and datatypes are entered into `sig.ctors`."""
         tok = self.peek()
         if tok.kind != "kw":
             raise self.error(f"expected declaration, found {tok.text!r}")
@@ -505,15 +469,14 @@ class _Parser:
             self.next()
             name = self.expect("ident", "base type name")
             self.declare(sig, name, CtorInfo(name.text, 0, (), "base"))
-            decl_order.append(("base", name.text))
-        elif tok.text == "subbase":
+            return "base", name.text
+        if tok.text == "subbase":
             self.next()
             lo = self.expect("ident", "base type name")
             self.expect("<=", "'<='")
             hi = self.expect("ident", "base type name")
-            base_edges.append((lo.text, hi.text))
-            decl_order.append(("subbase", (lo.text, hi.text)))
-        elif tok.text == "private":
+            return "subbase", (lo.text, hi.text)
+        if tok.text == "private":
             self.next()
             lo = self.expect("ident", "type name")
             self.expect("=", "'='")
@@ -527,26 +490,23 @@ class _Parser:
                     )
                 else:
                     sig.ctors[lo.text] = CtorInfo(lo.text, 0, (), "base")
-            private_edges.append((lo.text, hi.text))
-            decl_order.append(("private", (lo.text, hi.text)))
-        elif tok.text == "closed":
+            return "private", (lo.text, hi.text)
+        if tok.text == "closed":
             self.next()
             flag = self.peek()
             if flag.kind not in ("+", "-", "="):
                 raise self.error("expected one of '+', '-', '=' after 'closed'")
             self.next()
             name = self.expect("ident", "type name")
-            closed_decls.append((variance_of(flag.text), name.text))
-            decl_order.append(("closed", (variance_of(flag.text), name.text)))
-        elif tok.text == "type":
+            return "closed", (variance_of(flag.text), name.text)
+        if tok.text == "type":
             decl = self.parse_type_decl(sig)
             self.declare(
                 sig, tok,
                 CtorInfo(decl.name, len(decl.params),
                          decl.param_variances(), "datatype", decl))
-            decl_order.append(("type", decl.name))
-        else:
-            raise self.error(f"unexpected keyword {tok.text!r}")
+            return "type", decl
+        raise self.error(f"unexpected keyword {tok.text!r}")
 
     def declare(self, sig: Signature, tok: Token, info: CtorInfo) -> None:
         if sig.has_ctor(info.name):
@@ -770,9 +730,6 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
     def bad(pos: tuple[int, int], message: str) -> None:
         diags.append(Diagnostic(pos[0], pos[1], message))
 
-    def decl_pos(kind: str, payload: object) -> tuple[int, int]:
-        return sig.decl_pos.get((kind, payload), (0, 0))
-
     def check_type(t: TypeExpr, scope: frozenset[str], where: str,
                    pos: tuple[int, int]) -> None:
         if isinstance(t, Var):
@@ -788,17 +745,18 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
         for a in t.args:
             check_type(a, scope, where, pos)
 
-    for lo, hi in sig.base_edges:
+    def declared(kind: str) -> list[tuple]:
+        return [(d.payload, d.pos) for d in sig.decls if d.kind == kind]
+
+    for (lo, hi), pos in declared("subbase"):
         for name in (lo, hi):
             if not sig.has_ctor(name):
-                bad(decl_pos("subbase", (lo, hi)),
-                    f"subbase: unknown type {name!r}")
+                bad(pos, f"subbase: unknown type {name!r}")
             elif sig.arity(name) != 0 or sig.info(name).kind == "builtin":
-                bad(decl_pos("subbase", (lo, hi)),
-                    f"subbase: {name!r} is not an arity-0 base type")
+                bad(pos, f"subbase: {name!r} is not an arity-0 base type")
 
-    for lo, hi in sig.private_edges:
-        pos = decl_pos("private", (lo, hi))
+    private = declared("private")
+    for (lo, hi), pos in private:
         if not sig.has_ctor(hi):
             bad(pos, f"private: unknown type {hi!r}")
             continue
@@ -815,14 +773,14 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
     # on a cycle is reported once, at its first private edge.
     reach = _reachability(sig.private_edges, {})
     cyclic = {lo for lo, hi in sig.private_edges if lo in reach.get(hi, {hi})}
-    for lo, hi in sig.private_edges:
+    for (lo, hi), pos in private:
         if lo in cyclic:
             cyclic.remove(lo)
-            bad(decl_pos("private", (lo, hi)), f"private: cycle through {lo!r}")
+            bad(pos, f"private: cycle through {lo!r}")
 
-    for v, name in sig.closed_decls:
+    for (v, name), pos in declared("closed"):
         if not sig.has_ctor(name):
-            bad(decl_pos("closed", (v, name)), f"closed: unknown type {name!r}")
+            bad(pos, f"closed: unknown type {name!r}")
 
     for decl in sig.datatypes():
         params = frozenset(decl.param_names())
@@ -973,7 +931,7 @@ def render_ctor(decl: DatatypeDecl, k: DataConstructorDecl) -> str:
 
 def render_signature(sig: Signature) -> str:
     lines: list[str] = []
-    for kind, payload in sig.decl_order:
+    for kind, payload, _ in sig.decls:
         if kind == "base":
             lines.append(f"base {payload}")
         elif kind == "subbase":
@@ -986,10 +944,8 @@ def render_signature(sig: Signature) -> str:
             v, name = payload
             lines.append(f"closed {v.value} {name}")
         elif kind == "type":
-            decl = sig.info(payload).decl
-            assert decl is not None
-            params = ", ".join(f"{v.value}'{n}" for n, v in decl.params)
-            lines.append(f"type ({params}) {decl.name} =")
-            for k in decl.ctors:
-                lines.append(f"  | {render_ctor(decl, k)}")
+            params = ", ".join(f"{v.value}'{n}" for n, v in payload.params)
+            lines.append(f"type ({params}) {payload.name} =")
+            for k in payload.ctors:
+                lines.append(f"  | {render_ctor(payload, k)}")
     return "\n".join(lines) + "\n"

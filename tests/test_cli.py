@@ -141,6 +141,17 @@ class TestOracleCommand:
         assert rec["req_sp"] is False
         assert "fd" in rec["counterexample"]
 
+    def test_no_datatype_builds_no_universe(self, tmp_path, monkeypatch):
+        """Seven bases give 36,992 types at depth 3, but with no
+        constructor to check no verdict reads them."""
+        bases = tmp_path / "bases.vt"
+        bases.write_text("".join(f"base b{i}\n" for i in range(7)))
+
+        def enumerate_types(*_):
+            raise AssertionError("universe enumerated")
+        monkeypatch.setattr(vgadt.cli, "enumerate_types", enumerate_types)
+        assert invoke("oracle", "--depth=3", bases) == (EXIT_OK, "", "")
+
 
 class TestEdgeInputs:
     def test_empty_file_is_success(self, tmp_path):
@@ -308,11 +319,13 @@ class TestRobustness:
                                    "nested more than 100 levels")
 
     def test_universe_over_the_cap(self, tmp_path, monkeypatch):
-        """Nine bases give 88,210 types at depth 3, whose rows would take
-        about 1 GB (n^2/8 bytes): the universe is refused while it is
-        enumerated, before any row is built."""
+        """Nine bases alone give 88,210 types at depth 3, whose rows would
+        take about 1 GB (n^2/8 bytes): the universe is refused while it
+        is enumerated, before any row is built.  The datatype gives the
+        oracle a constructor to check."""
         bases = tmp_path / "bases.vt"
-        bases.write_text("".join(f"base b{i}\n" for i in range(9)))
+        bases.write_text("".join(f"base b{i}\n" for i in range(9))
+                         + "type (+'a) box = B of 'a\n")
 
         def build(self):
             raise AssertionError("rows built past the cap")

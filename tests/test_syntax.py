@@ -26,6 +26,7 @@ from vgadt.syntax import (
     type_depth,
     wf_check,
 )
+from vgadt.checker import compute_closure_flags
 from vgadt.variance import COV
 
 CORPUS_FILES = [
@@ -193,6 +194,22 @@ class TestWfCheck:
                             "subbase t <= int\n")
         assert "arity-0" in str(exc.value)
 
+    def test_repeated_declaration_reported_at_each_copy(self):
+        with pytest.raises(SignatureError) as exc:
+            parse_signature("base int\nsubbase foo <= int\n"
+                            "subbase foo <= int\n")
+        assert [str(d) for d in exc.value.diagnostics] == [
+            "2:1: subbase: unknown type 'foo'",
+            "3:1: subbase: unknown type 'foo'"]
+        sig = parse_signature("base int\nbase bool\nsubbase bool <= int\n"
+                              "closed + bool\nclosed + bool\n")
+        with pytest.raises(SignatureError) as exc:
+            compute_closure_flags(sig, "atomic")
+        assert [(d.line, d.col) for d in exc.value.diagnostics] == [
+            (4, 1), (5, 1)]
+        assert exc.value.diagnostics[0].message.startswith(
+            "closed + bool: contradicted")
+
     def test_wf_check_clean_corpus(self):
         for name in CORPUS_FILES:
             assert wf_check(get_sig(name)) == []
@@ -220,6 +237,28 @@ class TestFreeVars:
         assert free_vars(parse_type("'b * 'c")) == {"b", "c"}
         assert free_vars(App("int", ())) == frozenset()
         assert free_vars(parse_type("'b -> 'b")) == {"b"}
+
+
+class TestTypeValues:
+    """DecompEngine's memo and TypeTable's interning key on type trees,
+    so trees must be immutable and compared by value."""
+
+    def test_immutable(self):
+        for t in (tvar("a"), tapp("int")):
+            with pytest.raises(AttributeError):
+                t.name = "b"
+        with pytest.raises(AttributeError):
+            tapp("int").args = ()
+
+    def test_equal_trees_are_one_key(self):
+        a, b = parse_type("('a * int) list -> 'b"), parse_type(
+            "('a * int) list -> 'b")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a: 1, b: 2}) == 1
+
+    def test_var_and_app_are_distinct_keys(self):
+        assert tvar("int") != tapp("int")
+        assert len({tvar("int"), tapp("int")}) == 2
 
 
 class TestNormalization:
