@@ -4,8 +4,8 @@
 
 Four suites, one directory each:
 
-- `oracle/`: `vgadt oracle` at depth 2 over every corpus file x preset x
-  format, and at depth 3 (preset `atomic`) for every corpus file;
+- `oracle/`: `vgadt oracle` at depths 2 and 3 over every corpus file x
+  preset x format;
 - `check/`: `vgadt check` over every corpus file x preset x mode x
   format, `check --explain` (text) over every corpus file x preset x
   mode, and exact `check` / `check --explain` for the generated wide
@@ -61,10 +61,11 @@ def cases() -> list[tuple[str, list[str]]]:
                             ["oracle", f"corpus/{name}.vt", "--depth=2",
                              f"--preset={preset}", f"--format={fmt}"]))
     for name in DEPTH3_FILES:
-        for fmt in FORMATS:
-            out.append((f"d3-atomic-{fmt}-{name}",
-                        ["oracle", f"corpus/{name}.vt", "--depth=3",
-                         "--preset=atomic", f"--format={fmt}"]))
+        for preset in PRESETS:
+            for fmt in FORMATS:
+                out.append((f"d3-{preset}-{fmt}-{name}",
+                            ["oracle", f"corpus/{name}.vt", "--depth=3",
+                             f"--preset={preset}", f"--format={fmt}"]))
     return out
 
 
