@@ -12,16 +12,16 @@ Ground types are hash-consed into dense integer ids (Filliâtre &
 Conchon, "Type-safe modular hash-consing", 2006): a type is its head
 and the tuple of its children's ids, and children always get their ids
 first.  A universe's subtyping relation is kept as Python-int bitsets
-over its ids, one row per type, built once in one pass from the rows of
-each type's children, so the quantifier loops run over integers and bit
-tests instead of type trees.  A row is read off per-head plans: the
-heads related to the type's head and, per argument position, a table
-from a child's id to the ids whose child there is related to it.
+over its ids, one row per type and direction, so the quantifier loops
+run over integers and bit tests instead of type trees.  A row is built
+from the rows of the type's children when it is first read, so a run
+builds only the rows its verdicts read.  It is read off per-head plans:
+the heads related to the type's head and, per argument position, a
+table from a child's id to the ids whose child there is related to it.
 Instances deeper than the universe (a bound `'b pos` at depth d + 1) get
-an id on demand, and their rows are computed from their children's by
-the same plans.  A universe type's tree is built only when it is
-rendered.  Types compared outside a universe get no rows: they compare
-structurally.
+an id on demand, and their rows come from the same plans.  A universe
+type's tree is built only when it is rendered.  Types compared outside
+a universe get no rows: they compare structurally.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -90,13 +90,13 @@ class TypeTable:
     """Hash-consed ground types and their subtyping relation.
 
     Ids are compared structurally (`prec`).  A universe calls `build`
-    once, when it is enumerated: its ids become the dense ones, with
-    rows `le[i]`, the set of dense ids j with type i <= type j, and
-    `ge[i]`, the set of dense j with type j <= type i.  Every row is read
-    off the plans of its head (`_plan`), whose tables are memoized by
-    child id.  Ids interned later are deep: they keep no rows, and
-    `row` computes both of a deep id's rows over the dense ids from the
-    same plans, as `build` does, and picks from them.
+    once, when it is enumerated: its ids become the dense ones, and
+    every head gets its plans (`_plan`), but no row is computed.  The
+    memos `le` and `ge` hold rows over the dense ids: `le[i]`, the set
+    of dense j with type i <= type j, and `ge[i]`, the set of dense j
+    with type j <= type i.  A missing row is read off the plans of its
+    head on first use, for any id, dense or interned later (deep), so a
+    run builds only the rows its verdicts read.
     A table that is never built has no dense id, and every comparison is
     structural.
     """
@@ -105,8 +105,8 @@ class TypeTable:
         self.sig = sig
         self.heads: list[str] = []
         self.kids: list[tuple[int, ...]] = []
-        self.le: list[int] = []
-        self.ge: list[int] = []
+        self.le = _Rows(self, COV)
+        self.ge = _Rows(self, CONTRA)
         #: The number of dense ids, and their set.
         self.dense = 0
         self.full = 0
@@ -154,15 +154,11 @@ class TypeTable:
         return head
 
     def build(self) -> None:
-        """Make every id interned so far dense and compute its rows, in
-        one pass.
-
-        Every id's head and children are indexed first, and each head's
-        plans are made.  Then the rows are computed in id order, each
-        from its children's rows: the children have smaller ids, so
-        their rows are complete, and the ids above (below) x are those
-        of a head related to x's whose child at each position is related
-        to x's child there.  No row is revisited."""
+        """Make every id interned so far dense, index each id's head and
+        children, and make each head's plans.  No row is computed: the
+        ids above (below) x are those of a head related to x's whose
+        child at each position is related to x's child there, read off
+        the plans when x's row is first asked for."""
         assert not self.dense, "a table is built once"
         head_ids = self._head_ids
         # Per head and argument position: child id -> the ids with that
@@ -180,26 +176,15 @@ class TypeTable:
         for h in self._variances:
             self._plans[h] = (self._plan(h, COV, by_kid, tables),
                               self._plan(h, CONTRA, by_kid, tables))
-        for x in range(self.dense):
-            up, down = self._rows_from_kids(x)
-            self.le.append(up)
-            self.ge.append(down)
 
     def row(self, v: Variance, a: int) -> int:
         """The set of dense ids b with a prec_v b."""
-        if v is IRR:
-            return self.full
-        if a < self.dense:
-            return self._pick(v, self.le[a], self.ge[a])
-        return self._pick(v, *self._rows_from_kids(a))
-
-    def _pick(self, v: Variance, up: int, down: int) -> int:
         if v is COV:
-            return up
+            return self.le[a]
         if v is CONTRA:
-            return down
+            return self.ge[a]
         if v is INV:
-            return up & down
+            return self.le[a] & self.ge[a]
         return self.full
 
     def prec(self, v: Variance, a: int, b: int) -> bool:
@@ -212,7 +197,7 @@ class TypeTable:
         if v is IRR or a == b:
             return True
         if a < self.dense and b < self.dense:
-            return self._pick(v, self.le[a], self.ge[a]) >> b & 1 == 1
+            return self.row(v, a) >> b & 1 == 1
         h, g = self.heads[a], self.heads[b]
         if (v is not CONTRA and g not in self._up[h]
                 or v is not COV and h not in self._up[g]):
@@ -221,13 +206,6 @@ class TypeTable:
             if not self.prec(compose(v, w), x, y):
                 return False
         return True
-
-    def _rows_from_kids(self, x: int) -> tuple[int, int]:
-        """The dense ids above and below x, from the rows of its
-        children."""
-        kids = self.kids[x]
-        above, below = self._plans[self.heads[x]]
-        return _select(above, kids), _select(below, kids)
 
     def _plan(self, h: str, v: Variance,
               by_kid: dict[str, list[dict[int, int]]],
@@ -255,6 +233,22 @@ class TypeTable:
                 steps.append((p, tables[key]))
             plan.append((self._head_ids[g], tuple(steps)))
         return tuple(plan)
+
+
+class _Rows(dict):
+    """Id x -> the dense ids above x (v = COV) or below it (v = CONTRA),
+    read off the plan of x's head on first use.  x's children are read
+    first, each through the tables of the plan."""
+
+    def __init__(self, table: TypeTable, v: Variance):
+        super().__init__()
+        self.table, self.side = table, 0 if v is COV else 1
+
+    def __missing__(self, x: int) -> int:
+        table = self.table
+        ids = self[x] = _select(table._plans[table.heads[x]][self.side],
+                                table.kids[x])
+        return ids
 
 
 def _select(plan: _Plan, kids: tuple[int, ...]) -> int:
@@ -341,10 +335,12 @@ class GroundUniverse(TypeTable):
 def enumerate_types(sig: Signature, depth: int,
                     cap: int = DEFAULT_UNIVERSE_CAP) -> GroundUniverse:
     """All ground types of syntactic depth <= depth (constants have
-    depth 1).  Raises UniverseSizeError beyond `cap` types, before any
-    row is built.  Rows are Python ints and each holds its own type's
-    bit, so the rows of n types take about n^2/8 bytes: the default cap
-    of 40,000 types bounds them to about 200 MB."""
+    depth 1).  Raises UniverseSizeError beyond `cap` types.  No row is
+    built here: each is built when it is first read.  Rows are Python
+    ints and each holds its own type's bit, so the rows of n types take
+    at most about n^2/8 bytes, reached when every row is read (as
+    `check_sp_requirements` does): the default cap of 40,000 types
+    bounds them to about 200 MB."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u = GroundUniverse(sig, depth)
@@ -492,7 +488,8 @@ def _walk(u: GroundUniverse, t: TypeExpr, v: Variance,
             # Each id has one head, so these sums are unions.
             up = sum(ids.get(g, 0) for g in u._up[head])
             down = sum(ids.get(g, 0) for g in u._up if head in u._up[g])
-            steps.append((path, None, u._pick(w, up, down)))
+            steps.append((path, None, up if w is COV else
+                          down if w is CONTRA else up & down))
             stack.extend((path + (i,), compose(w, x), a) for i, (a, x)
                          in enumerate(zip(node.args, u._variances[head])))
     return tuple(steps)
@@ -674,15 +671,23 @@ def _narrowed(u: GroundUniverse, walks: Sequence[_Walk],
     where every bound has a candidate.  A universe type s with
     bound[rho] prec_v s has depth at most d, so at the path of each
     occurrence of x it has a subterm of depth at most d - |path| that
-    rho(x) is prec_w.  An occurrence at the root asks nothing: s may be
-    rho(x) itself."""
-    needs: list[list[tuple[Variance, int]]] = [[] for _ in range(width)]
+    rho(x) is prec_w: rho(x) lies in the union of the rows at
+    _REVERSE[w] of the types of that depth.  An occurrence at the root
+    asks nothing: s may be rho(x) itself."""
+    needs: list[set[tuple[Variance, int]]] = [set() for _ in range(width)]
     for walk in walks:
         for path, w, j in walk:
             if w is not None and path:
-                needs[j].append((w, u.within[max(u.depth - len(path), 0)]))
-    row = u.row
-    return [[i for i in range(len(u)) if all(row(w, i) & ok for w, ok in n)]
+                needs[j].add((w, max(u.depth - len(path), 0)))
+
+    def prec_some(w: Variance, k: int) -> int:
+        """The ids prec_w some type of depth <= k."""
+        ids = 0
+        for c in _members(u.within[k]):
+            ids |= u.row(_REVERSE[w], c)
+        return ids
+    return [list(_members(functools.reduce(
+                operator.and_, itertools.starmap(prec_some, n))))
             if n else range(len(u)) for n in needs]
 
 
@@ -756,6 +761,10 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     sigma' is checked once.  A reach set is one row unless the
     constraint's variance and the parameter's are + and - (`_reach`),
     and where every reach set is its candidate set no sigma' can fail.
+    A group in which the variance of every parameter is at least its
+    constraint's has such reach sets at every assignment, so it stops
+    at its first assignment with candidates: `sink_sub.S` (`'a <= 'b`
+    on a `-` parameter) visits one assignment at depth 3, not 1179.
 
     Both quantifiers are decided coordinate by coordinate.  The witness
     rho' is found by inversion through each bound (`_witnessed`): the
@@ -825,6 +834,11 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     firsts: list[tuple[tuple[int, ...], Optional[tuple[int, ...]]]] = []
     for g in groups:
         first = bad = None
+        # Where every reach set is its candidate set, each sigma'
+        # satisfies the constraints at r, so r itself is a witness and
+        # no sigma' fails.  In a safe group that holds at every
+        # assignment (`_reach`), so its first with candidates is enough.
+        safe = all(var_leq(b.v, ws[b.param]) for b in g.bounds)
         for r in itertools.product(*_narrowed(u, g.walks, len(g.coords))):
             visited += 1
             found = candidates((g,), (r,))
@@ -832,9 +846,8 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
                 continue
             if first is None:
                 first = r
-            # Where every reach set is its candidate set, each sigma'
-            # satisfies the constraints at r, so r itself is a witness
-            # and no sigma' fails.
+                if safe:
+                    break
             cands, reach = found
             if (reach != cands
                     and first_failing((g,), (r,), reach) is not None):
@@ -898,8 +911,7 @@ def check_sp_requirements(sig: Signature, u: GroundUniverse
     componentwise.  Violations are listed, not raised: non-atomic worlds
     (private edges) are expected to violate incomparability."""
     report = SpRequirementsReport()
-    le = u.le
-    heads, kids = u.heads, u.kids
+    heads, kids, row = u.heads, u.kids, u.row
 
     def render(i: int) -> str:
         return render_type(u.type(i))
@@ -909,7 +921,7 @@ def check_sp_requirements(sig: Signature, u: GroundUniverse
     }
     for i in range(len(u)):
         a = heads[i]
-        for j in _members(le[i]):
+        for j in _members(row(COV, i)):
             b = heads[j]
             if a == b:
                 continue
@@ -920,7 +932,7 @@ def check_sp_requirements(sig: Signature, u: GroundUniverse
     for head, contra_first in (("->", True), ("*", False)):
         members = u._head_ids.get(head, 0)
         for f1 in _members(members):
-            for f2 in _members(le[f1] & members):
+            for f2 in _members(row(COV, f1) & members):
                 (d1, c1), (d2, c2) = kids[f1], kids[f2]
                 d_ok = (u.prec(COV, d2, d1) if contra_first
                         else u.prec(COV, d1, d2))

@@ -332,10 +332,15 @@ class TestReqSpAssignments:
                                          if k.name == ctor))
 
     def test_unlinked_pair(self):
+        """`Pack of 'a * 'b ref` normalizes to `['a = 'x0, 'b = 'x1]`,
+        two groups of one existential.  The `=` parameter's reach set is
+        its candidate set at every assignment, so its group stops at its
+        first, 1; the `+` one's reach set is a row above its candidates,
+        so its group visits all 33 types: 33 + 1."""
         u = get_universe("pair_ref", 2)
         result = self.result(get_sig("pair_ref"), u, "pair_ref", "Pack")
         assert result.holds
-        assert (len(u), result.assignments) == (33, 2 * 33)
+        assert (len(u), result.assignments) == (33, 33 + 1)
 
     def test_linked_pair(self):
         u = get_universe("expr", 2)
@@ -359,13 +364,29 @@ class TestReqSpAssignments:
         assert (len(u), result.assignments) == (1179, 24 ** 2)
 
     def test_three_unlinked(self):
+        """Three groups of one existential, each under `=`.  The `+` and
+        `-` parameters' groups visit all n types; the `=` one's reach set
+        is its candidate set, so its group stops at its first: 2n + 1."""
         sig = parse_signature("base int\nbase bool\nsubbase bool <= int\n"
                               "type (+'a, -'b, ='c) t =\n"
                               "  | K of 'a * ('b -> 'c)\n")
         u = enumerate_types(sig, 2)
         result = self.result(sig, u, "t", "K")
         assert result.holds
-        assert result.assignments == 3 * len(u)
+        assert result.assignments == 2 * len(u) + 1
+
+    def test_group_that_cannot_fail(self):
+        """`sink_sub.S` is `'a <= 'b` on a `-` parameter: the reach set
+        is the candidate set at every assignment, so no sigma' can fail
+        and the group stops at its first assignment, one of 1179.  That
+        reads one row: a universe builds none until one is read."""
+        sig = get_sig("sink_sub")
+        u = enumerate_types(sig, 3)
+        assert (len(u), len(u.le), len(u.ge)) == (1179, 0, 0)
+        result = self.result(sig, u, "sink", "S")
+        assert result.holds
+        assert result.assignments == 1
+        assert len(u.le) + len(u.ge) <= 4
 
     def test_not_part_of_the_result(self):
         sig = get_sig("eq_cov")

@@ -152,19 +152,34 @@ def transpose(rows: list[int]) -> list[int]:
 
 @pytest.mark.parametrize("name", ["sink_sub", "object_emulation"])
 def test_rows_depth3(name):
-    """The one-pass rows of a 1179-type universe, with a base order
-    (sink_sub) or a private edge (object_emulation): le and ge are
-    transposes everywhere, and sampled rows equal the reference."""
+    """The rows of a 1179-type universe, with a base order (sink_sub) or
+    a private edge (object_emulation): every row of both directions,
+    read through `row`, and the rows above and below are transposes
+    everywhere, and sampled rows equal the reference."""
     u = get_universe(name, 3)
     n = len(u)
     assert n == 1179
-    assert transpose(u.le) == u.ge
+    assert (transpose([u.row(COV, i) for i in range(n)])
+            == [u.row(CONTRA, i) for i in range(n)])
     ref = Reference(get_sig(name))
     for i in random.Random(12).sample(range(n), 50):
         for v in ALL_VARIANCES:
             assert u.row(v, i) == sum(
                 1 << j for j in range(n)
                 if ref.prec(v, u.types[i], u.types[j])), (v, u.types[i])
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_rows_built_on_demand(name):
+    """Enumeration builds no row.  A row is built when it is read, in
+    its own direction: `=` reads both.  Id 0 is a constant, so its row
+    reads no other."""
+    u = enumerate_types(get_sig(name), 2)
+    assert (len(u.le), len(u.ge)) == (0, 0)
+    u.row(COV, 0)
+    assert (list(u.le), len(u.ge)) == ([0], 0)
+    u.row(INV, 0)
+    assert (list(u.le), list(u.ge)) == ([0], [0])
 
 
 #: Two distinct but equivalent bases under an invariant parameter.

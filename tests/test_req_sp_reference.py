@@ -23,7 +23,9 @@ from vgadt.oracle import (
     _REVERSE,
     GroundUniverse,
     ReqSpResult,
+    _Walk,
     _assignments,
+    _groups,
     _instantiator,
     _invert,
     _members,
@@ -62,8 +64,10 @@ from vgadt.variance import (
 )
 
 import test_decomp_reference
-from conftest import get_sig
+from conftest import CORPUS, get_sig, get_universe
 from test_decomp_reference import NAMES, types
+
+CORPUS_FILES = sorted(p.stem for p in CORPUS.glob("*.vt"))
 
 
 def _occurrence_variances(sig: Signature, t: TypeExpr,
@@ -398,6 +402,47 @@ def test_inversion_and_narrowing(depth, universes, bound):
             assert r in kept or not u.row(v, i), (v, r)
         if v is not IRR and not isinstance(bound, Var):
             assert len(kept) < len(rhos)
+
+
+def narrowed_per_type(u: GroundUniverse, walks: Sequence[_Walk],
+                      width: int) -> list[list[int]]:
+    """`_narrowed` by its definition: the ids i whose row at w meets the
+    types of depth <= d - |path|, for each occurrence of the coordinate
+    at a path that is not the root."""
+    needs: list[list[tuple[Variance, int]]] = [[] for _ in range(width)]
+    for walk in walks:
+        for path, w, j in walk:
+            if w is not None and path:
+                needs[j].append((w, u.within[max(u.depth - len(path), 0)]))
+    return [[i for i in range(len(u)) if all(u.row(w, i) & ok
+                                             for w, ok in n)]
+            for n in needs]
+
+
+NARROWED_CASES = ([(name, 2) for name in CORPUS_FILES]
+                  + [(name, 3) for name in ("ml_open_demo", "object_emulation",
+                                            "sink_sub", "expr")])
+
+
+@pytest.mark.parametrize("name,depth", NARROWED_CASES)
+def test_narrowed_equals_per_type(name, depth):
+    """`_narrowed` takes a union of rows over the shallow types; it must
+    give the lists of the per-type definition, for every group of every
+    constructor."""
+    sig = get_sig(name)
+    u = get_universe(name, depth)
+    groups = 0
+    for info in sig.ctors.values():
+        if info.decl is None:
+            continue
+        for k in info.decl.ctors:
+            for g in _groups(sig, u, normalize_constructor(info.decl, k)):
+                groups += 1
+                width = len(g.coords)
+                assert (list(map(list, _narrowed(u, g.walks, width)))
+                        == narrowed_per_type(u, g.walks, width)), (k.name, g)
+    # world_min declares no datatype.
+    assert groups or name == "world_min"
 
 
 @pytest.mark.parametrize("depth", [1, 2])
