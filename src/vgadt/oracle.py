@@ -13,15 +13,16 @@ Conchon, "Type-safe modular hash-consing", 2006): a type is its head
 and the tuple of its children's ids, and children always get their ids
 first.  A universe's subtyping relation is kept as Python-int bitsets
 over its ids, one row per type and direction, so the quantifier loops
-run over integers and bit tests instead of type trees.  A row is built
-from the rows of the type's children when it is first read, so a run
-builds only the rows its verdicts read.  It is read off per-head plans:
-the heads related to the type's head and, per argument position, a
-table from a child's id to the ids whose child there is related to it.
-Instances deeper than the universe (a bound `'b pos` at depth d + 1) get
-an id on demand, and their rows come from the same plans.  A universe
-type's tree is built only when it is rendered.  Types compared outside
-a universe get no rows: they compare structurally.
+run over integers and bit tests instead of type trees.  A row is
+computed when it is first read, so a run builds only the rows its
+verdicts read.  A universe of depth d holds every type of depth <= d,
+so the types related to h(k_1..k_n) are a product: a head related to
+h, and per position an id of depth < d in the row of k_p.  A row is
+read off its children's rows, one lookup per member.  Instances deeper
+than the universe (a bound `'b pos` at depth d + 1) get an id on
+demand, and their rows are computed the same way.  A universe type's
+tree is built only when it is rendered.  Types compared outside a
+universe get no rows: they compare structurally.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -60,6 +61,7 @@ from .syntax import (
     render_type,
 )
 from .variance import (
+    ALL_VARIANCES,
     CONTRA,
     COV,
     INV,
@@ -89,24 +91,19 @@ def _members(bits: int) -> Iterator[int]:
 class TypeTable:
     """Hash-consed ground types and their subtyping relation.
 
-    Ids are compared structurally (`prec`).  A universe calls `build`
-    once, when it is enumerated: its ids become the dense ones, and
-    every head gets its plans (`_plan`), but no row is computed.  The
-    memos `le` and `ge` hold rows over the dense ids: `le[i]`, the set
-    of dense j with type i <= type j, and `ge[i]`, the set of dense j
-    with type j <= type i.  A missing row is read off the plans of its
-    head on first use, for any id, dense or interned later (deep), so a
-    run builds only the rows its verdicts read.
-    A table that is never built has no dense id, and every comparison is
-    structural.
+    Only a universe is built (`build`, once, when it is enumerated):
+    its ids become the dense ones.  The memos `le` and `ge` hold rows
+    over the dense ids: `le[i]`, the set of dense j with type i <= type
+    j, and `ge[i]`, the set of dense j with type j <= type i.  A row is
+    computed from its children's rows on first use (`_Rows`), for any
+    id, dense or interned later (deep).  A table that is never built has
+    no dense id, and every comparison is structural (`prec`).
     """
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.heads: list[str] = []
         self.kids: list[tuple[int, ...]] = []
-        self.le = _Rows(self, COV)
-        self.ge = _Rows(self, CONTRA)
         #: The number of dense ids, and their set.
         self.dense = 0
         self.full = 0
@@ -124,9 +121,9 @@ class TypeTable:
                                  if ws.get(g) == ws[h])
                     for h in sig.ctors}
         self._head_ids: dict[str, int] = {}
-        # Per head h, the plans of the ids above and below a type of
-        # head h (`_plan`), made by `build`.
-        self._plans: dict[str, tuple[_Plan, _Plan]] = {}
+        columns = {w: _Columns(self, w) for w in ALL_VARIANCES}
+        self.le = _Rows(self, COV, columns)
+        self.ge = _Rows(self, CONTRA, columns)
 
     def intern(self, head: str, kids: tuple[int, ...]) -> int:
         """The id of head(kids), added if new."""
@@ -154,28 +151,14 @@ class TypeTable:
         return head
 
     def build(self) -> None:
-        """Make every id interned so far dense, index each id's head and
-        children, and make each head's plans.  No row is computed: the
-        ids above (below) x are those of a head related to x's whose
-        child at each position is related to x's child there, read off
-        the plans when x's row is first asked for."""
+        """Make every id interned so far dense, and collect each head's
+        ids.  No row is computed here."""
         assert not self.dense, "a table is built once"
         head_ids = self._head_ids
-        # Per head and argument position: child id -> the ids with that
-        # child there.
-        by_kid: dict[str, list[dict[int, int]]] = {
-            h: [{} for _ in ws] for h, ws in self._variances.items()}
-        for x, (h, kids) in enumerate(zip(self.heads, self.kids)):
-            bit = 1 << x
-            head_ids[h] = head_ids.get(h, 0) | bit
-            for k, at in zip(kids, by_kid[h]):
-                at[k] = at.get(k, 0) | bit
+        for x, h in enumerate(self.heads):
+            head_ids[h] = head_ids.get(h, 0) | 1 << x
         self.dense = len(self.heads)
         self.full = (1 << self.dense) - 1
-        tables: dict[tuple[str, int, Variance], _KidTable] = {}
-        for h in self._variances:
-            self._plans[h] = (self._plan(h, COV, by_kid, tables),
-                              self._plan(h, CONTRA, by_kid, tables))
 
     def row(self, v: Variance, a: int) -> int:
         """The set of dense ids b with a prec_v b."""
@@ -207,84 +190,58 @@ class TypeTable:
                 return False
         return True
 
-    def _plan(self, h: str, v: Variance,
-              by_kid: dict[str, list[dict[int, int]]],
-              tables: dict[tuple[str, int, Variance], _KidTable]) -> _Plan:
-        """How the ids above (v = COV) or below (v = CONTRA) a type of
-        head h are found: per head g in `_up[h]` (per head g with h in
-        `_up[g]`), the ids of head g, and a step (p, table) per position p
-        whose variance w is not `~`.  The table maps a child id k to the
-        ids of head g whose child at p lies in row(w, k) (in
-        row(_REVERSE[w], k) for the ids below); the edges between heads
-        preserve variances, so w is also g's variance at p.  A table
-        serves every plan that asks for its (g, p, variance)."""
-        plan = []
-        up = self._up
-        for g in (up[h] if v is COV else [g for g in up if h in up[g]]):
-            if g not in self._head_ids:
-                continue
-            steps = []
-            for p, w in enumerate(self._variances[h]):
-                if w is IRR:
-                    continue
-                key = (g, p, w if v is COV else _REVERSE[w])
-                if key not in tables:
-                    tables[key] = _KidTable(self, key[2], by_kid[g][p])
-                steps.append((p, tables[key]))
-            plan.append((self._head_ids[g], tuple(steps)))
-        return tuple(plan)
-
 
 class _Rows(dict):
     """Id x -> the dense ids above x (v = COV) or below it (v = CONTRA),
-    read off the plan of x's head on first use.  x's children are read
-    first, each through the tables of the plan."""
+    computed from the rows of x's children on first use.
 
-    def __init__(self, table: TypeTable, v: Variance):
-        super().__init__()
-        self.table, self.side = table, 0 if v is COV else 1
-
-    def __missing__(self, x: int) -> int:
-        table = self.table
-        ids = self[x] = _select(table._plans[table.heads[x]][self.side],
-                                table.kids[x])
-        return ids
-
-
-def _select(plan: _Plan, kids: tuple[int, ...]) -> int:
-    """The ids that a plan selects for a type with children `kids`."""
-    ids = 0
-    for out, steps in plan:
-        for p, table in steps:
-            if not out:
-                break
-            out &= table[kids[p]]
-        ids |= out
-    return ids
-
-
-class _KidTable(dict):
-    """Child id k -> the dense ids of one head whose child at one
-    position lies in row(v, k), filled on first use of each k."""
+    Only a universe of depth d is built, and it holds every type of
+    depth <= d.  So the dense ids related at v to x = h(k_1..k_n) are
+    those of the types g(j_1..j_n), where g is a head related to h at v
+    and each j_p is an id of depth < d in row(compose(v, w_p), k_p), w_p
+    being h's variance at p (the edges between heads preserve variances,
+    so it is g's too): one `_ids` lookup per member of the row.  A `~`
+    position needs no case of its own: its row is full."""
 
     def __init__(self, table: TypeTable, v: Variance,
-                 by_kid: dict[int, int]):
+                 columns: dict[Variance, _Columns]):
         super().__init__()
-        self.table, self.v, self.by_kid = table, v, by_kid
-        self.present = sum(1 << c for c in by_kid)
+        self.table = table
+        up = table._up
+        # Per head h, the heads related to h at v, and per position the
+        # columns of the variance at which its child's row is read.
+        self.related = {
+            h: (tuple(up[h]) if v is COV
+                else tuple(g for g in up if h in up[g]),
+                tuple(columns[compose(v, w)] for w in ws))
+            for h, ws in table._variances.items()}
 
-    def __missing__(self, k: int) -> int:
-        by_kid = self.by_kid
-        hits = 0
-        for c in _members(self.table.row(self.v, k) & self.present):
-            hits |= by_kid[c]
-        self[k] = hits
-        return hits
+    def __missing__(self, x: int) -> int:
+        table, ids = self.table, self.table._ids
+        heads, columns = self.related[table.heads[x]]
+        row = 0
+        for js in itertools.product(*map(operator.getitem, columns,
+                                         table.kids[x])):
+            for g in heads:
+                row |= 1 << ids[g, js]
+        self[x] = row
+        return row
 
 
-#: Per head g related to a type's head, g's ids and a step (p, table)
-#: per position p that is not `~`.
-_Plan = tuple[tuple[int, tuple[tuple[int, _KidTable], ...]], ...]
+class _Columns(dict):
+    """Child id k -> the ids of depth < d in row(w, k), ascending: the
+    children at a position of composed variance w in the rows of the
+    types whose child there is k."""
+
+    def __init__(self, table: TypeTable, w: Variance):
+        super().__init__()
+        self.table, self.w = table, w
+
+    def __missing__(self, k: int) -> tuple[int, ...]:
+        table = self.table
+        col = self[k] = tuple(
+            _members(table.row(self.w, k) & table.within[-2]))
+        return col
 
 
 #: prec_v(a, b) iff prec_{_REVERSE[v]}(b, a).
@@ -335,10 +292,11 @@ class GroundUniverse(TypeTable):
 def enumerate_types(sig: Signature, depth: int,
                     cap: int = DEFAULT_UNIVERSE_CAP) -> GroundUniverse:
     """All ground types of syntactic depth <= depth (constants have
-    depth 1).  Raises UniverseSizeError beyond `cap` types.  No row is
-    built here: each is built when it is first read.  Rows are Python
-    ints and each holds its own type's bit, so the rows of n types take
-    at most about n^2/8 bytes, reached when every row is read (as
+    depth 1): every head over every tuple of shallower types, the
+    product that `_Rows` reads rows off.  Raises UniverseSizeError
+    beyond `cap` types.  No row is computed here.  Rows are Python ints
+    and each holds its own type's bit, so the rows of n types take at
+    most about n^2/8 bytes, reached when every row is read (as
     `check_sp_requirements` does): the default cap of 40,000 types
     bounds them to about 200 MB."""
     if depth < 1:
@@ -351,19 +309,17 @@ def enumerate_types(sig: Signature, depth: int,
     if len(u.heads) > cap:
         raise UniverseSizeError(f"universe exceeds cap of {cap} types")
     u.within.append((1 << len(u.heads)) - 1)
-    known = u._ids
     for _ in range(depth - 1):
         prev = range(len(u.heads))
         for info in ctors:
             if info.arity == 0:
                 continue
             for kids in itertools.product(prev, repeat=info.arity):
-                if (info.name, kids) not in known:
-                    u.intern(info.name, kids)
-                    if len(u.heads) > cap:
-                        raise UniverseSizeError(
-                            f"universe exceeds cap of {cap} types "
-                            f"(depth {depth})")
+                u.intern(info.name, kids)
+                if len(u.heads) > cap:
+                    raise UniverseSizeError(
+                        f"universe exceeds cap of {cap} types "
+                        f"(depth {depth})")
         u.within.append((1 << len(u.heads)) - 1)
     u.build()
     return u

@@ -783,7 +783,8 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
             bad(pos, f"closed: unknown type {name!r}")
 
     for decl in sig.datatypes():
-        params = frozenset(decl.param_names())
+        names = decl.param_names()
+        params = frozenset(names)
         ctor_names: set[str] = set()
         for k in decl.ctors:
             where, pos = f"{decl.name}.{k.name}", k.pos
@@ -793,10 +794,16 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
             scope = params | frozenset(k.exist_vars) if k.form != FORM_CODOMAIN \
                 else frozenset(k.exist_vars)
             check_type(k.arg, scope, where, pos)
+            occurring = free_vars(k.arg).union(
+                *(free_vars(c.bound) for c in k.constraints))
             for c in k.constraints:
                 if not (0 <= c.param < len(decl.params)):
                     bad(pos, f"{where}: constraint on invalid parameter "
                         f"index {c.param}")
+                elif names[c.param] in occurring:
+                    bad(pos, f"{where}: parameter '{names[c.param]} is "
+                        f"constrained and may not also occur in the "
+                        f"argument or a bound")
                 check_type(c.bound, scope, where, pos)
             if k.codomain_args is not None:
                 if len(k.codomain_args) != len(decl.params):

@@ -14,7 +14,8 @@ Four suites, one directory each:
 - `diagnostics/`: `vgadt check` on each malformed file in `bad/`
   (lexical errors, a token missing after a trailing comment, non-ASCII
   names, nesting over the depth limit, duplicate declarations, bad
-  constraints, unbound variables).  These files live outside `inputs/`
+  constraints, constrained parameters that also occur in the argument
+  or a bound, unbound variables).  These files live outside `inputs/`
   because the `check` suite runs every file there.
 
 Each case is one in-process `vgadt.cli.run` call with the working
@@ -37,10 +38,6 @@ GOLDEN = HERE / "oracle"
 PRESETS = ("atomic", "ml-open", "none")
 FORMATS = ("text", "structured")
 MODES = ("exact", "fast")
-DEPTH3_FILES = ("arrow_bound", "eq_cov", "eq_inv", "expr", "expr_sup",
-                "fun_cov", "list", "ml_open_demo", "object_emulation",
-                "pair_ref", "private_fd", "sink_sub", "world", "world_min",
-                "world_ref")
 
 
 def _corpus() -> list[str]:
@@ -53,20 +50,11 @@ def _inputs() -> list[str]:
 
 def cases() -> list[tuple[str, list[str]]]:
     """(case name, argv) of every `oracle` golden case."""
-    out = []
-    for name in _corpus():
-        for preset in PRESETS:
-            for fmt in FORMATS:
-                out.append((f"d2-{preset}-{fmt}-{name}",
-                            ["oracle", f"corpus/{name}.vt", "--depth=2",
-                             f"--preset={preset}", f"--format={fmt}"]))
-    for name in DEPTH3_FILES:
-        for preset in PRESETS:
-            for fmt in FORMATS:
-                out.append((f"d3-{preset}-{fmt}-{name}",
-                            ["oracle", f"corpus/{name}.vt", "--depth=3",
-                             f"--preset={preset}", f"--format={fmt}"]))
-    return out
+    return [(f"d{depth}-{preset}-{fmt}-{name}",
+             ["oracle", f"corpus/{name}.vt", f"--depth={depth}",
+              f"--preset={preset}", f"--format={fmt}"])
+            for depth in (2, 3) for name in _corpus()
+            for preset in PRESETS for fmt in FORMATS]
 
 
 def check_cases() -> list[tuple[str, list[str]]]:

@@ -114,6 +114,18 @@ def test_views_equal_eager_trees(name, depth):
     assert all(u.type(i) is t for i, t in enumerate(u.types))
 
 
+@pytest.mark.parametrize("name", DEPTH3_FILES)
+def test_universe_is_a_product(name):
+    """Every head over every tuple of ids of depth < d is a universe
+    type: a row's members are read off this product (`_Rows`)."""
+    u = get_universe(name, 3)
+    n = len(u)
+    shallow = [i for i in range(n) if u.within[2] >> i & 1]
+    for info in get_sig(name).ctors.values():
+        for js in itertools.product(shallow, repeat=info.arity):
+            assert u._ids.get((info.name, js), n) < n, (info.name, js)
+
+
 def test_oracle_builds_only_the_rendered_trees(monkeypatch):
     """`vgadt oracle --depth 3` on object_emulation renders sigma =
     (obj_m) and sigma' = (obj_empty): of the 1179 types, it builds the

@@ -61,9 +61,12 @@ def u_type(u, i) -> App:
 
 
 @pytest.mark.parametrize("preset", ["atomic", "ml-open", "none"])
-@pytest.mark.parametrize("name", CORPUS_FILES)
+@pytest.mark.parametrize("name", CORPUS_FILES + ["prelude"])
 def test_all_pairs_depth2(name, preset):
-    sig = get_sig(name, preset)
+    """Every pair and every row of a depth-2 universe.  The PRELUDE of
+    test_decomp_reference (52 types) has a `~` parameter (phantom), whose
+    rows reach every type of depth 1 at that position."""
+    sig = SIGS[preset] if name == "prelude" else get_sig(name, preset)
     u = enumerate_types(sig, 2)
     ref = Reference(sig)
     n = len(u)

@@ -7,7 +7,10 @@ from hypothesis import given, seed, settings, strategies as st
 from conftest import corpus_text, get_sig
 from vgadt.syntax import (
     App,
+    Constraint,
     ConstraintRel,
+    DataConstructorDecl,
+    DatatypeDecl,
     FORM_ADT,
     FORM_CODOMAIN,
     FORM_CONSTRAINED,
@@ -326,12 +329,16 @@ class TestNormalization:
                                    arrow(tvar("a1"), tapp("unit")))
 
     def test_constrained_parameter_occurring_in_arg_rejected(self):
-        sig = parse_signature(
-            "type (+'x) box = N of unit\n"
-            "type (+'a) t = K : 'b ['a = 'b box]. 'a * 'b\n")
-        decl = sig.info("t").decl
+        """`parse_signature` reports it with a position (the diagnostics
+        golden `constrained_occurs`); a constructor built in code, which
+        skips `wf_check`, still raises."""
+        k = DataConstructorDecl(
+            "K", FORM_CONSTRAINED, ("b",),
+            (Constraint(0, ConstraintRel.EQ, tapp("box", tvar("b"))),),
+            product(tvar("a"), tvar("b")))
+        decl = DatatypeDecl("t", (("a", COV),), (k,))
         with pytest.raises(ValueError) as exc:
-            normalize_constructor(decl, decl.ctors[0])
+            normalize_constructor(decl, k)
         assert "may not also occur" in str(exc.value)
 
 
