@@ -407,6 +407,84 @@ class TestReqSpAssignments:
         assert result == dataclasses.replace(result, assignments=0)
 
 
+#: (file, depth, constructor) -> (universe size, assignments visited,
+#: holds) of `req_sp` under `atomic`, for every corpus constructor.  The
+#: counts are costs, not verdicts: they pin the order and extent of the
+#: search, so a faster loop must visit exactly what the slower one did.
+VISITS = {
+    ("arrow_bound", 2, "arr.A"): (24, 9, True),
+    ("arrow_bound", 3, "arr.A"): (1179, 576, True),
+    ("eq_cov", 2, "eq.Refl"): (30, 3, False),
+    ("eq_cov", 3, "eq.Refl"): (2703, 3, False),
+    ("eq_inv", 2, "eq.Refl"): (30, 1, True),
+    ("eq_inv", 3, "eq.Refl"): (2703, 1, True),
+    ("expr", 2, "expr.Val"): (24, 24, True),
+    ("expr", 2, "expr.Int"): (24, 1, True),
+    ("expr", 2, "expr.Thunk"): (24, 24, True),
+    ("expr", 2, "expr.Prod"): (24, 9, True),
+    ("expr", 3, "expr.Val"): (1179, 1179, True),
+    ("expr", 3, "expr.Int"): (1179, 1, True),
+    ("expr", 3, "expr.Thunk"): (1179, 1179, True),
+    ("expr", 3, "expr.Prod"): (1179, 576, True),
+    ("expr_sup", 2, "expr.Val"): (24, 1, True),
+    ("expr_sup", 2, "expr.Int"): (24, 1, True),
+    ("expr_sup", 2, "expr.Thunk"): (24, 1, True),
+    ("expr_sup", 2, "expr.Prod"): (24, 1, True),
+    ("expr_sup", 3, "expr.Val"): (1179, 1, True),
+    ("expr_sup", 3, "expr.Int"): (1179, 1, True),
+    ("expr_sup", 3, "expr.Thunk"): (1179, 1, True),
+    ("expr_sup", 3, "expr.Prod"): (1179, 1, True),
+    ("fun_cov", 2, "t.Fun"): (30, 33, False),
+    ("fun_cov", 3, "t.Fun"): (2703, 2706, False),
+    ("list", 2, "list.Nil"): (24, 24, True),
+    ("list", 2, "list.Cons"): (24, 24, True),
+    ("list", 3, "list.Nil"): (1179, 1179, True),
+    ("list", 3, "list.Cons"): (1179, 1179, True),
+    ("ml_open_demo", 2, "pos.P"): (14, 14, True),
+    ("ml_open_demo", 2, "pos.Q"): (14, 14, True),
+    ("ml_open_demo", 2, "box.B"): (14, 2, True),
+    ("ml_open_demo", 3, "pos.P"): (422, 422, True),
+    ("ml_open_demo", 3, "pos.Q"): (422, 422, True),
+    ("ml_open_demo", 3, "box.B"): (422, 14, True),
+    ("object_emulation", 2, "t.K"): (24, 1, False),
+    ("object_emulation", 3, "t.K"): (1179, 1, False),
+    ("pair_ref", 2, "ref.Mk"): (33, 1, True),
+    ("pair_ref", 2, "pair_ref.Pack"): (33, 34, True),
+    ("pair_ref", 3, "ref.Mk"): (3303, 1, True),
+    ("pair_ref", 3, "pair_ref.Pack"): (3303, 3304, True),
+    ("private_fd", 2, "t.K"): (40, 1, False),
+    ("private_fd", 3, "t.K"): (3244, 1, False),
+    ("sink_sub", 2, "sink.S"): (24, 1, True),
+    ("sink_sub", 3, "sink.S"): (1179, 1, True),
+    ("world", 2, "ref.Mk"): (27, 1, True),
+    ("world", 2, "list.Nil"): (27, 27, True),
+    ("world", 2, "list.Cons"): (27, 27, True),
+    ("world", 3, "ref.Mk"): (1515, 1, True),
+    ("world", 3, "list.Nil"): (1515, 1515, True),
+    ("world", 3, "list.Cons"): (1515, 1515, True),
+    ("world_ref", 2, "ref.Mk"): (24, 1, True),
+    ("world_ref", 3, "ref.Mk"): (1179, 1, True),
+}
+
+
+@pytest.mark.parametrize("name,depth,ctor", list(VISITS))
+def test_visit_counts(name, depth, ctor):
+    sig = get_sig(name)
+    u = get_universe(name, depth)
+    decl = sig.info(ctor.split(".")[0]).decl
+    k = next(k for k in decl.ctors if f"{decl.name}.{k.name}" == ctor)
+    result = req_sp(sig, u, decl, k)
+    assert (len(u), result.assignments, result.holds) == VISITS[
+        name, depth, ctor]
+
+
+def test_visit_counts_cover_the_corpus():
+    assert set(VISITS) == {
+        (p.stem, depth, f"{decl.name}.{k.name}")
+        for p in CORPUS.glob("*.vt") for depth in (2, 3)
+        for decl in get_sig(p.stem).datatypes() for k in decl.ctors}
+
+
 class TestReqSpVariableBounds:
     """Subtyping constraints whose bound is a bare existential: the
     witness for the coerced parameter must respect the bound's side."""
