@@ -122,8 +122,15 @@ class TypeTable:
                     for h in sig.ctors}
         self._head_ids: dict[str, int] = {}
         columns = {w: _Columns(self, w) for w in ALL_VARIANCES}
-        self.le = _Rows(self, COV, columns)
-        self.ge = _Rows(self, CONTRA, columns)
+        le = self.le = _Rows(self, COV, columns)
+        ge = self.ge = _Rows(self, CONTRA, columns)
+        #: Per variance v, the function a -> row(v, a).
+        self.rows: dict[Variance, Callable[[int], int]] = {
+            COV: le.__getitem__,
+            CONTRA: ge.__getitem__,
+            INV: lambda a: le[a] & ge[a],
+            IRR: lambda a: self.full,
+        }
 
     def intern(self, head: str, kids: tuple[int, ...]) -> int:
         """The id of head(kids), added if new."""
@@ -151,24 +158,16 @@ class TypeTable:
         return head
 
     def build(self) -> None:
-        """Make every id interned so far dense, and collect each head's
-        ids.  No row is computed here."""
+        """Make every id interned so far dense.  No row is computed
+        here, and `_head_ids` is filled as the ids are interned
+        (`enumerate_types`)."""
         assert not self.dense, "a table is built once"
-        head_ids = self._head_ids
-        for x, h in enumerate(self.heads):
-            head_ids[h] = head_ids.get(h, 0) | 1 << x
         self.dense = len(self.heads)
         self.full = (1 << self.dense) - 1
 
     def row(self, v: Variance, a: int) -> int:
         """The set of dense ids b with a prec_v b."""
-        if v is COV:
-            return self.le[a]
-        if v is CONTRA:
-            return self.ge[a]
-        if v is INV:
-            return self.le[a] & self.ge[a]
-        return self.full
+        return self.rows[v](a)
 
     def prec(self, v: Variance, a: int, b: int) -> bool:
         """a prec_v b: a bit test when both ids are dense, else one
@@ -293,34 +292,53 @@ def enumerate_types(sig: Signature, depth: int,
                     cap: int = DEFAULT_UNIVERSE_CAP) -> GroundUniverse:
     """All ground types of syntactic depth <= depth (constants have
     depth 1): every head over every tuple of shallower types, the
-    product that `_Rows` reads rows off.  Raises UniverseSizeError
-    beyond `cap` types.  No row is computed here.  Rows are Python ints
-    and each holds its own type's bit, so the rows of n types take at
-    most about n^2/8 bytes, reached when every row is read (as
+    product that `_Rows` reads rows off.  No row is computed here.
+
+    Level by level, each non-constant head interns its new types as one
+    block of consecutive ids: those of its tuples over the ids of depth
+    < level that are not all of depth < level - 1, in product order.  So
+    a head's ids are a union of ranges, one per level, and its mask in
+    `_head_ids` gains one range per block.  A level adds exactly n^a -
+    m^a types of a head of arity a, where n counts the ids of depth <
+    level and m those of depth < level - 1, so the size is known before
+    a block is made: UniverseSizeError is raised beyond `cap` types
+    before any type past the cap is interned.  Rows are Python ints and
+    each holds its own type's bit, so the rows of n types take at most
+    about n^2/8 bytes, reached when every row is read (as
     `check_sp_requirements` does): the default cap of 40,000 types
     bounds them to about 200 MB."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u = GroundUniverse(sig, depth)
+    ids, heads, kids, head_ids = u._ids, u.heads, u.kids, u._head_ids
+
+    def check(size: int) -> None:
+        if size > cap:
+            raise UniverseSizeError(
+                f"universe exceeds cap of {cap} types (depth {depth})")
     ctors = list(sig.ctors.values())
     for info in ctors:
         if info.arity == 0:
-            u.intern(info.name, ())
-    if len(u.heads) > cap:
-        raise UniverseSizeError(f"universe exceeds cap of {cap} types")
-    u.within.append((1 << len(u.heads)) - 1)
+            head_ids[info.name] = 1 << u.intern(info.name, ())
+    m, n = 0, len(heads)
+    check(n)
+    u.within.append((1 << n) - 1)
     for _ in range(depth - 1):
-        prev = range(len(u.heads))
         for info in ctors:
-            if info.arity == 0:
+            h, a = info.name, info.arity
+            if a == 0:
                 continue
-            for kids in itertools.product(prev, repeat=info.arity):
-                u.intern(info.name, kids)
-                if len(u.heads) > cap:
-                    raise UniverseSizeError(
-                        f"universe exceeds cap of {cap} types "
-                        f"(depth {depth})")
-        u.within.append((1 << len(u.heads)) - 1)
+            start = len(heads)
+            end = start + n ** a - m ** a
+            check(end)
+            block = list(itertools.filterfalse(ids.__contains__, zip(
+                itertools.repeat(h), itertools.product(range(n), repeat=a))))
+            ids.update(zip(block, range(start, end)))
+            heads.extend(itertools.repeat(h, end - start))
+            kids.extend(map(operator.itemgetter(1), block))
+            head_ids[h] = head_ids.get(h, 0) | ((1 << end) - (1 << start))
+        m, n = n, len(heads)
+        u.within.append((1 << n) - 1)
     u.build()
     return u
 
@@ -593,11 +611,13 @@ class ReqSpResult:
                 f"sigma'={tup(self.sigma_prime)} rho={tup(self.rho)}")
 
 
-def _reach(u: GroundUniverse, v: Variance, w: Variance, at: int,
-           cands: int) -> int:
-    """The ids s' with c prec_w s' for some candidate c, at prec_v c:
-    the union of the rows at w of the candidates `cands` = row(v, at),
-    which is not empty.
+def _reach(u: GroundUniverse, v: Variance, w: Variance
+           ) -> Callable[[int, int], int]:
+    """The reach set as a function of (at, cands): the ids s' with c
+    prec_w s' for some candidate c, at prec_v c, that is the union of
+    the rows at w of the candidates `cands` = row(v, at), which is not
+    empty.  Which of three functions computes it depends on v and w
+    alone, so it is chosen once per bound, not per assignment.
 
     Rows are reflexive and transitive, and prec_w lies within prec_v
     iff var_leq(v, w).  So if var_leq(v, w), the union is the candidates
@@ -606,19 +626,25 @@ def _reach(u: GroundUniverse, v: Variance, w: Variance, at: int,
     row(w, at).  Only the pair of + and - takes the union literally.
     """
     if var_leq(v, w):
-        return cands
+        return lambda at, cands: cands
+    row = u.rows[w]
     if var_leq(w, v):
-        return u.row(w, at)
-    return functools.reduce(operator.or_,
-                            (u.row(w, c) for c in _members(cands)))
+        return lambda at, cands: row(at)
+    return lambda at, cands: functools.reduce(
+        operator.or_, map(row, _members(cands)))
 
 
 class _Bound(NamedTuple):
-    """A constraint "parameter rel bound", with "bound prec_v param"."""
+    """A constraint "parameter rel bound", with "bound prec_v param",
+    compiled: an assignment to the group gives the bound's instance
+    `at`, the parameter's candidates `cands(at)` = row(v, at), and its
+    reach set `reach(at, cands(at))` (`_reach`)."""
     param: int
     v: Variance
     #: The bound's instances, from an assignment to the group.
     at: Callable[[tuple[int, ...]], int]
+    cands: Callable[[int], int]
+    reach: Callable[[int, int], int]
 
 
 def _narrowed(u: GroundUniverse, walks: Sequence[_Walk],
@@ -662,13 +688,14 @@ class _Group(NamedTuple):
     uses: tuple[Variance, ...]
 
 
-def _groups(sig: Signature, u: GroundUniverse,
+def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
             norm: DataConstructorDecl) -> list[_Group]:
     """The constraints of a normalized constructor, split into groups:
     two constraints share a group when their bounds share a variable,
     and the closed bounds form the group with no coordinate.  Groups
     come in the order of their coordinates."""
     domain = norm.exist_vars
+    ws = d.param_variances()
     arg_uses = principal_context(sig, norm.arg, COV, domain).variances()
     parts: list[tuple[frozenset[str], list[Constraint]]] = []
     for c in norm.constraints:
@@ -687,7 +714,8 @@ def _groups(sig: Signature, u: GroundUniverse,
         vs = [target_variance(c.rel) for c in cs]
         groups.append(_Group(
             coords,
-            tuple(_Bound(c.param, v, _instantiator(u, c.bound, local))
+            tuple(_Bound(c.param, v, _instantiator(u, c.bound, local),
+                         u.rows[v], _reach(u, v, ws[c.param]))
                   for c, v in zip(cs, vs)),
             tuple(_walk(u, c.bound, v, local) for c, v in zip(cs, vs)),
             tuple(arg_uses[j] for j in coords)))
@@ -721,6 +749,12 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     constraint's has such reach sets at every assignment, so it stops
     at its first assignment with candidates: `sink_sub.S` (`'a <= 'b`
     on a `-` parameter) visits one assignment at depth 3, not 1179.
+    Each bound's tests are compiled once (`_Bound`), so an assignment
+    costs one instance, one candidate row and one reach set per bound.
+    The per-parameter lists (`candidates`) and the sigma' search
+    (`first_failing`) are made only at an assignment where some reach
+    set is wider than its candidates: `ml_open_demo`'s `pos.P` visits
+    422 assignments at depth 3 and makes them at none.
 
     Both quantifiers are decided coordinate by coordinate.  The witness
     rho' is found by inversion through each bound (`_witnessed`): the
@@ -744,7 +778,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     """
     norm = normalize_constructor(d, k)
     ws = d.param_variances()
-    groups = _groups(sig, u, norm)
+    groups = _groups(sig, u, d, norm)
     row = u.row
 
     def candidates(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]]
@@ -760,10 +794,10 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         for g, r in zip(part, rhos):
             for b in g.bounds:
                 at = b.at(r)
-                s = cands[b.param] = row(b.v, at)
+                s = cands[b.param] = b.cands(at)
                 if not s:
                     return None
-                reach[b.param] = _reach(u, b.v, ws[b.param], at, s)
+                reach[b.param] = b.reach(at, s)
         return cands, reach
 
     def first_failing(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]],
@@ -795,20 +829,28 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         # no sigma' fails.  In a safe group that holds at every
         # assignment (`_reach`), so its first with candidates is enough.
         safe = all(var_leq(b.v, ws[b.param]) for b in g.bounds)
+        tests = [(b.at, b.cands, b.reach) for b in g.bounds]
         for r in itertools.product(*_narrowed(u, g.walks, len(g.coords))):
             visited += 1
-            found = candidates((g,), (r,))
-            if found is None:
-                continue
-            if first is None:
-                first = r
-                if safe:
+            # Whether every parameter has a candidate, and some reach set
+            # is wider than its candidates; the per-parameter lists are
+            # built only then.
+            wide = False
+            for at, cands, reach in tests:
+                i = at(r)
+                s = cands(i)
+                if not s:
                     break
-            cands, reach = found
-            if (reach != cands
-                    and first_failing((g,), (r,), reach) is not None):
-                bad = r
-                break
+                wide = wide or reach(i, s) != s
+            else:
+                if first is None:
+                    first = r
+                    if safe:
+                        break
+                if (wide and first_failing(
+                        (g,), (r,), candidates((g,), (r,))[1]) is not None):
+                    bad = r
+                    break
         if first is None:
             return ReqSpResult(True, u.depth, assignments=visited)
         firsts.append((first, bad))

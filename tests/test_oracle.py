@@ -81,6 +81,19 @@ class TestEnumerateTypes:
         with pytest.raises(UniverseSizeError):
             enumerate_types(bare_signature("a", "b", "c"), 4, cap=1000)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_cap_is_exact(self, depth):
+        """The size is counted before each block is interned: a cap of
+        exactly the universe's size admits it, one less refuses it, and
+        the message names the depth, at depth 1 too (constants)."""
+        sig = bare_signature("int", "bool", unary=("list",))
+        n = len(enumerate_types(sig, depth))
+        assert len(enumerate_types(sig, depth, cap=n)) == n
+        with pytest.raises(UniverseSizeError) as refused:
+            enumerate_types(sig, depth, cap=n - 1)
+        assert str(refused.value) == (
+            f"universe exceeds cap of {n - 1} types (depth {depth})")
+
     def test_deterministic_and_duplicate_free(self):
         sig = get_sig("world")
         u1 = enumerate_types(sig, 2)
@@ -112,6 +125,19 @@ def test_views_equal_eager_trees(name, depth):
     assert u.types == tuple(trees)
     assert u.index == {t: i for i, t in enumerate(trees)}
     assert all(u.type(i) is t for i, t in enumerate(u.types))
+
+
+@pytest.mark.parametrize("name,depth", [
+    *((p.stem, 2) for p in sorted(CORPUS.glob("*.vt"))),
+    *((name, 3) for name in DEPTH3_FILES)])
+def test_head_ids_are_the_heads_of_the_dense_ids(name, depth):
+    """Each head's mask, made of one range per block of its ids, is the
+    set of the dense ids of that head, id by id."""
+    u = get_universe(name, depth)
+    masks: dict[str, int] = {}
+    for x, h in enumerate(u.heads[:len(u)]):
+        masks[h] = masks.get(h, 0) | 1 << x
+    assert u._head_ids == masks
 
 
 @pytest.mark.parametrize("name", DEPTH3_FILES)

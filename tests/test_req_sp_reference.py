@@ -436,7 +436,8 @@ def test_narrowed_equals_per_type(name, depth):
         if info.decl is None:
             continue
         for k in info.decl.ctors:
-            for g in _groups(sig, u, normalize_constructor(info.decl, k)):
+            for g in _groups(sig, u, info.decl,
+                             normalize_constructor(info.decl, k)):
                 groups += 1
                 width = len(g.coords)
                 assert (list(map(list, _narrowed(u, g.walks, width)))
@@ -490,6 +491,6 @@ def test_reach_equals_union(name):
                 union = 0
                 for c in _members(cands):
                     union |= u.row(w, c)
-                assert _reach(u, v, w, at, cands) == union, (v, w, at)
+                assert _reach(u, v, w)(at, cands) == union, (v, w, at)
     if name == "prelude":
         assert deep_with_candidates
