@@ -120,6 +120,8 @@ class TypeTable:
         self._up = {h: frozenset(g for g in reach.get(h, {h})
                                  if ws.get(g) == ws[h])
                     for h in sig.ctors}
+        #: Per head, the set of its dense ids, one range per block of
+        #: `enumerate_types`.
         self._head_ids: dict[str, int] = {}
         columns = {w: _Columns(self, w) for w in ALL_VARIANCES}
         le = self.le = _Rows(self, COV, columns)
@@ -301,8 +303,8 @@ def enumerate_types(sig: Signature, depth: int,
     `_head_ids` gains one range per block.  A level adds exactly n^a -
     m^a types of a head of arity a, where n counts the ids of depth <
     level and m those of depth < level - 1, so the size is known before
-    a block is made: UniverseSizeError is raised beyond `cap` types
-    before any type past the cap is interned.  Rows are Python ints and
+    a block is made: beyond `cap` types UniverseSizeError is raised,
+    and no block past the cap is made.  Rows are Python ints and
     each holds its own type's bit, so the rows of n types take at most
     about n^2/8 bytes, reached when every row is read (as
     `check_sp_requirements` does): the default cap of 40,000 types
