@@ -688,6 +688,10 @@ class _Group(NamedTuple):
     #: compare pointwise, so arg[rho] <= arg[rho'] iff rho(x) prec_w
     #: rho'(x) for each coordinate x and its entry w.
     uses: tuple[Variance, ...]
+    #: Whether no sigma' can fail at any assignment of the group
+    #: (`_groups`), so that its first assignment with candidates is
+    #: enough.
+    safe: bool
 
 
 def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
@@ -695,7 +699,27 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     """The constraints of a normalized constructor, split into groups:
     two constraints share a group when their bounds share a variable,
     and the closed bounds form the group with no coordinate.  Groups
-    come in the order of their coordinates."""
+    come in the order of their coordinates.
+
+    A group is safe, unable to fail, for either of two reasons.  Take
+    any rho, any sigma with bound[rho] prec_v sigma(a) for each bound
+    and its parameter a of declared variance w, and any sigma' with
+    sigma(a) prec_w sigma'(a).
+
+    - Every bound has var_leq(v, w): then prec_w lies within prec_v,
+      so bound[rho] prec_v sigma'(a) by transitivity, and rho' := rho
+      is a witness.
+    - The group has one bound, a bare existential x whose principal
+      entry u in the argument has var_leq(u, v) and var_leq(u, w): then
+      rho'(x) := sigma'(a), a universe type, meets the bound by
+      reflexivity, and rho(x) prec_u sigma(a) prec_u sigma'(a), since
+      prec_v and prec_w lie within prec_u, keeps the argument above its
+      instance at rho.
+
+    A plain constructor's parameter used at its own variance, `'a =
+    'x`, is safe for the second reason.  Two bare bounds on one x, a
+    `+` parameter used at `-`, or a `~` parameter used at `=` are not,
+    and their groups are searched in full."""
     domain = norm.exist_vars
     ws = d.param_variances()
     arg_uses = principal_context(sig, norm.arg, COV, domain).variances()
@@ -714,13 +738,18 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         local = [domain[j] for j in coords]
         cs.sort(key=lambda c: c.param)
         vs = [target_variance(c.rel) for c in cs]
+        uses = tuple(arg_uses[j] for j in coords)
+        safe = all(var_leq(v, ws[c.param]) for c, v in zip(cs, vs))
+        if not safe and len(cs) == 1 and isinstance(cs[0].bound, Var):
+            safe = (var_leq(uses[0], vs[0])
+                    and var_leq(uses[0], ws[cs[0].param]))
         groups.append(_Group(
             coords,
             tuple(_Bound(c.param, v, _instantiator(u, c.bound, local),
                          u.rows[v], _reach(u, v, ws[c.param]))
                   for c, v in zip(cs, vs)),
             tuple(_walk(u, c.bound, v, local) for c, v in zip(cs, vs)),
-            tuple(arg_uses[j] for j in coords)))
+            uses, safe))
     groups.sort(key=lambda g: g.coords)
     return groups
 
@@ -747,16 +776,16 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     sigma' is checked once.  A reach set is one row unless the
     constraint's variance and the parameter's are + and - (`_reach`),
     and where every reach set is its candidate set no sigma' can fail.
-    A group in which the variance of every parameter is at least its
-    constraint's has such reach sets at every assignment, so it stops
-    at its first assignment with candidates: `sink_sub.S` (`'a <= 'b`
-    on a `-` parameter) visits one assignment at depth 3, not 1179.
+    A group that can fail at no assignment (`_Group.safe`, for either
+    reason `_groups` gives) stops at its first assignment with
+    candidates: `sink_sub.S` (`'a <= 'b` on a `-` parameter) and every
+    plain constructor's parameter used at its own variance, such as
+    `ml_open_demo`'s `pos.P`, visit one assignment at any depth.
     Each bound's tests are compiled once (`_Bound`), so an assignment
     costs one instance, one candidate row and one reach set per bound.
     The per-parameter lists (`candidates`) and the sigma' search
     (`first_failing`) are made only at an assignment where some reach
-    set is wider than its candidates: `ml_open_demo`'s `pos.P` visits
-    422 assignments at depth 3 and makes them at none.
+    set is wider than its candidates.
 
     Both quantifiers are decided coordinate by coordinate.  The witness
     rho' is found by inversion through each bound (`_witnessed`): the
@@ -828,9 +857,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         first = bad = None
         # Where every reach set is its candidate set, each sigma'
         # satisfies the constraints at r, so r itself is a witness and
-        # no sigma' fails.  In a safe group that holds at every
-        # assignment (`_reach`), so its first with candidates is enough.
-        safe = all(var_leq(b.v, ws[b.param]) for b in g.bounds)
+        # no sigma' fails.
         tests = [(b.at, b.cands, b.reach) for b in g.bounds]
         for r in itertools.product(*_narrowed(u, g.walks, len(g.coords))):
             visited += 1
@@ -847,7 +874,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
             else:
                 if first is None:
                     first = r
-                    if safe:
+                    if g.safe:
                         break
                 if (wide and first_failing(
                         (g,), (r,), candidates((g,), (r,))[1]) is not None):

@@ -14,6 +14,7 @@ from vgadt import cli
 from vgadt.oracle import (
     GroundUniverse,
     UniverseSizeError,
+    _groups,
     check_sp_requirements,
     enumerate_types,
     oracle_for,
@@ -32,6 +33,7 @@ from vgadt.syntax import (
     App,
     CtorInfo,
     Signature,
+    normalize_constructor,
     parse_signature,
     parse_type,
     tapp,
@@ -372,13 +374,14 @@ class TestReqSpAssignments:
     def test_unlinked_pair(self):
         """`Pack of 'a * 'b ref` normalizes to `['a = 'x0, 'b = 'x1]`,
         two groups of one existential.  The `=` parameter's reach set is
-        its candidate set at every assignment, so its group stops at its
-        first, 1; the `+` one's reach set is a row above its candidates,
-        so its group visits all 33 types: 33 + 1."""
+        its candidate set at every assignment; the `+` one's is a row
+        above its candidates, but 'x0 is used at `+` in the argument, so
+        sigma'(a) is a witness for it.  Neither group can fail, and each
+        stops at its first assignment: 1 + 1 of 33 types each."""
         u = get_universe("pair_ref", 2)
         result = self.result(get_sig("pair_ref"), u, "pair_ref", "Pack")
         assert result.holds
-        assert (len(u), result.assignments) == (33, 33 + 1)
+        assert (len(u), result.assignments) == (33, 2)
 
     def test_linked_pair(self):
         u = get_universe("expr", 2)
@@ -402,16 +405,17 @@ class TestReqSpAssignments:
         assert (len(u), result.assignments) == (1179, 24 ** 2)
 
     def test_three_unlinked(self):
-        """Three groups of one existential, each under `=`.  The `+` and
-        `-` parameters' groups visit all n types; the `=` one's reach set
-        is its candidate set, so its group stops at its first: 2n + 1."""
+        """Three groups of one existential, each under `=`, and each
+        existential used in the argument at its parameter's variance, so
+        no group can fail and each stops at its first assignment: 3, not
+        one per type of the `+` and `-` groups."""
         sig = parse_signature("base int\nbase bool\nsubbase bool <= int\n"
                               "type (+'a, -'b, ='c) t =\n"
                               "  | K of 'a * ('b -> 'c)\n")
         u = enumerate_types(sig, 2)
         result = self.result(sig, u, "t", "K")
         assert result.holds
-        assert result.assignments == 2 * len(u) + 1
+        assert (len(u), result.assignments) == (48, 3)
 
     def test_group_that_cannot_fail(self):
         """`sink_sub.S` is `'a <= 'b` on a `-` parameter: the reach set
@@ -436,7 +440,10 @@ class TestReqSpAssignments:
 #: (file, depth, constructor) -> (universe size, assignments visited,
 #: holds) of `req_sp` under `atomic`, for every corpus constructor.  The
 #: counts are costs, not verdicts: they pin the order and extent of the
-#: search, so a faster loop must visit exactly what the slower one did.
+#: search.  A group that cannot fail (`_groups`) visits one assignment,
+#: so every plain constructor's parameter used at its own variance costs
+#: 1 whatever the depth; a group that can fail visits its assignments in
+#: product order up to its first failing one, or all of them.
 VISITS = {
     ("arrow_bound", 2, "arr.A"): (24, 9, True),
     ("arrow_bound", 3, "arr.A"): (1179, 576, True),
@@ -444,13 +451,13 @@ VISITS = {
     ("eq_cov", 3, "eq.Refl"): (2703, 3, False),
     ("eq_inv", 2, "eq.Refl"): (30, 1, True),
     ("eq_inv", 3, "eq.Refl"): (2703, 1, True),
-    ("expr", 2, "expr.Val"): (24, 24, True),
+    ("expr", 2, "expr.Val"): (24, 1, True),
     ("expr", 2, "expr.Int"): (24, 1, True),
-    ("expr", 2, "expr.Thunk"): (24, 24, True),
+    ("expr", 2, "expr.Thunk"): (24, 1, True),
     ("expr", 2, "expr.Prod"): (24, 9, True),
-    ("expr", 3, "expr.Val"): (1179, 1179, True),
+    ("expr", 3, "expr.Val"): (1179, 1, True),
     ("expr", 3, "expr.Int"): (1179, 1, True),
-    ("expr", 3, "expr.Thunk"): (1179, 1179, True),
+    ("expr", 3, "expr.Thunk"): (1179, 1, True),
     ("expr", 3, "expr.Prod"): (1179, 576, True),
     ("expr_sup", 2, "expr.Val"): (24, 1, True),
     ("expr_sup", 2, "expr.Int"): (24, 1, True),
@@ -460,34 +467,34 @@ VISITS = {
     ("expr_sup", 3, "expr.Int"): (1179, 1, True),
     ("expr_sup", 3, "expr.Thunk"): (1179, 1, True),
     ("expr_sup", 3, "expr.Prod"): (1179, 1, True),
-    ("fun_cov", 2, "t.Fun"): (30, 33, False),
-    ("fun_cov", 3, "t.Fun"): (2703, 2706, False),
-    ("list", 2, "list.Nil"): (24, 24, True),
-    ("list", 2, "list.Cons"): (24, 24, True),
-    ("list", 3, "list.Nil"): (1179, 1179, True),
-    ("list", 3, "list.Cons"): (1179, 1179, True),
-    ("ml_open_demo", 2, "pos.P"): (14, 14, True),
-    ("ml_open_demo", 2, "pos.Q"): (14, 14, True),
+    ("fun_cov", 2, "t.Fun"): (30, 4, False),
+    ("fun_cov", 3, "t.Fun"): (2703, 4, False),
+    ("list", 2, "list.Nil"): (24, 1, True),
+    ("list", 2, "list.Cons"): (24, 1, True),
+    ("list", 3, "list.Nil"): (1179, 1, True),
+    ("list", 3, "list.Cons"): (1179, 1, True),
+    ("ml_open_demo", 2, "pos.P"): (14, 1, True),
+    ("ml_open_demo", 2, "pos.Q"): (14, 1, True),
     ("ml_open_demo", 2, "box.B"): (14, 2, True),
-    ("ml_open_demo", 3, "pos.P"): (422, 422, True),
-    ("ml_open_demo", 3, "pos.Q"): (422, 422, True),
+    ("ml_open_demo", 3, "pos.P"): (422, 1, True),
+    ("ml_open_demo", 3, "pos.Q"): (422, 1, True),
     ("ml_open_demo", 3, "box.B"): (422, 14, True),
     ("object_emulation", 2, "t.K"): (24, 1, False),
     ("object_emulation", 3, "t.K"): (1179, 1, False),
     ("pair_ref", 2, "ref.Mk"): (33, 1, True),
-    ("pair_ref", 2, "pair_ref.Pack"): (33, 34, True),
+    ("pair_ref", 2, "pair_ref.Pack"): (33, 2, True),
     ("pair_ref", 3, "ref.Mk"): (3303, 1, True),
-    ("pair_ref", 3, "pair_ref.Pack"): (3303, 3304, True),
+    ("pair_ref", 3, "pair_ref.Pack"): (3303, 2, True),
     ("private_fd", 2, "t.K"): (40, 1, False),
     ("private_fd", 3, "t.K"): (3244, 1, False),
     ("sink_sub", 2, "sink.S"): (24, 1, True),
     ("sink_sub", 3, "sink.S"): (1179, 1, True),
     ("world", 2, "ref.Mk"): (27, 1, True),
-    ("world", 2, "list.Nil"): (27, 27, True),
-    ("world", 2, "list.Cons"): (27, 27, True),
+    ("world", 2, "list.Nil"): (27, 1, True),
+    ("world", 2, "list.Cons"): (27, 1, True),
     ("world", 3, "ref.Mk"): (1515, 1, True),
-    ("world", 3, "list.Nil"): (1515, 1515, True),
-    ("world", 3, "list.Cons"): (1515, 1515, True),
+    ("world", 3, "list.Nil"): (1515, 1, True),
+    ("world", 3, "list.Cons"): (1515, 1, True),
     ("world_ref", 2, "ref.Mk"): (24, 1, True),
     ("world_ref", 3, "ref.Mk"): (1179, 1, True),
 }
@@ -534,6 +541,52 @@ class TestReqSpVariableBounds:
         assert (hi.sigma, hi.sigma_prime, hi.rho) == \
             ((tapp("bool"),), (tapp("int"),), (tapp("bool"),))
         assert result("ok").holds
+
+
+class TestReqSpGroupsThatCanFail:
+    """Groups of one bare existential that look like a plain parameter
+    but can fail: `_groups` must not mark them safe, and each must be
+    searched past its first assignment to its counterexample."""
+
+    PRELUDE = "base int\nbase bool\nsubbase bool <= int\n"
+
+    def check(self, src, depth, cex):
+        sig = parse_signature(self.PRELUDE + src)
+        u = enumerate_types(sig, depth)
+        decl = sig.info("t").decl
+        k = decl.ctors[0]
+        groups = _groups(sig, u, decl, normalize_constructor(decl, k))
+        assert not groups[0].safe
+        result = req_sp(sig, u, decl, k)
+        assert result.describe() == f"fails (depth {depth}): {cex}"
+        assert result.assignments > 1
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_two_bare_bounds_on_one_existential(self, depth):
+        self.check("type (+'a, +'c) t = | K : 'b ['a = 'b, 'c = 'b]. 'b\n",
+                   depth,
+                   "sigma=(bool, bool) sigma'=(int, bool) rho=(bool)")
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_covariant_parameter_used_contravariantly(self, depth):
+        self.check("type (+'a) t = | K of 'a -> unit\n", depth,
+                   "sigma=(bool) sigma'=(int) rho=(bool)")
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_lower_bound_used_contravariantly(self, depth):
+        """'b is used at `-`, the parameter's variance, but its
+        constraint is `+`: bool and char lie below int and have no
+        common lower bound, so no rho' lies below both rho and sigma'."""
+        self.check("base char\nsubbase char <= int\n"
+                   "type (-'a) t = | K : 'b ['a >= 'b]. 'b -> unit\n",
+                   depth, "sigma=(int) sigma'=(char) rho=(bool)")
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_irrelevant_parameter_used_invariantly(self, depth):
+        """ROADMAP item 1's input: 'a is `~` but `ref` uses it at `=`."""
+        self.check("type (='a) ref = | Mk of 'a -> 'a\n"
+                   "type (~'a, +'b) t = | K of 'a ref * 'b\n", depth,
+                   "sigma=(unit, unit) sigma'=(int, unit) rho=(unit, unit)")
 
 
 class TestSpRequirements:

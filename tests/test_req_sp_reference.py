@@ -61,6 +61,7 @@ from vgadt.variance import (
     IRR,
     Variance,
     compose,
+    var_leq,
 )
 
 import test_decomp_reference
@@ -340,6 +341,39 @@ def test_linked_groups_equal_reference():
 
     check()
     assert holds.count(False) >= 0.15 * len(holds)
+
+
+def test_bare_bound_groups_equal_reference():
+    """`_groups` marks a group of one bare bound safe when the
+    argument's entry for its existential lies below both the
+    constraint's variance and the parameter's, and `req_sp` then stops
+    the group at its first assignment.  Every case where that rule marks
+    a group that the test of the variances alone does not must give the
+    reference's result; the other cases are `cases()`'s, compared above.
+    The floor on marked groups keeps the generator exercising the rule."""
+    holds = []
+    marked = 0
+
+    @seed(20261019)
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(cases())
+    def check(case):
+        nonlocal marked
+        preset, depth, d, k = case
+        ws = d.param_variances()
+        new = sum(g.safe and not all(var_leq(b.v, ws[b.param])
+                                     for b in g.bounds)
+                  for g in _groups(SIGS[preset], UNIVERSES[preset, depth], d,
+                                   normalize_constructor(d, k)))
+        if new:
+            marked += new
+            holds.append(compare(case))
+
+    check()
+    assert marked >= 50
+    # Some of them fail in another group, so the first assignment of a
+    # marked group is compared as part of a counterexample.
+    assert holds.count(False) >= 5
 
 
 #: Bounds over x0 and x1 whose inversion is pinned below: two linked
