@@ -3,6 +3,7 @@ definitions, and their agreement with the paper-level expectations."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import itertools
 import random
@@ -111,6 +112,46 @@ class TestEnumerateTypes:
 
 #: The inputs of the benchmark's oracle-d3 workload.
 DEPTH3_FILES = ["ml_open_demo", "object_emulation", "sink_sub"]
+
+#: Per (corpus file, depth), the universe's size and a digest of its
+#: types' heads and kids in id order: ids are part of every verdict's
+#: visit order and counterexample, so the layout must not move.
+LAYOUT = {
+    ("arrow_bound", 2): (24, "72b382feecf8e983"),
+    ("eq_cov", 2): (30, "934119084a6c9d4c"),
+    ("eq_inv", 2): (30, "934119084a6c9d4c"),
+    ("expr", 2): (24, "299fa93c201c8ca4"),
+    ("expr_sup", 2): (24, "299fa93c201c8ca4"),
+    ("fun_cov", 2): (30, "8f4f2b5b92008a76"),
+    ("list", 2): (24, "7057d7ac63d2dbc5"),
+    ("ml_open_demo", 2): (14, "2bae0434f1e0d8bc"),
+    ("object_emulation", 2): (24, "6d40de4f9bb48db1"),
+    ("pair_ref", 2): (33, "11e6ab275a5c6ebd"),
+    ("private_fd", 2): (40, "e0c31b10ea8ca414"),
+    ("sink_sub", 2): (24, "70373e8dd525fcb1"),
+    ("world", 2): (27, "31178041b0ef1ec4"),
+    ("world_min", 2): (21, "d70280c6b9315eab"),
+    ("world_ref", 2): (24, "a41cf279b8539dbd"),
+    ("ml_open_demo", 3): (422, "1a4461f479476252"),
+    ("object_emulation", 3): (1179, "3e4d225f33eb69a2"),
+    ("sink_sub", 3): (1179, "3014060b80158ba7"),
+}
+
+
+@pytest.mark.parametrize("name,depth", list(LAYOUT))
+def test_id_layout(name, depth):
+    u = get_universe(name, depth)
+    digest = hashlib.sha256()
+    for i in range(len(u)):
+        digest.update(f"{u.heads[i]}({','.join(map(str, u.kids[i]))});"
+                      .encode())
+    assert (len(u), digest.hexdigest()[:16]) == LAYOUT[name, depth]
+
+
+def test_id_layout_covers_the_corpus():
+    assert {name for name, depth in LAYOUT if depth == 2} == {
+        p.stem for p in CORPUS.glob("*.vt")}
+    assert {name for name, depth in LAYOUT if depth == 3} == set(DEPTH3_FILES)
 
 
 @pytest.mark.parametrize("name,depth", [
