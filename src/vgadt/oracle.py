@@ -10,19 +10,24 @@ never a theorem: `True` means "no counterexample up to this depth".
 
 Ground types are hash-consed into dense integer ids (Filliâtre &
 Conchon, "Type-safe modular hash-consing", 2006): a type is its head
-and the tuple of its children's ids, and children always get their ids
-first.  A universe's subtyping relation is kept as Python-int bitsets
-over its ids, one row per type and direction, so the quantifier loops
-run over integers and bit tests instead of type trees.  A row is
-computed when it is first read, so a run builds only the rows its
-verdicts read.  A universe of depth d holds every type of depth <= d,
-so the types related to h(k_1..k_n) are a product: a head related to
-h, and per position an id of depth < d in the row of k_p.  A row is
-read off its children's rows, one lookup per member.  Instances deeper
-than the universe (a bound `'b pos` at depth d + 1) get an id on
-demand, and their rows are computed the same way.  A universe type's
-tree is built only when it is rendered.  Types compared outside a
-universe get no rows: they compare structurally.
+and the tuple of its children's ids.  A universe of depth d holds every
+type of depth <= d, so its ids need no table: they are laid out by
+arithmetic, in blocks of consecutive ids, one per level and head, each
+a product of shallower ids in product order.  The id of a type is its
+block's start plus its children's rank in the block, and the head and
+children of an id are decoded from it when they are first read, so a
+run decodes only the ids it reads and enumerates no type.  A universe's
+subtyping relation is kept as Python-int bitsets over its ids, one row
+per type and direction, so the quantifier loops run over integers and
+bit tests instead of type trees.  A row is computed when it is first
+read, so a run builds only the rows its verdicts read.  The types
+related to h(k_1..k_n) are a product: a head related to h, and per
+position an id of depth < d in the row of k_p.  A row is read off its
+children's rows, one rank per member.  Instances deeper than the
+universe (a bound `'b pos` at depth d + 1) are interned on demand, and
+their rows are computed the same way.  A universe type's tree is built
+only when it is rendered.  Types compared outside a universe get no
+rows: they compare structurally.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -39,6 +44,7 @@ extra rules.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -89,26 +95,29 @@ def _members(bits: int) -> Iterator[int]:
 
 
 class TypeTable:
-    """Hash-consed ground types and their subtyping relation.
+    """Hash-consed ground types, compared structurally.
 
-    Only a universe is built (`build`, once, when it is enumerated):
-    its ids become the dense ones.  The memos `le` and `ge` hold rows
-    over the dense ids: `le[i]`, the set of dense j with type i <= type
-    j, and `ge[i]`, the set of dense j with type j <= type i.  A row is
-    computed from its children's rows on first use (`_Rows`), for any
-    id, dense or interned later (deep).  A table that is never built has
-    no dense id, and every comparison is structural (`prec`).
+    A type is its head and the tuple of its children's ids.  Each type
+    interned is kept in a dict, and a new one gets the next id (`_add`).
+    A table that is not a universe has no dense id, and every
+    comparison is structural (`prec`).  A universe (`GroundUniverse`)
+    lays its own types out as the dense ids 0..n-1, gives a new type
+    its id there by arithmetic unless it is deeper, and relates its
+    types by rows.
     """
+
+    #: The number of dense ids, and their set.
+    dense = 0
+    full = 0
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.heads: list[str] = []
-        self.kids: list[tuple[int, ...]] = []
-        #: The number of dense ids, and their set.
-        self.dense = 0
-        self.full = 0
+        #: The head and the children of each id.
+        self.heads: dict[int, str] = {}
+        self.kids: dict[int, tuple[int, ...]] = {}
         # The id of every type interned from a TypeExpr.
         self._exprs: dict[TypeExpr, int] = {}
+        # The id of every type interned.
         self._ids: dict[tuple[str, tuple[int, ...]], int] = {}
         self._variances = {name: info.variances
                            for name, info in sig.ctors.items()}
@@ -120,28 +129,20 @@ class TypeTable:
         self._up = {h: frozenset(g for g in reach.get(h, {h})
                                  if ws.get(g) == ws[h])
                     for h in sig.ctors}
-        #: Per head, the set of its dense ids, one range per block of
-        #: `enumerate_types`.
-        self._head_ids: dict[str, int] = {}
-        columns = {w: _Columns(self, w) for w in ALL_VARIANCES}
-        le = self.le = _Rows(self, COV, columns)
-        ge = self.ge = _Rows(self, CONTRA, columns)
-        #: Per variance v, the function a -> row(v, a).
-        self.rows: dict[Variance, Callable[[int], int]] = {
-            COV: le.__getitem__,
-            CONTRA: ge.__getitem__,
-            INV: lambda a: le[a] & ge[a],
-            IRR: lambda a: self.full,
-        }
 
     def intern(self, head: str, kids: tuple[int, ...]) -> int:
         """The id of head(kids), added if new."""
         key = (head, kids)
         i = self._ids.get(key)
         if i is None:
-            i = self._ids[key] = len(self.heads)
-            self.heads.append(head)
-            self.kids.append(kids)
+            i = self._ids[key] = self._add(head, kids)
+        return i
+
+    def _add(self, head: str, kids: tuple[int, ...]) -> int:
+        """The id of a type not interned before: the next one."""
+        i = len(self.heads)
+        self.heads[i] = head
+        self.kids[i] = kids
         return i
 
     def intern_expr(self, t: TypeExpr) -> int:
@@ -159,17 +160,12 @@ class TypeTable:
             raise ValueError(f"unknown type constructor {head!r}")
         return head
 
-    def build(self) -> None:
-        """Make every id interned so far dense.  No row is computed
-        here, and `_head_ids` is filled as the ids are interned
-        (`enumerate_types`)."""
+    def build(self, size: int) -> None:
+        """Make the ids 0..size-1 dense: a universe's types, laid out
+        by `enumerate_types`.  No row is computed here."""
         assert not self.dense, "a table is built once"
-        self.dense = len(self.heads)
-        self.full = (1 << self.dense) - 1
-
-    def row(self, v: Variance, a: int) -> int:
-        """The set of dense ids b with a prec_v b."""
-        return self.rows[v](a)
+        self.dense = size
+        self.full = (1 << size) - 1
 
     def prec(self, v: Variance, a: int, b: int) -> bool:
         """a prec_v b: a bit test when both ids are dense, else one
@@ -196,35 +192,40 @@ class _Rows(dict):
     """Id x -> the dense ids above x (v = COV) or below it (v = CONTRA),
     computed from the rows of x's children on first use.
 
-    Only a universe of depth d is built, and it holds every type of
-    depth <= d.  So the dense ids related at v to x = h(k_1..k_n) are
-    those of the types g(j_1..j_n), where g is a head related to h at v
-    and each j_p is an id of depth < d in row(compose(v, w_p), k_p), w_p
-    being h's variance at p (the edges between heads preserve variances,
-    so it is g's too): one `_ids` lookup per member of the row.  A `~`
-    position needs no case of its own: its row is full."""
+    A universe of depth d holds every type of depth <= d.  So the dense
+    ids related at v to x = h(k_1..k_n) are those of the types
+    g(j_1..j_n), where g is a head related to h at v and each j_p is an
+    id of depth < d in row(compose(v, w_p), k_p), w_p being h's variance
+    at p (the edges between heads preserve variances, so it is g's
+    too).  Each tuple of children is ranked once (`GroundUniverse._place`),
+    and the rank placed in the block of each g.  A `~` position needs no
+    case of its own: its row is full."""
 
-    def __init__(self, table: TypeTable, v: Variance,
+    def __init__(self, table: GroundUniverse, v: Variance,
                  columns: dict[Variance, _Columns]):
         super().__init__()
         self.table = table
         up = table._up
-        # Per head h, the heads related to h at v, and per position the
-        # columns of the variance at which its child's row is read.
+        starts = table._starts
+        # Per head h, the block starts of the heads related to h at v,
+        # and per position the columns of the variance at which its
+        # child's row is read.
         self.related = {
-            h: (tuple(up[h]) if v is COV
-                else tuple(g for g in up if h in up[g]),
+            h: (tuple(starts[g] for g in up[h]) if v is COV
+                else tuple(starts[g] for g in up if h in up[g]),
                 tuple(columns[compose(v, w)] for w in ws))
             for h, ws in table._variances.items()}
 
     def __missing__(self, x: int) -> int:
-        table, ids = self.table, self.table._ids
-        heads, columns = self.related[table.heads[x]]
+        table = self.table
+        starts, columns = self.related[table.heads[x]]
+        place = table._place
         row = 0
         for js in itertools.product(*map(operator.getitem, columns,
                                          table.kids[x])):
-            for g in heads:
-                row |= 1 << ids[g, js]
+            deepest, rank = place(js)
+            for s in starts:
+                row |= 1 << s[deepest] + rank
         self[x] = row
         return row
 
@@ -234,7 +235,7 @@ class _Columns(dict):
     children at a position of composed variance w in the rows of the
     types whose child there is k."""
 
-    def __init__(self, table: TypeTable, w: Variance):
+    def __init__(self, table: GroundUniverse, w: Variance):
         super().__init__()
         self.table, self.w = table, w
 
@@ -245,31 +246,152 @@ class _Columns(dict):
         return col
 
 
+class _Decoded(dict):
+    """Id -> its head (or its children).  A universe's dense id is
+    decoded on first read (`GroundUniverse._decode`); any other id is
+    stored when it is interned."""
+
+    def __init__(self, universe: GroundUniverse):
+        super().__init__()
+        self.universe = universe
+
+    def __missing__(self, x: int):
+        self.universe._decode(x)
+        return self[x]
+
+
 #: prec_v(a, b) iff prec_{_REVERSE[v]}(b, a).
 _REVERSE = {COV: CONTRA, CONTRA: COV, INV: INV, IRR: IRR}
 
 
 class GroundUniverse(TypeTable):
-    """All variable-free types of bounded depth over a signature.
+    """All variable-free types of bounded depth over a signature, and
+    their subtyping relation.
 
-    Enumeration order is deterministic (by depth, then constructor
-    declaration order, then argument order) and duplicate-free; the list
-    is closed under subterms because every shallower type is included.
-    The universe's types are the dense ids 0..n-1, in that order; deeper
-    types (instances of a bound, say) are interned on demand.  A type's
-    tree is built only when it is asked for (`type`), since an oracle
-    run renders only the few types of its counterexamples.
+    The universe's types are the dense ids 0..n-1.  Their order is
+    deterministic (by depth, then constructor declaration order, then
+    product order of the children's ids) and duplicate-free, and it is
+    closed under subterms because every shallower type comes first.
+    The order is laid out by arithmetic, not enumerated: it is a
+    sequence of blocks (`enumerate_types`), so the id of a type is its
+    block's start plus the rank of its children in the block (`_add`),
+    and the head and children of a dense id are decoded from it on
+    first read (`heads`, `kids`).  So a run decodes only the ids it
+    reads.  Deeper types (instances of a bound, say) are interned on
+    demand, numbered from n.  A type's tree is built only when it is
+    asked for (`type`), since an oracle run renders only the few types
+    of its counterexamples.
+
+    The memos `le` and `ge` hold rows over the dense ids: `le[i]`, the
+    set of dense j with type i <= type j, and `ge[i]`, the set of dense
+    j with type j <= type i.  A row is computed from its children's rows
+    on first use (`_Rows`), for any id, dense or deep.
     """
 
     def __init__(self, sig: Signature, depth: int):
         super().__init__(sig)
         self.depth = depth
+        self.heads: dict[int, str] = _Decoded(self)
+        self.kids: dict[int, tuple[int, ...]] = _Decoded(self)
         #: within[k]: the ids of depth <= k, a prefix of the universe.
-        self.within: list[int] = [0]
+        self.within: list[int] = []
+        #: Per head, the set of its dense ids, one range per block.
+        self._head_ids: dict[str, int] = {}
+        # The layout (`enumerate_types`).  _ends[k]: the number of ids
+        # of depth <= k.  _starts[h][k]: the first id of the block of
+        # the types of head h whose deepest child has depth k (0 for a
+        # constant).  The blocks' starts in id order, and per block its
+        # head, arity and k.
+        self._ends: list[int] = [0]
+        self._starts: dict[str, list[Optional[int]]] = {
+            h: [None] * depth for h in sig.ctors}
+        self._block_starts: list[int] = []
+        self._blocks: list[tuple[str, int, int]] = []
         self._trees: dict[int, TypeExpr] = {}
+        # The number of deep ids.
+        self._deep = 0
+        columns = {w: _Columns(self, w) for w in ALL_VARIANCES}
+        le = self.le = _Rows(self, COV, columns)
+        ge = self.ge = _Rows(self, CONTRA, columns)
+        #: Per variance v, the function a -> row(v, a).
+        self.rows: dict[Variance, Callable[[int], int]] = {
+            COV: le.__getitem__,
+            CONTRA: ge.__getitem__,
+            INV: lambda a: le[a] & ge[a],
+            IRR: lambda a: self.full,
+        }
 
     def __len__(self) -> int:
         return self.dense
+
+    def _place(self, kids: tuple[int, ...]) -> tuple[int, int]:
+        """The depth k of the deepest of `kids`, dense ids of depth < d
+        (0 if there are none), and the rank of `kids` in a block of
+        that k: among the tuples over the n ids of depth <= k that are
+        not all among the m ids of depth < k, in product order.  It is
+        the tuple's rank in the whole product, less the tuples over the
+        m ids that come before it."""
+        ends = self._ends
+        deepest = bisect.bisect_right(ends, max(kids, default=-1))
+        if not deepest:
+            return 0, 0
+        n, m = ends[deepest], ends[deepest - 1]
+        rank = before = 0
+        # The children after the first one of depth k add 0 to `before`.
+        below = m
+        for k in kids:
+            rank = rank * n + k
+            if k < below:
+                before = before * m + k
+            else:
+                before = before * m + below
+                below = 0
+        return deepest, rank - before
+
+    def _add(self, head: str, kids: tuple[int, ...]) -> int:
+        """The id of a type first interned: its block's start plus its
+        rank in the block if its children have depth < d, so that it is
+        a universe type, else the next deep id."""
+        if max(kids, default=-1) < self._ends[-2]:
+            deepest, rank = self._place(kids)
+            return self._starts[head][deepest] + rank
+        i = self.dense + self._deep
+        self._deep += 1
+        self.heads[i] = head
+        self.kids[i] = kids
+        return i
+
+    def _decode(self, x: int) -> None:
+        """Store the head and children of the dense id x: the head of
+        its block, and the tuple whose rank in the block (`_place`) is
+        x's offset."""
+        if not 0 <= x < self.dense:
+            raise KeyError(x)
+        b = bisect.bisect_right(self._block_starts, x) - 1
+        head, arity, deepest = self._blocks[b]
+        rank = x - self._block_starts[b]
+        n, m = self._ends[deepest], self._ends[deepest - 1] if deepest else 0
+        kids = []
+        # Until a child of depth k is placed, each of the m ids at this
+        # position heads `span - m ** rest` tuples of the block, and
+        # each other id `span`; from then on, every id heads `span`.
+        below = m
+        for rest in reversed(range(arity)):
+            span = n ** rest
+            q = span - m ** rest
+            if rank < below * q:
+                k, rank = divmod(rank, q)
+            else:
+                k, rank = divmod(rank - below * q, span)
+                k += below
+                below = 0
+            kids.append(k)
+        self.heads[x] = head
+        self.kids[x] = tuple(kids)
+
+    def row(self, v: Variance, a: int) -> int:
+        """The set of dense ids b with a prec_v b."""
+        return self.rows[v](a)
 
     def type(self, i: int) -> TypeExpr:
         """The type tree of id i, built once."""
@@ -294,54 +416,58 @@ def enumerate_types(sig: Signature, depth: int,
                     cap: int = DEFAULT_UNIVERSE_CAP) -> GroundUniverse:
     """All ground types of syntactic depth <= depth (constants have
     depth 1): every head over every tuple of shallower types, the
-    product that `_Rows` reads rows off.  No row is computed here.
+    product that `_Rows` reads rows off.  Only the layout is recorded
+    here: no type is enumerated or decoded, and no row is computed.
 
-    Level by level, each non-constant head interns its new types as one
-    block of consecutive ids: those of its tuples over the ids of depth
-    < level that are not all of depth < level - 1, in product order.  So
-    a head's ids are a union of ranges, one per level, and its mask in
-    `_head_ids` gains one range per block.  A level adds exactly n^a -
-    m^a types of a head of arity a, where n counts the ids of depth <
-    level and m those of depth < level - 1, so the size is known before
-    a block is made: beyond `cap` types UniverseSizeError is raised,
-    and no block past the cap is made.  Rows are Python ints and
-    each holds its own type's bit, so the rows of n types take at most
-    about n^2/8 bytes, reached when every row is read (as
-    `check_sp_requirements` does): the default cap of 40,000 types
-    bounds them to about 200 MB."""
+    The constants come first, in declaration order.  Then level by
+    level, each non-constant head gets one block of consecutive ids:
+    its tuples over the ids of depth < level that are not all of depth
+    < level - 1, in product order.  So a head's ids are a union of
+    ranges, one per level, and its mask in `_head_ids` gains one range
+    per block.  A block of a head of arity a holds exactly n^a - m^a
+    types, where n counts the ids of depth < level and m those of depth
+    < level - 1, so the size is known before a block is recorded:
+    beyond `cap` types UniverseSizeError is raised, and no block past
+    the cap is recorded.  Rows are Python ints and each holds its own
+    type's bit, so the rows of n types take at most about n^2/8 bytes,
+    reached when every row is read (as `check_sp_requirements` does):
+    the default cap of 40,000 types bounds them to about 200 MB."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u = GroundUniverse(sig, depth)
-    ids, heads, kids, head_ids = u._ids, u.heads, u.kids, u._head_ids
+    ends, head_ids = u._ends, u._head_ids
 
     def check(size: int) -> None:
         if size > cap:
             raise UniverseSizeError(
                 f"universe exceeds cap of {cap} types (depth {depth})")
+
+    end = 0
+
+    def block(head: str, arity: int, deepest: int, size: int) -> None:
+        nonlocal end
+        u._block_starts.append(end)
+        u._blocks.append((head, arity, deepest))
+        u._starts[head][deepest] = end
+        head_ids[head] = head_ids.get(head, 0) | ((1 << end + size)
+                                                  - (1 << end))
+        end += size
     ctors = list(sig.ctors.values())
     for info in ctors:
         if info.arity == 0:
-            head_ids[info.name] = 1 << u.intern(info.name, ())
-    m, n = 0, len(heads)
-    check(n)
-    u.within.append((1 << n) - 1)
-    for _ in range(depth - 1):
+            block(info.name, 0, 0, 1)
+    check(end)
+    ends.append(end)
+    for deepest in range(1, depth):
+        n, m = ends[deepest], ends[deepest - 1]
         for info in ctors:
-            h, a = info.name, info.arity
-            if a == 0:
-                continue
-            start = len(heads)
-            end = start + n ** a - m ** a
-            check(end)
-            block = list(itertools.filterfalse(ids.__contains__, zip(
-                itertools.repeat(h), itertools.product(range(n), repeat=a))))
-            ids.update(zip(block, range(start, end)))
-            heads.extend(itertools.repeat(h, end - start))
-            kids.extend(map(operator.itemgetter(1), block))
-            head_ids[h] = head_ids.get(h, 0) | ((1 << end) - (1 << start))
-        m, n = n, len(heads)
-        u.within.append((1 << n) - 1)
-    u.build()
+            a = info.arity
+            if a:
+                check(end + n ** a - m ** a)
+                block(info.name, a, deepest, n ** a - m ** a)
+        ends.append(end)
+    u.within = [(1 << e) - 1 for e in ends]
+    u.build(end)
     return u
 
 

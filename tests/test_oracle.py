@@ -161,10 +161,9 @@ def test_views_equal_eager_trees(name, depth):
     """`types` and `index`, built from the trees `type` makes on demand,
     equal the trees built eagerly in id order."""
     u = get_universe(name, depth)
-    n = len(u)
     trees: list = []
-    for head, kids in zip(u.heads[:n], u.kids):
-        trees.append(App(head, tuple(trees[k] for k in kids)))
+    for i in range(len(u)):
+        trees.append(App(u.heads[i], tuple(trees[k] for k in u.kids[i])))
     assert u.types == tuple(trees)
     assert u.index == {t: i for i, t in enumerate(trees)}
     assert all(u.type(i) is t for i, t in enumerate(u.types))
@@ -178,27 +177,42 @@ def test_head_ids_are_the_heads_of_the_dense_ids(name, depth):
     set of the dense ids of that head, id by id."""
     u = get_universe(name, depth)
     masks: dict[str, int] = {}
-    for x, h in enumerate(u.heads[:len(u)]):
-        masks[h] = masks.get(h, 0) | 1 << x
+    for x in range(len(u)):
+        masks[u.heads[x]] = masks.get(u.heads[x], 0) | 1 << x
     assert u._head_ids == masks
 
 
 @pytest.mark.parametrize("name", DEPTH3_FILES)
 def test_universe_is_a_product(name):
     """Every head over every tuple of ids of depth < d is a universe
-    type: a row's members are read off this product (`_Rows`)."""
+    type, and `intern` gives its id: a row's members are read off this
+    product (`_Rows`)."""
     u = get_universe(name, 3)
     n = len(u)
+    ids = {(u.heads[i], u.kids[i]): i for i in range(n)}
     shallow = [i for i in range(n) if u.within[2] >> i & 1]
     for info in get_sig(name).ctors.values():
         for js in itertools.product(shallow, repeat=info.arity):
-            assert u._ids.get((info.name, js), n) < n, (info.name, js)
+            assert u.intern(info.name, js) == ids[info.name, js], (
+                info.name, js)
+
+
+#: Per oracle-d3 file that a run reads little of: its `vgadt oracle
+#: --depth 3` output, and the heads of the trees it renders.
+SPARSE_RUNS = {
+    "object_emulation": ("t.K: syntactic=rejected req-sp=fails (depth 3): "
+                         "sigma=(obj_m) sigma'=(obj_empty) rho=() agree=yes",
+                         ["obj_empty", "obj_m"]),
+    "sink_sub": ("sink.S: syntactic=accepted req-sp=holds (depth 3) "
+                 "agree=yes", []),
+}
 
 
 def test_oracle_builds_only_the_rendered_trees(monkeypatch):
     """`vgadt oracle --depth 3` on object_emulation renders sigma =
-    (obj_m) and sigma' = (obj_empty): of the 1179 types, it builds the
-    trees of those two and of no other."""
+    (obj_m) and sigma' = (obj_empty), and on sink_sub nothing: of the
+    1179 types, it builds the trees of those and of no other, and it
+    decodes the heads and kids of at most two ids, interning none."""
     universes = []
 
     def enumerate_kept(*args):
@@ -213,14 +227,20 @@ def test_oracle_builds_only_the_rendered_trees(monkeypatch):
         return make(u, i)
     monkeypatch.setattr(cli, "enumerate_types", enumerate_kept)
     monkeypatch.setattr(GroundUniverse, "type", counted)
-    out = io.StringIO()
-    path = str(CORPUS / "object_emulation.vt")
-    assert cli.run(["oracle", "--depth", "3", path], out, io.StringIO()) == 0
-    assert "sigma=(obj_m) sigma'=(obj_empty) rho=()" in out.getvalue()
-    [u] = universes
-    assert len(u) == 1179
-    assert sorted(built) == ["obj_empty", "obj_m"]
-    assert "types" not in vars(u) and "index" not in vars(u)
+    for name, (line, rendered) in SPARSE_RUNS.items():
+        universes.clear()
+        built.clear()
+        out = io.StringIO()
+        path = str(CORPUS / f"{name}.vt")
+        assert cli.run(["oracle", "--depth", "3", path],
+                       out, io.StringIO()) == 0
+        assert out.getvalue() == line + "\n"
+        [u] = universes
+        assert len(u) == 1179
+        assert sorted(built) == rendered
+        assert "types" not in vars(u) and "index" not in vars(u)
+        assert set(u.heads) == set(u.kids)
+        assert len(u.kids) <= 2 and max(u.kids) < len(u), name
 
 
 class TestSubtype:
