@@ -207,9 +207,10 @@ class _Rows(dict):
         self.table = table
         up = table._up
         starts = table._starts
-        # Per head h, the block starts of the heads related to h at v,
-        # and per position the columns of the variance at which its
-        # child's row is read.
+        # Per head h, the block starts of the heads related to h at v
+        # (lists that `enumerate_types` fills in later), and per
+        # position the columns of the variance at which its child's row
+        # is read.
         self.related = {
             h: (tuple(starts[g] for g in up[h]) if v is COV
                 else tuple(starts[g] for g in up if h in up[g]),
