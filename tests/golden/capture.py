@@ -13,9 +13,11 @@ Four suites, one directory each:
 - `infer/`: `vgadt infer` over every corpus file x preset x format;
 - `diagnostics/`: `vgadt check` on each malformed file in `bad/`
   (lexical errors, a token missing after a trailing comment, non-ASCII
-  names, nesting over the depth limit, duplicate declarations, bad
-  constraints, constrained parameters that also occur in the argument
-  or a bound, unbound variables).  These files live outside `inputs/`
+  names, nesting over the depth limit in parentheses and in `*`, `->`
+  and postfix chains, duplicate declarations, bad constraints,
+  constrained parameters that also occur in the argument or a bound,
+  unbound variables, and one file for each other message of the parser
+  and of `wf_check`).  These files live outside `inputs/`
   because the `check` suite runs every file there.
 
 Each case is one in-process `vgadt.cli.run` call with the working
