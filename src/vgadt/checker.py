@@ -118,18 +118,23 @@ def variance_sets(sig: Signature, t: TypeExpr, v: Variance,
 # Closure flags
 
 
-def _strict_edges(sig: Signature) -> tuple[set[str], set[str]]:
-    """Constructors with something strictly above / strictly below them,
-    through private edges or the declared base order."""
+_ALL_FLAGS = frozenset({COV, CONTRA, INV})
+_NO_FLAGS: frozenset[Variance] = frozenset()
+
+
+def _stripped(sig: Signature) -> dict[str, frozenset[Variance]]:
+    """The flags that edges strip, per constructor they strip any from:
+    `+` and `=` if something lies strictly above it, `-` and `=` if
+    something lies strictly below it, through private edges or the
+    declared base order."""
     reach = sig.head_reach()
-    has_above: set[str] = set()
-    has_below: set[str] = set()
+    stripped: dict[str, frozenset[Variance]] = {}
     for lo, outs in reach.items():
         for hi in outs:
             if hi != lo and lo not in reach.get(hi, {hi}):
-                has_above.add(lo)
-                has_below.add(hi)
-    return has_above, has_below
+                stripped[lo] = stripped.get(lo, _NO_FLAGS) | {COV, INV}
+                stripped[hi] = stripped.get(hi, _NO_FLAGS) | {CONTRA, INV}
+    return stripped
 
 
 def compute_closure_flags(sig: Signature, preset: str
@@ -151,62 +156,43 @@ def compute_closure_flags(sig: Signature, preset: str
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown closure preset {preset!r}")
-    has_above, has_below = _strict_edges(sig)
-    stripped: dict[str, set[Variance]] = {name: set() for name in sig.ctors}
-    for name in sig.ctors:
-        if name in has_above:
-            stripped[name] |= {COV, INV}
-        if name in has_below:
-            stripped[name] |= {CONTRA, INV}
-
-    flags: dict[str, set[Variance]] = {}
+    stripped = _stripped(sig)
+    table: dict[str, frozenset[Variance]]
     if preset == "atomic":
-        for name in sig.ctors:
-            flags[name] = {COV, CONTRA, INV} - stripped[name]
+        table = {name: _ALL_FLAGS - stripped.get(name, _NO_FLAGS)
+                 for name in sig.ctors}
     elif preset == "none":
-        for name in sig.ctors:
-            flags[name] = set()
+        table = dict.fromkeys(sig.ctors, _NO_FLAGS)
     else:  # ml-open
-        upward: set[str] = set()
-        for name, info in sig.ctors.items():
-            if name == "->":
-                continue
-            if COV in stripped[name]:
-                continue
-            upward.add(name)
+        upward = {name for name in sig.ctors if name != "->"
+                  and COV not in stripped.get(name, _NO_FLAGS)}
         # Datatypes keep upward closure only if every constructor
         # argument type mentions only upward-closed constructors.
-        changed = True
-        while changed:
-            changed = False
-            for decl in sig.datatypes():
-                if decl.name not in upward:
-                    continue
-                mentions = set()
-                for k in decl.ctors:
-                    mentions |= mentioned_ctors(k.arg)
-                if not mentions <= upward:
-                    upward.discard(decl.name)
-                    changed = True
-        for name in sig.ctors:
-            flags[name] = {COV} if name in upward else set()
+        mentions = {decl.name: frozenset().union(
+                        *(mentioned_ctors(k.arg) for k in decl.ctors))
+                    for decl in sig.datatypes()}
+        while dropped := {name for name, mentioned in mentions.items()
+                          if name in upward and not mentioned <= upward}:
+            upward -= dropped
+        cov = frozenset({COV})
+        table = {name: cov if name in upward else _NO_FLAGS
+                 for name in sig.ctors}
 
     diags: list[Diagnostic] = []
     for d in sig.decls:
         if d.kind != "closed":
             continue
         v, name = d.payload
-        if v in stripped.get(name, set()):
+        if v in stripped.get(name, _NO_FLAGS):
             diags.append(Diagnostic(
                 *d.pos,
                 f"closed {v.value} {name}: contradicted by a private or "
                 f"base-order edge"))
         else:
-            flags.setdefault(name, set()).add(v)
+            table[name] = table.get(name, _NO_FLAGS) | {v}
     if diags:
         raise SignatureError(diags)
 
-    table = {name: frozenset(fs) for name, fs in flags.items()}
     sig.closure_flags = table
     return table
 

@@ -30,6 +30,16 @@ Grammar (UTF-8, `#` line comments)::
 
 `->` is right-associative and binds looser than `*`; `*` is
 left-associative; postfix constructor application binds tightest.
+
+The front end runs in three passes.  `_tokenize` is the one scanner: a
+`Token(kind, text, line, col)` per keyword, identifier, type variable
+(its text without the quote) and sign, then `eof`; lines and columns
+start at 1, columns count code points.  It reports and skips each
+unexpected character.  The parser reads the tokens once, reports an
+error at the token it stopped at and resumes at the next declaration
+keyword.  `wf_check` runs only on a file with neither, and reports at a
+declaration's keyword or a constructor's name.  `parse_signature` raises
+one `SignatureError` with every diagnostic, the scanner's first.
 """
 from __future__ import annotations
 
@@ -39,7 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
-from .variance import Variance, variance_of
+from .variance import Variance
 
 ARROW = "->"
 PRODUCT = "*"
@@ -268,10 +278,8 @@ class Signature:
         return self.info(name).variances
 
     def datatypes(self) -> list[DatatypeDecl]:
-        return [
-            info.decl for info in self.ctors.values()
-            if info.kind == "datatype" and info.decl is not None
-        ]
+        return [info.decl for info in self.ctors.values()
+                if info.kind == "datatype" and info.decl is not None]
 
     def base_leq(self, b: str, c: str) -> bool:
         """Reflexive-transitive closure of the declared base order."""
@@ -292,35 +300,46 @@ class Signature:
 
 
 def _reachability(
-    edges: tuple[tuple[str, str], ...], nodes: dict[str, CtorInfo]
+    edges: Sequence[tuple[str, str]], nodes: dict[str, CtorInfo]
 ) -> dict[str, set[str]]:
-    succ: dict[str, set[str]] = {n: {n} for n in nodes}
+    """Per node and per edge's source, the names reachable from it."""
+    succ: dict[str, list[str]] = {n: [] for n in nodes}
     for a, b in edges:
-        succ.setdefault(a, {a}).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for n, outs in succ.items():
-            extra = set().union(*(succ.get(m, {m}) for m in outs)) - outs
-            if extra:
-                outs |= extra
-                changed = True
-    return succ
+        succ.setdefault(a, []).append(b)
+    reach: dict[str, set[str]] = {}
+    for n in succ:
+        seen, stack = {n}, [n]
+        while stack:
+            for m in succ.get(stack.pop(), ()):
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        reach[n] = seen
+    return reach
+
+
+#: The predeclared constructors.  Their records are frozen, so every
+#: signature shares them.
+_BUILTINS = {
+    ARROW: CtorInfo(ARROW, 2, (Variance.CONTRA, Variance.COV), "builtin"),
+    PRODUCT: CtorInfo(PRODUCT, 2, (Variance.COV, Variance.COV), "builtin"),
+    UNIT: CtorInfo(UNIT, 0, (), "base"),
+}
 
 
 def builtin_signature() -> Signature:
     """A signature holding only the predeclared constructors."""
-    sig = Signature()
-    sig.ctors[ARROW] = CtorInfo(ARROW, 2, (Variance.CONTRA, Variance.COV), "builtin")
-    sig.ctors[PRODUCT] = CtorInfo(PRODUCT, 2, (Variance.COV, Variance.COV), "builtin")
-    sig.ctors[UNIT] = CtorInfo(UNIT, 0, (), "base")
-    return sig
+    return Signature(dict(_BUILTINS))
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
-_KEYWORDS = {"type", "base", "subbase", "private", "closed", "of", "forall"}
+_DECL_KEYWORDS = ("type", "base", "subbase", "private", "closed")
+_KEYWORDS = {*_DECL_KEYWORDS, "of", "forall"}
+#: Each sign's variance and relation; cheaper than calling the Enum.
+_VARIANCES = {v.value: v for v in Variance}
+_RELATIONS = {r.value: r for r in ConstraintRel}
 
 
 class Token(NamedTuple):
@@ -329,6 +348,10 @@ class Token(NamedTuple):
     line: int
     col: int
 
+
+#: `_new(Token, fields)` skips the Python frame of a NamedTuple's own
+#: `__new__`; the scanner and the parser build each record this way.
+_new = tuple.__new__
 
 # One match per token, newline or unexpected character; blanks and
 # comments are skipped as a prefix of the next match.  `\w` is exactly
@@ -340,54 +363,60 @@ class Token(NamedTuple):
 #   and starts the identifier at the first letter or `_`;
 # - a comment does not advance the column, so after a trailing comment
 #   with no newline the `eof` token sits at the column of the `#`.
+# The groups are numbered, and a match's `lastindex` says which one
+# matched.  A word that starts with an ASCII letter or `_` needs no
+# check of its first characters.
 _SCAN = re.compile(r"""
     (?: [ \t\r] | \#[^\n]* )*
-    (?: (?P<word> \w+ )
-      | (?P<tyvar> '\w* )
-      | (?P<punct> -> | >= | <= | [()\[\],.|:=*+~-] )
-      | (?P<nl> \n )
-      | (?P<bad> . )
+    (?: ( [A-Za-z_]\w* )                       # 1: a word
+      | ( \w+ )                                # 2: any other word
+      | ( -> | >= | <= | [()\[\],.|:=*+~-] )    # 3: punctuation
+      | ( \n )                                 # 4: a newline
+      | ( '\w* )                               # 5: a type variable
+      | ( . )                                  # 6: anything else
     )?""", re.VERBOSE | re.DOTALL)
+_WORD, _OTHER_WORD, _PUNCT, _NEWLINE, _TYVAR = 1, 2, 3, 4, 5
 
 
 def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
+    add = tokens.append
     line, line_start = 1, 0
     for m in _SCAN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:            # blanks and comments at the end
+        group = m.lastindex
+        if group is None:           # blanks and comments at the end
             continue
-        lexeme = m.group(kind)
-        col = m.start(kind) - line_start + 1
-        if kind == "word":
-            i = 0
-            while i < len(lexeme) and not (lexeme[i].isalpha()
-                                           or lexeme[i] == "_"):
-                diags.append(Diagnostic(line, col + i,
-                                        f"unexpected character {lexeme[i]!r}"))
-                i += 1
-            if i < len(lexeme):
-                word = lexeme[i:]
-                tokens.append(Token("kw" if word in _KEYWORDS else "ident",
-                                    word, line, col + i))
-        elif kind == "punct":
-            tokens.append(Token(lexeme, lexeme, line, col))
-        elif kind == "tyvar":
-            if len(lexeme) > 1:
-                tokens.append(Token("tyvar", lexeme[1:], line, col))
-            else:
-                diags.append(Diagnostic(line, col, "expected identifier after '"))
-        elif kind == "nl":
+        lexeme = m[group]
+        col = m.start(group) - line_start + 1
+        if group == _WORD:
+            add(_new(Token, ("kw" if lexeme in _KEYWORDS else "ident",
+                             lexeme, line, col)))
+        elif group == _PUNCT:
+            add(_new(Token, (lexeme, lexeme, line, col)))
+        elif group == _NEWLINE:
             line += 1
             line_start = m.end()
+        elif group == _TYVAR:
+            if len(lexeme) > 1:
+                add(_new(Token, ("tyvar", lexeme[1:], line, col)))
+            else:
+                diags.append(Diagnostic(line, col, "expected identifier after '"))
+        elif group == _OTHER_WORD:
+            i = next((i for i, c in enumerate(lexeme)
+                      if c.isalpha() or c == "_"), len(lexeme))
+            diags.extend(Diagnostic(line, col + j, f"unexpected character {c!r}")
+                         for j, c in enumerate(lexeme[:i]))
+            if i < len(lexeme):
+                add(_new(Token, ("kw" if lexeme[i:] in _KEYWORDS else "ident",
+                                 lexeme[i:], line, col + i)))
         else:
             diags.append(Diagnostic(line, col,
                                     f"unexpected character {lexeme!r}"))
     # A comment on the last line runs to the end, and `eof` sits at its `#`.
     hash_at = text.find("#", line_start)
     end = hash_at if hash_at >= 0 else len(text)
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+    add(Token("eof", "", line, end - line_start + 1))
     return tokens, diags
 
 
@@ -409,60 +438,61 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: tokens[pos]; the list ends in `eof`, which `next` never passes.
+        self.tok = tokens[0]
         self.diags: list[Diagnostic] = []
         self.nesting = 0
 
-    def peek(self) -> Token:
-        # The list ends in `eof`, and `next` never moves past it.
-        return self.tokens[self.pos]
-
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def note(self, message: str, tok: Optional[Token] = None) -> None:
+        """Report a diagnostic at tok, by default the current token."""
+        tok = tok or self.tok
+        self.diags.append(Diagnostic(tok.line, tok.col, message))
 
     def error(self, message: str, tok: Optional[Token] = None) -> _ParseAbort:
-        tok = tok or self.peek()
-        self.diags.append(Diagnostic(tok.line, tok.col, message))
+        self.note(message, tok)
         return _ParseAbort()
 
     def expect(self, kind: str, what: str) -> Token:
-        if not self.at(kind):
-            raise self.error(f"expected {what}, found {self.peek().text!r}")
-        return self.next()
+        tok = self.tok
+        if tok.kind != kind:
+            raise self.error(f"expected {what}, found {tok.text!r}")
+        # `kind` is never "eof", so there is a next token.
+        self.pos += 1
+        self.tok = self.tokens[self.pos]
+        return tok
 
     # -- declarations ------------------------------------------------------
 
     def parse_file(self) -> Signature:
         sig = builtin_signature()
         decls: list[Decl] = []
-        while not self.at("eof"):
-            tok = self.peek()
+        while self.tok.kind != "eof":
+            tok = self.tok
             try:
                 kind, payload = self.parse_decl(sig)
             except _ParseAbort:
                 self.skip_to_next_decl()
                 continue
-            decls.append(Decl(kind, payload, (tok.line, tok.col)))
+            decls.append(_new(Decl, (kind, payload, (tok.line, tok.col))))
         sig.decls = tuple(decls)
         return sig
 
     def skip_to_next_decl(self) -> None:
-        while not self.at("eof") and not (
-            self.peek().kind == "kw"
-            and self.peek().text in ("type", "base", "subbase", "private", "closed")
-        ):
+        while self.tok.kind != "eof" and not (
+                self.tok.kind == "kw" and self.tok.text in _DECL_KEYWORDS):
             self.next()
 
     def parse_decl(self, sig: Signature) -> tuple[str, object]:
         """One declaration: its keyword and payload, as a `Decl` holds
         them.  Bases and datatypes are entered into `sig.ctors`."""
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "kw":
             raise self.error(f"expected declaration, found {tok.text!r}")
         if tok.text == "base":
@@ -483,22 +513,19 @@ class _Parser:
             hi = self.expect("ident", "type name")
             # A fresh lower type mirrors the upper one's interface.
             if not sig.has_ctor(lo.text):
-                if sig.has_ctor(hi.text):
-                    above = sig.info(hi.text)
-                    sig.ctors[lo.text] = CtorInfo(
-                        lo.text, above.arity, above.variances, "base"
-                    )
-                else:
-                    sig.ctors[lo.text] = CtorInfo(lo.text, 0, (), "base")
+                above = sig.ctors.get(hi.text)
+                sig.ctors[lo.text] = CtorInfo(
+                    lo.text, above.arity if above else 0,
+                    above.variances if above else (), "base")
             return "private", (lo.text, hi.text)
         if tok.text == "closed":
             self.next()
-            flag = self.peek()
+            flag = self.tok
             if flag.kind not in ("+", "-", "="):
                 raise self.error("expected one of '+', '-', '=' after 'closed'")
             self.next()
             name = self.expect("ident", "type name")
-            return "closed", (variance_of(flag.text), name.text)
+            return "closed", (_VARIANCES[flag.kind], name.text)
         if tok.text == "type":
             decl = self.parse_type_decl(sig)
             self.declare(
@@ -510,50 +537,47 @@ class _Parser:
 
     def declare(self, sig: Signature, tok: Token, info: CtorInfo) -> None:
         if sig.has_ctor(info.name):
-            self.diags.append(Diagnostic(
-                tok.line, tok.col, f"duplicate declaration of {info.name!r}"))
-            return
-        sig.ctors[info.name] = info
+            self.note(f"duplicate declaration of {info.name!r}", tok)
+        else:
+            sig.ctors[info.name] = info
 
     def parse_type_decl(self, sig: Signature) -> DatatypeDecl:
         self.expect("kw", "'type'")
         self.expect("(", "'('")
         params: list[tuple[str, Variance]] = []
         while True:
-            vtok = self.peek()
+            vtok = self.tok
             if vtok.kind not in ("+", "-", "=", "~"):
                 raise self.error("expected a variance sign ('+', '-', '=', '~')")
             self.next()
             var = self.expect("tyvar", "type variable")
-            params.append((var.text, variance_of(vtok.text)))
-            if self.at(","):
-                self.next()
-                continue
-            break
+            params.append((var.text, _VARIANCES[vtok.kind]))
+            if self.tok.kind != ",":
+                break
+            self.next()
         self.expect(")", "')'")
         name = self.expect("ident", "datatype name")
         if len({n for n, _ in params}) != len(params):
-            self.diags.append(Diagnostic(
-                name.line, name.col, f"duplicate parameter in {name.text!r}"))
+            self.note(f"duplicate parameter in {name.text!r}", name)
         self.expect("=", "'='")
         param_names = tuple(n for n, _ in params)
-        if self.at("|"):            # optional leading bar, OCaml style
+        if self.tok.kind == "|":    # optional leading bar, OCaml style
             self.next()
         ctors = [self.parse_ctor(name.text, param_names)]
-        while self.at("|"):
+        while self.tok.kind == "|":
             self.next()
             ctors.append(self.parse_ctor(name.text, param_names))
         return DatatypeDecl(name.text, tuple(params), tuple(ctors))
 
     def parse_ctor(self, type_name: str, params: tuple[str, ...]) -> DataConstructorDecl:
         name = self.expect("ident", "constructor name")
-        if self.at("kw", "of"):
+        if self.tok.kind == "kw" and self.tok.text == "of":
             self.next()
             arg = self.parse_type()
             return DataConstructorDecl(name.text, FORM_ADT, (), (), arg,
                                        pos=(name.line, name.col))
         self.expect(":", "'of' or ':'")
-        if self.at("kw", "forall"):
+        if self.tok.kind == "kw" and self.tok.text == "forall":
             self.next()
             exist = self.parse_binders(name, params)
             self.expect(".", "'.'")
@@ -575,16 +599,15 @@ class _Parser:
         constraints: list[tuple[str, ConstraintRel, TypeExpr, Token]] = []
         while True:
             lhs = self.expect("tyvar", "constrained parameter")
-            rel_tok = self.peek()
+            rel_tok = self.tok
             if rel_tok.kind not in ("=", ">=", "<="):
                 raise self.error("expected '=', '>=' or '<=' in constraint")
             self.next()
             bound = self.parse_type()
-            constraints.append((lhs.text, ConstraintRel(rel_tok.text), bound, lhs))
-            if self.at(","):
-                self.next()
-                continue
-            break
+            constraints.append((lhs.text, _RELATIONS[rel_tok.kind], bound, lhs))
+            if self.tok.kind != ",":
+                break
+            self.next()
         self.expect("]", "']'")
         self.expect(".", "'.'")
         arg = self.parse_type()
@@ -592,16 +615,13 @@ class _Parser:
         seen_params: set[int] = set()
         for lhs_name, rel, bound, lhs_tok in constraints:
             if lhs_name not in params:
-                self.diags.append(Diagnostic(
-                    lhs_tok.line, lhs_tok.col,
-                    f"constraint names {lhs_name!r}, which is not a parameter "
-                    f"of {type_name!r}"))
+                self.note(f"constraint names {lhs_name!r}, which is not a "
+                          f"parameter of {type_name!r}", lhs_tok)
                 continue
             idx = params.index(lhs_name)
             if idx in seen_params:
-                self.diags.append(Diagnostic(
-                    lhs_tok.line, lhs_tok.col,
-                    f"parameter '{lhs_name} is constrained more than once"))
+                self.note(f"parameter '{lhs_name} is constrained more than "
+                          f"once", lhs_tok)
                 continue
             seen_params.add(idx)
             resolved.append(Constraint(idx, rel, bound))
@@ -611,15 +631,12 @@ class _Parser:
 
     def parse_binders(self, ctor_tok: Token, params: tuple[str, ...]) -> tuple[str, ...]:
         exist: list[str] = []
-        while self.at("tyvar"):
+        while self.tok.kind == "tyvar":
             var = self.next()
             if var.text in params:
-                self.diags.append(Diagnostic(
-                    var.line, var.col,
-                    f"'{var.text} shadows a datatype parameter"))
+                self.note(f"'{var.text} shadows a datatype parameter", var)
             elif var.text in exist:
-                self.diags.append(Diagnostic(
-                    var.line, var.col, f"duplicate binder '{var.text}"))
+                self.note(f"duplicate binder '{var.text}", var)
             else:
                 exist.append(var.text)
         return tuple(exist)
@@ -627,15 +644,22 @@ class _Parser:
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> TypeExpr:
-        """A type of depth at most MAX_TYPE_DEPTH.  Every recursive
-        descent passes here, so the parser's own recursion is bounded
-        too."""
+        """A type of depth at most MAX_TYPE_DEPTH: postfix types joined
+        by `*`, left-associative, then by `->`, right-associative.
+        Every recursive descent passes here, so the parser's own
+        recursion is bounded too."""
         start = self.pos
         if self.nesting >= MAX_TYPE_DEPTH:
             raise self.error(self._too_deep)
         self.nesting += 1
         try:
-            t = self.parse_arrow()
+            t = self.parse_postfix()
+            while self.tok.kind == "*":
+                self.next()
+                t = _new(App, (PRODUCT, (t, self.parse_postfix())))
+            if self.tok.kind == "->":
+                self.next()
+                t = _new(App, (ARROW, (t, self.parse_type())))
         finally:
             self.nesting -= 1
         # Each level of depth takes at least one token.
@@ -646,28 +670,20 @@ class _Parser:
 
     _too_deep = f"type nested more than {MAX_TYPE_DEPTH} levels deep"
 
-    def parse_arrow(self) -> TypeExpr:
-        left = self.parse_product()
-        if self.at("->"):
-            self.next()
-            right = self.parse_type()
-            return arrow(left, right)
-        return left
-
-    def parse_product(self) -> TypeExpr:
-        left = self.parse_postfix()
-        while self.at("*"):
-            self.next()
-            right = self.parse_postfix()
-            left = product(left, right)
-        return left
-
     def parse_postfix(self) -> TypeExpr:
-        t: Optional[TypeExpr]
-        if self.at("("):
+        tok = self.tok
+        kind = tok.kind
+        t: TypeExpr
+        if kind == "tyvar":
+            self.next()
+            t = _new(Var, (tok.text,))
+        elif kind == "ident":
+            self.next()
+            t = _new(App, (tok.text, ()))
+        elif kind == "(":
             self.next()
             items = [self.parse_type()]
-            while self.at(","):
+            while self.tok.kind == ",":
                 self.next()
                 items.append(self.parse_type())
             self.expect(")", "')'")
@@ -675,16 +691,11 @@ class _Parser:
                 t = items[0]
             else:
                 head = self.expect("ident", "type constructor after argument tuple")
-                t = App(head.text, tuple(items))
-        elif self.at("tyvar"):
-            t = Var(self.next().text)
-        elif self.at("ident"):
-            t = App(self.next().text, ())
+                t = _new(App, (head.text, tuple(items)))
         else:
-            raise self.error(f"expected a type, found {self.peek().text!r}")
-        while self.at("ident"):
-            head = self.next()
-            t = App(head.text, (t,))
+            raise self.error(f"expected a type, found {tok.text!r}")
+        while self.tok.kind == "ident":
+            t = _new(App, (self.next().text, (t,)))
         return t
 
 
@@ -694,9 +705,7 @@ def parse_signature(text: str) -> Signature:
     tokens, lex_diags = _tokenize(text)
     parser = _Parser(tokens)
     sig = parser.parse_file()
-    diags = lex_diags + parser.diags
-    if not diags:
-        diags = wf_check(sig)
+    diags = lex_diags + parser.diags or wf_check(sig)
     if diags:
         raise SignatureError(diags)
     return sig
@@ -708,14 +717,12 @@ def parse_type(text: str) -> TypeExpr:
     parser = _Parser(tokens)
     try:
         t = parser.parse_type()
+        if not lex_diags and not parser.diags and parser.tok.kind != "eof":
+            parser.note(f"trailing input {parser.tok.text!r}")
     except _ParseAbort:
-        raise SignatureError(lex_diags + parser.diags) from None
-    if lex_diags or parser.diags or not parser.at("eof"):
-        diags = lex_diags + parser.diags
-        if not diags:
-            diags = [Diagnostic(parser.peek().line, parser.peek().col,
-                                f"trailing input {parser.peek().text!r}")]
-        raise SignatureError(diags)
+        pass
+    if lex_diags or parser.diags:
+        raise SignatureError(lex_diags + parser.diags)
     return t
 
 
@@ -726,6 +733,7 @@ def parse_type(text: str) -> TypeExpr:
 def wf_check(sig: Signature) -> list[Diagnostic]:
     """One diagnostic per violated signature invariant; [] iff well-formed."""
     diags: list[Diagnostic] = []
+    ctors = sig.ctors
 
     def bad(pos: tuple[int, int], message: str) -> None:
         diags.append(Diagnostic(pos[0], pos[1], message))
@@ -736,26 +744,28 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
             if t.name not in scope:
                 bad(pos, f"{where}: unbound type variable '{t.name}")
             return
-        assert isinstance(t, App)
-        if not sig.has_ctor(t.ctor):
+        info = ctors.get(t.ctor)
+        if info is None:
             bad(pos, f"{where}: unknown type constructor {t.ctor!r}")
-        elif sig.arity(t.ctor) != len(t.args):
-            bad(pos, f"{where}: {t.ctor!r} expects {sig.arity(t.ctor)} "
+        elif info.arity != len(t.args):
+            bad(pos, f"{where}: {t.ctor!r} expects {info.arity} "
                 f"argument(s), got {len(t.args)}")
         for a in t.args:
             check_type(a, scope, where, pos)
 
-    def declared(kind: str) -> list[tuple]:
-        return [(d.payload, d.pos) for d in sig.decls if d.kind == kind]
+    # (payload, pos) of each declaration, by kind, in source order.
+    declared: dict[str, list[tuple]] = {}
+    for kind, payload, pos in sig.decls:
+        declared.setdefault(kind, []).append((payload, pos))
 
-    for (lo, hi), pos in declared("subbase"):
+    for (lo, hi), pos in declared.get("subbase", ()):
         for name in (lo, hi):
             if not sig.has_ctor(name):
                 bad(pos, f"subbase: unknown type {name!r}")
             elif sig.arity(name) != 0 or sig.info(name).kind == "builtin":
                 bad(pos, f"subbase: {name!r} is not an arity-0 base type")
 
-    private = declared("private")
+    private = declared.get("private", [])
     for (lo, hi), pos in private:
         if not sig.has_ctor(hi):
             bad(pos, f"private: unknown type {hi!r}")
@@ -771,14 +781,16 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
     # Private edges must be acyclic (the declared order may have cycles).
     # An edge lo -> hi closes a cycle iff lo is reachable from hi; a type
     # on a cycle is reported once, at its first private edge.
-    reach = _reachability(sig.private_edges, {})
-    cyclic = {lo for lo, hi in sig.private_edges if lo in reach.get(hi, {hi})}
-    for (lo, hi), pos in private:
-        if lo in cyclic:
-            cyclic.remove(lo)
-            bad(pos, f"private: cycle through {lo!r}")
+    if private:
+        edges = [edge for edge, _ in private]
+        reach = _reachability(edges, {})
+        cyclic = {lo for lo, hi in edges if lo in reach.get(hi, {hi})}
+        for (lo, hi), pos in private:
+            if lo in cyclic:
+                cyclic.remove(lo)
+                bad(pos, f"private: cycle through {lo!r}")
 
-    for (v, name), pos in declared("closed"):
+    for (v, name), pos in declared.get("closed", ()):
         if not sig.has_ctor(name):
             bad(pos, f"closed: unknown type {name!r}")
 
@@ -795,7 +807,8 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
                 else frozenset(k.exist_vars)
             check_type(k.arg, scope, where, pos)
             occurring = free_vars(k.arg).union(
-                *(free_vars(c.bound) for c in k.constraints))
+                *(free_vars(c.bound) for c in k.constraints)) \
+                if k.constraints else frozenset()
             for c in k.constraints:
                 if not (0 <= c.param < len(decl.params)):
                     bad(pos, f"{where}: constraint on invalid parameter "
