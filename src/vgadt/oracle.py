@@ -301,11 +301,11 @@ class GroundUniverse(TypeTable):
         # The layout (`enumerate_types`).  _ends[k]: the number of ids
         # of depth <= k.  _starts[h][k]: the first id of the block of
         # the types of head h whose deepest child has depth k (0 for a
-        # constant).  The blocks' starts in id order, and per block its
-        # head, arity and k.
+        # constant), filled level by level, so that its size is bounded
+        # by the cap and not by the depth.  The blocks' starts in id
+        # order, and per block its head, arity and k.
         self._ends: list[int] = [0]
-        self._starts: dict[str, list[Optional[int]]] = {
-            h: [None] * depth for h in sig.ctors}
+        self._starts: dict[str, dict[int, int]] = {h: {} for h in sig.ctors}
         self._block_starts: list[int] = []
         self._blocks: list[tuple[str, int, int]] = []
         self._trees: dict[int, TypeExpr] = {}

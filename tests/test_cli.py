@@ -334,6 +334,17 @@ class TestRobustness:
             code, err,
             f"{bases}: universe exceeds cap of 40000 types (depth 3)")
 
+    def test_huge_depth_meets_the_cap(self):
+        """A depth far past what the cap allows ends in the cap's
+        diagnostic: the layout takes memory per level it reaches, not
+        per level the depth asks for."""
+        path = CORPUS / "list.vt"
+        code, out, err = invoke("oracle", "--depth=1000000000000", path)
+        assert out == ""
+        self.assert_one_line_error(
+            code, err, f"{path}: universe exceeds cap of 40000 types "
+            f"(depth 1000000000000)")
+
     def test_nesting_at_the_limit_is_checked(self, tmp_path):
         ok = tmp_path / "ok.vt"
         ok.write_text("type (+'a) list = Nil of unit | Cons of 'a * 'a list\n"
