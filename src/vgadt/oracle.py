@@ -26,8 +26,10 @@ position an id of depth < d in the row of k_p.  A row is read off its
 children's rows, one rank per member.  Instances deeper than the
 universe (a bound `'b pos` at depth d + 1) are interned on demand, and
 their rows are computed the same way.  A universe type's tree is built
-only when it is rendered.  Types compared outside a universe get no
-rows: they compare structurally.
+only when it is rendered.  Types compared outside a universe (`subtype`
+and `prec`) are interned into a universe of depth 1: its constants
+compare by rows, and every other type is a deep id and compares
+structurally, through the same `GroundUniverse.prec`.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -94,100 +96,6 @@ def _members(bits: int) -> Iterator[int]:
         i = text.find("1", i + 1)
 
 
-class TypeTable:
-    """Hash-consed ground types, compared structurally.
-
-    A type is its head and the tuple of its children's ids.  Each type
-    interned is kept in a dict, and a new one gets the next id (`_add`).
-    A table that is not a universe has no dense id, and every
-    comparison is structural (`prec`).  A universe (`GroundUniverse`)
-    lays its own types out as the dense ids 0..n-1, gives a new type
-    its id there by arithmetic unless it is deeper, and relates its
-    types by rows.
-    """
-
-    #: The number of dense ids, and their set.
-    dense = 0
-    full = 0
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        #: The head and the children of each id.
-        self.heads: dict[int, str] = {}
-        self.kids: dict[int, tuple[int, ...]] = {}
-        # The id of every type interned from a TypeExpr.
-        self._exprs: dict[TypeExpr, int] = {}
-        # The id of every type interned.
-        self._ids: dict[tuple[str, tuple[int, ...]], int] = {}
-        self._variances = {name: info.variances
-                           for name, info in sig.ctors.items()}
-        ws = self._variances
-        reach = sig.head_reach()
-        # The heads a type of head h may lie below; it may lie above the
-        # heads g with h in _up[g].  The edges between heads preserve
-        # arity and variances.
-        self._up = {h: frozenset(g for g in reach.get(h, {h})
-                                 if ws.get(g) == ws[h])
-                    for h in sig.ctors}
-
-    def intern(self, head: str, kids: tuple[int, ...]) -> int:
-        """The id of head(kids), added if new."""
-        key = (head, kids)
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = self._add(head, kids)
-        return i
-
-    def _add(self, head: str, kids: tuple[int, ...]) -> int:
-        """The id of a type not interned before: the next one."""
-        i = len(self.heads)
-        self.heads[i] = head
-        self.kids[i] = kids
-        return i
-
-    def intern_expr(self, t: TypeExpr) -> int:
-        i = self._exprs.get(t)
-        if i is None:
-            if not isinstance(t, App):
-                raise ValueError("ground types only")
-            i = self.intern(self._known(t.ctor),
-                            tuple(self.intern_expr(a) for a in t.args))
-            self._exprs[t] = i
-        return i
-
-    def _known(self, head: str) -> str:
-        if head not in self._variances:
-            raise ValueError(f"unknown type constructor {head!r}")
-        return head
-
-    def build(self, size: int) -> None:
-        """Make the ids 0..size-1 dense: a universe's types, laid out
-        by `enumerate_types`.  No row is computed here."""
-        assert not self.dense, "a table is built once"
-        self.dense = size
-        self.full = (1 << size) - 1
-
-    def prec(self, v: Variance, a: int, b: int) -> bool:
-        """a prec_v b: a bit test when both ids are dense, else one
-        structural recursion: the heads relate at v, and the children
-        at each position of variance w relate at compose(v, w).  So `=`
-        asks for heads related both ways and equivalent children at
-        every position that is not `~`, one call per pair of children,
-        not one per direction at every level."""
-        if v is IRR or a == b:
-            return True
-        if a < self.dense and b < self.dense:
-            return self.row(v, a) >> b & 1 == 1
-        h, g = self.heads[a], self.heads[b]
-        if (v is not CONTRA and g not in self._up[h]
-                or v is not COV and h not in self._up[g]):
-            return False
-        for w, x, y in zip(self._variances[h], self.kids[a], self.kids[b]):
-            if not self.prec(compose(v, w), x, y):
-                return False
-        return True
-
-
 class _Rows(dict):
     """Id x -> the dense ids above x (v = COV) or below it (v = CONTRA),
     computed from the rows of x's children on first use.
@@ -205,15 +113,13 @@ class _Rows(dict):
                  columns: dict[Variance, _Columns]):
         super().__init__()
         self.table = table
-        up = table._up
+        near = table._up if v is COV else table._down
         starts = table._starts
-        # Per head h, the block starts of the heads related to h at v
-        # (lists that `enumerate_types` fills in later), and per
-        # position the columns of the variance at which its child's row
-        # is read.
+        # Per head h, the block starts of the heads related to h at v,
+        # and per position the columns of the variance at which its
+        # child's row is read.
         self.related = {
-            h: (tuple(starts[g] for g in up[h]) if v is COV
-                else tuple(starts[g] for g in up if h in up[g]),
+            h: (tuple(starts[g] for g in near[h]),
                 tuple(columns[compose(v, w)] for w in ws))
             for h, ws in table._variances.items()}
 
@@ -248,9 +154,10 @@ class _Columns(dict):
 
 
 class _Decoded(dict):
-    """Id -> its head (or its children).  A universe's dense id is
-    decoded on first read (`GroundUniverse._decode`); any other id is
-    stored when it is interned."""
+    """Id -> its head (or its children), stored on first read
+    (`GroundUniverse._decode`): a dense id's are decoded from it, and a
+    deep id's read from the list they were kept in when it was
+    interned."""
 
     def __init__(self, universe: GroundUniverse):
         super().__init__()
@@ -265,52 +172,115 @@ class _Decoded(dict):
 _REVERSE = {COV: CONTRA, CONTRA: COV, INV: INV, IRR: IRR}
 
 
-class GroundUniverse(TypeTable):
+class GroundUniverse:
     """All variable-free types of bounded depth over a signature, and
-    their subtyping relation.
+    their subtyping relation; and the ids of deeper types.
 
     The universe's types are the dense ids 0..n-1.  Their order is
     deterministic (by depth, then constructor declaration order, then
     product order of the children's ids) and duplicate-free, and it is
     closed under subterms because every shallower type comes first.
     The order is laid out by arithmetic, not enumerated: it is a
-    sequence of blocks (`enumerate_types`), so the id of a type is its
-    block's start plus the rank of its children in the block (`_add`),
-    and the head and children of a dense id are decoded from it on
-    first read (`heads`, `kids`).  So a run decodes only the ids it
-    reads.  Deeper types (instances of a bound, say) are interned on
-    demand, numbered from n.  A type's tree is built only when it is
-    asked for (`type`), since an oracle run renders only the few types
-    of its counterexamples.
+    sequence of blocks, recorded by the constructor, so the id of a type
+    is its block's start plus the rank of its children in the block
+    (`intern`), and the head and children of a dense id are decoded from
+    it on first read (`heads`, `kids`).  So a run decodes only the ids
+    it reads.  A deeper type (an instance of a bound, say) is a deep id:
+    it is numbered from n in intern order, and its head and children are
+    kept in a list (`_deep`).  A type's tree is built only when it is asked for (`type`),
+    since an oracle run renders only the few types of its
+    counterexamples.
 
     The memos `le` and `ge` hold rows over the dense ids: `le[i]`, the
     set of dense j with type i <= type j, and `ge[i]`, the set of dense
     j with type j <= type i.  A row is computed from its children's rows
-    on first use (`_Rows`), for any id, dense or deep.
+    on first use (`_Rows`), for any id, dense or deep.  Two dense ids
+    compare by one bit test, any other pair structurally (`prec`).
     """
 
-    def __init__(self, sig: Signature, depth: int):
-        super().__init__(sig)
+    def __init__(self, sig: Signature, depth: int, cap: int):
+        """Record the layout of the types of depth <= depth.
+
+        The constants come first, in declaration order.  Then level by
+        level, each non-constant head gets one block of consecutive ids:
+        its tuples over the ids of depth < level that are not all of
+        depth < level - 1, in product order.  So a head's ids are a
+        union of ranges, one per level, and its mask in `_head_ids`
+        gains one range per block.  A block of a head of arity a holds
+        exactly n^a - m^a types, where n counts the ids of depth < level
+        and m those of depth < level - 1, so the size is known before a
+        block is recorded: beyond `cap` types UniverseSizeError is
+        raised, and no block past the cap is recorded.  No type is
+        enumerated or decoded here, and no row is computed."""
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        self.sig = sig
         self.depth = depth
+        self._variances = ws = {name: info.variances
+                                for name, info in sig.ctors.items()}
+        reach = sig.head_reach()
+        # The heads a type of head h may lie below (_up[h]) and above
+        # (_down[h]).  The edges between heads preserve arity and
+        # variances.
+        self._up = {h: frozenset(g for g in reach.get(h, {h})
+                                 if ws.get(g) == ws[h])
+                    for h in sig.ctors}
+        self._down: dict[str, list[str]] = {h: [] for h in sig.ctors}
+        for h, above in self._up.items():
+            for g in above:
+                self._down[g].append(h)
+        #: The head and the children of each id.
         self.heads: dict[int, str] = _Decoded(self)
         self.kids: dict[int, tuple[int, ...]] = _Decoded(self)
-        #: within[k]: the ids of depth <= k, a prefix of the universe.
-        self.within: list[int] = []
-        #: Per head, the set of its dense ids, one range per block.
-        self._head_ids: dict[str, int] = {}
-        # The layout (`enumerate_types`).  _ends[k]: the number of ids
-        # of depth <= k.  _starts[h][k]: the first id of the block of
-        # the types of head h whose deepest child has depth k (0 for a
-        # constant), filled level by level, so that its size is bounded
-        # by the cap and not by the depth.  The blocks' starts in id
-        # order, and per block its head, arity and k.
-        self._ends: list[int] = [0]
+        # The id of every type interned, and of every type interned from
+        # a TypeExpr.
+        self._ids: dict[tuple[str, tuple[int, ...]], int] = {}
+        self._exprs: dict[TypeExpr, int] = {}
+        self._trees: dict[int, TypeExpr] = {}
+        # The head and children of each deep id, in id order.
+        self._deep: list[tuple[str, tuple[int, ...]]] = []
+        # The layout.  _ends[k]: the number of ids of depth <= k.
+        # _starts[h][k]: the first id of the block of the types of head h
+        # whose deepest child has depth k (0 for a constant), filled
+        # level by level, so that its size is bounded by the cap and not
+        # by the depth.  The blocks' starts in id order, and per block
+        # its head, arity and k.
+        ends = self._ends = [0]
         self._starts: dict[str, dict[int, int]] = {h: {} for h in sig.ctors}
         self._block_starts: list[int] = []
         self._blocks: list[tuple[str, int, int]] = []
-        self._trees: dict[int, TypeExpr] = {}
-        # The number of deep ids.
-        self._deep = 0
+        #: Per head, the set of its dense ids, one range per block.
+        self._head_ids: dict[str, int] = {}
+        end = 0
+
+        def block(head: str, arity: int, deepest: int, size: int) -> None:
+            nonlocal end
+            if end + size > cap:
+                raise UniverseSizeError(
+                    f"universe exceeds cap of {cap} types (depth {depth})")
+            self._block_starts.append(end)
+            self._blocks.append((head, arity, deepest))
+            self._starts[head][deepest] = end
+            self._head_ids[head] = (self._head_ids.get(head, 0)
+                                    | (1 << end + size) - (1 << end))
+            end += size
+        ctors = list(sig.ctors.values())
+        for info in ctors:
+            if info.arity == 0:
+                block(info.name, 0, 0, 1)
+        ends.append(end)
+        for deepest in range(1, depth):
+            n, m = ends[deepest], ends[deepest - 1]
+            for info in ctors:
+                a = info.arity
+                if a:
+                    block(info.name, a, deepest, n ** a - m ** a)
+            ends.append(end)
+        #: The number of dense ids, and their set.
+        self.dense = end
+        self.full = (1 << end) - 1
+        #: within[k]: the ids of depth <= k, a prefix of the universe.
+        self.within = [(1 << e) - 1 for e in ends]
         columns = {w: _Columns(self, w) for w in ALL_VARIANCES}
         le = self.le = _Rows(self, COV, columns)
         ge = self.ge = _Rows(self, CONTRA, columns)
@@ -324,6 +294,38 @@ class GroundUniverse(TypeTable):
 
     def __len__(self) -> int:
         return self.dense
+
+    def intern(self, head: str, kids: tuple[int, ...]) -> int:
+        """The id of head(kids).  It is its block's start plus its rank
+        in the block if its children have depth < d, so that it is a
+        universe type, else the next deep id when it is first
+        interned."""
+        key = (head, kids)
+        i = self._ids.get(key)
+        if i is None:
+            if max(kids, default=-1) < self._ends[-2]:
+                deepest, rank = self._place(kids)
+                i = self._starts[head][deepest] + rank
+            else:
+                i = self.dense + len(self._deep)
+                self._deep.append(key)
+            self._ids[key] = i
+        return i
+
+    def intern_expr(self, t: TypeExpr) -> int:
+        i = self._exprs.get(t)
+        if i is None:
+            if not isinstance(t, App):
+                raise ValueError("ground types only")
+            i = self.intern(self._known(t.ctor),
+                            tuple(self.intern_expr(a) for a in t.args))
+            self._exprs[t] = i
+        return i
+
+    def _known(self, head: str) -> str:
+        if head not in self._variances:
+            raise ValueError(f"unknown type constructor {head!r}")
+        return head
 
     def _place(self, kids: tuple[int, ...]) -> tuple[int, int]:
         """The depth k of the deepest of `kids`, dense ids of depth < d
@@ -349,25 +351,15 @@ class GroundUniverse(TypeTable):
                 below = 0
         return deepest, rank - before
 
-    def _add(self, head: str, kids: tuple[int, ...]) -> int:
-        """The id of a type first interned: its block's start plus its
-        rank in the block if its children have depth < d, so that it is
-        a universe type, else the next deep id."""
-        if max(kids, default=-1) < self._ends[-2]:
-            deepest, rank = self._place(kids)
-            return self._starts[head][deepest] + rank
-        i = self.dense + self._deep
-        self._deep += 1
-        self.heads[i] = head
-        self.kids[i] = kids
-        return i
-
     def _decode(self, x: int) -> None:
-        """Store the head and children of the dense id x: the head of
-        its block, and the tuple whose rank in the block (`_place`) is
-        x's offset."""
-        if not 0 <= x < self.dense:
+        """Store the head and children of id x.  A deep id's are kept
+        since it was interned.  A dense id's are the head of its block,
+        and the tuple whose rank in the block (`_place`) is x's offset."""
+        if not 0 <= x < self.dense + len(self._deep):
             raise KeyError(x)
+        if x >= self.dense:
+            self.heads[x], self.kids[x] = self._deep[x - self.dense]
+            return
         b = bisect.bisect_right(self._block_starts, x) - 1
         head, arity, deepest = self._blocks[b]
         rank = x - self._block_starts[b]
@@ -390,6 +382,31 @@ class GroundUniverse(TypeTable):
         self.heads[x] = head
         self.kids[x] = tuple(kids)
 
+    def prec(self, v: Variance, a: int, b: int) -> bool:
+        """a prec_v b: a bit test when both ids are dense, else one
+        structural recursion: the heads relate at v, and the children
+        at each position of variance w relate at compose(v, w).  So `=`
+        asks for heads related both ways and equivalent children at
+        every position that is not `~`, one call per pair of children,
+        not one per direction at every level.  A deep id's head and
+        children are read from the list `_deep`, not from `heads` and
+        `kids`: CPython does not specialise subscripts of a dict
+        subclass, and they took 20% of this method's time."""
+        if v is IRR or a == b:
+            return True
+        n = self.dense
+        if a < n and b < n:
+            return self.rows[v](a) >> b & 1 == 1
+        h, xs = self._deep[a - n] if a >= n else (self.heads[a], self.kids[a])
+        g, ys = self._deep[b - n] if b >= n else (self.heads[b], self.kids[b])
+        if (v is not CONTRA and g not in self._up[h]
+                or v is not COV and h not in self._up[g]):
+            return False
+        for w, x, y in zip(self._variances[h], xs, ys):
+            if not self.prec(compose(v, w), x, y):
+                return False
+        return True
+
     def row(self, v: Variance, a: int) -> int:
         """The set of dense ids b with a prec_v b."""
         return self.rows[v](a)
@@ -407,69 +424,17 @@ class GroundUniverse(TypeTable):
         """The universe's types, in id order."""
         return tuple(map(self.type, range(self.dense)))
 
-    @functools.cached_property
-    def index(self) -> dict[TypeExpr, int]:
-        """The id of each of the universe's types."""
-        return {t: i for i, t in enumerate(self.types)}
-
 
 def enumerate_types(sig: Signature, depth: int,
                     cap: int = DEFAULT_UNIVERSE_CAP) -> GroundUniverse:
     """All ground types of syntactic depth <= depth (constants have
-    depth 1): every head over every tuple of shallower types, the
-    product that `_Rows` reads rows off.  Only the layout is recorded
-    here: no type is enumerated or decoded, and no row is computed.
-
-    The constants come first, in declaration order.  Then level by
-    level, each non-constant head gets one block of consecutive ids:
-    its tuples over the ids of depth < level that are not all of depth
-    < level - 1, in product order.  So a head's ids are a union of
-    ranges, one per level, and its mask in `_head_ids` gains one range
-    per block.  A block of a head of arity a holds exactly n^a - m^a
-    types, where n counts the ids of depth < level and m those of depth
-    < level - 1, so the size is known before a block is recorded:
-    beyond `cap` types UniverseSizeError is raised, and no block past
-    the cap is recorded.  Rows are Python ints and each holds its own
-    type's bit, so the rows of n types take at most about n^2/8 bytes,
-    reached when every row is read (as `check_sp_requirements` does):
-    the default cap of 40,000 types bounds them to about 200 MB."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    u = GroundUniverse(sig, depth)
-    ends, head_ids = u._ends, u._head_ids
-
-    def check(size: int) -> None:
-        if size > cap:
-            raise UniverseSizeError(
-                f"universe exceeds cap of {cap} types (depth {depth})")
-
-    end = 0
-
-    def block(head: str, arity: int, deepest: int, size: int) -> None:
-        nonlocal end
-        u._block_starts.append(end)
-        u._blocks.append((head, arity, deepest))
-        u._starts[head][deepest] = end
-        head_ids[head] = head_ids.get(head, 0) | ((1 << end + size)
-                                                  - (1 << end))
-        end += size
-    ctors = list(sig.ctors.values())
-    for info in ctors:
-        if info.arity == 0:
-            block(info.name, 0, 0, 1)
-    check(end)
-    ends.append(end)
-    for deepest in range(1, depth):
-        n, m = ends[deepest], ends[deepest - 1]
-        for info in ctors:
-            a = info.arity
-            if a:
-                check(end + n ** a - m ** a)
-                block(info.name, a, deepest, n ** a - m ** a)
-        ends.append(end)
-    u.within = [(1 << e) - 1 for e in ends]
-    u.build(end)
-    return u
+    depth 1): every head over every tuple of shallower types, laid out
+    as a `GroundUniverse`.  Beyond `cap` types UniverseSizeError is
+    raised.  Rows are Python ints and each holds its own type's bit, so
+    the rows of n types take at most about n^2/8 bytes, reached when
+    every row is read (as `check_sp_requirements` does): the default cap
+    of 40,000 types bounds them to about 200 MB."""
+    return GroundUniverse(sig, depth, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +443,14 @@ def enumerate_types(sig: Signature, depth: int,
 
 class SemanticOracle:
     """Subtyping on type expressions, and the per-variance relations of
-    a universe.  Type expressions are interned into a table of the
-    oracle's own, which has no rows: its ids compare structurally."""
+    a universe.  Type expressions are interned into the oracle's own
+    universe of depth 1, which holds every constant whatever their
+    number: constants are its dense ids and compare by rows, and every
+    other type is a deep id and compares structurally."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.table = TypeTable(sig)
+        self.table = enumerate_types(sig, 1, cap=len(sig.ctors))
 
     def subtype(self, a: TypeExpr, b: TypeExpr) -> bool:
         return self.prec(COV, a, b)
@@ -590,7 +557,7 @@ def _walk(u: GroundUniverse, t: TypeExpr, v: Variance,
             head = u._known(node.ctor)
             # Each id has one head, so these sums are unions.
             up = sum(ids.get(g, 0) for g in u._up[head])
-            down = sum(ids.get(g, 0) for g in u._up if head in u._up[g])
+            down = sum(ids.get(g, 0) for g in u._down[head])
             steps.append((path, None, up if w is COV else
                           down if w is CONTRA else up & down))
             stack.extend((path + (i,), compose(w, x), a) for i, (a, x)

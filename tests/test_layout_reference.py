@@ -16,7 +16,8 @@ import itertools
 
 import pytest
 
-from vgadt.oracle import enumerate_types, oracle_for
+from test_relation import Reference
+from vgadt.oracle import enumerate_types
 from vgadt.syntax import CtorInfo, Decl, Signature
 from vgadt.variance import ALL_VARIANCES, CONTRA, COV, INV, IRR
 
@@ -105,7 +106,7 @@ def test_deep_ids_follow_the_universe(depth):
     n = len(u)
     pool = POOLS[depth]
     assert pool[-1] == n - 1
-    structural = oracle_for(sig)
+    structural = Reference(sig)
     deep = []
     for info in sig.ctors.values():
         for js in itertools.product(pool, repeat=info.arity):
@@ -117,7 +118,7 @@ def test_deep_ids_follow_the_universe(depth):
                 deep.append(i)
             assert u.intern(info.name, js) == i
     assert deep
-    # The rows of a universe type agree with the structural relation too.
+    # The rows of a universe type agree with the reference on trees too.
     for x in [*deep, *pool]:
         for v in ALL_VARIANCES:
             assert u.row(v, x) == sum(

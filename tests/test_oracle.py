@@ -13,6 +13,7 @@ import pytest
 from conftest import CORPUS, get_sig, get_universe
 from vgadt import cli
 from vgadt.oracle import (
+    DEFAULT_UNIVERSE_CAP,
     GroundUniverse,
     UniverseSizeError,
     _groups,
@@ -33,6 +34,7 @@ from vgadt.checker import check_variance
 from vgadt.syntax import (
     App,
     CtorInfo,
+    Decl,
     Signature,
     normalize_constructor,
     parse_signature,
@@ -78,7 +80,9 @@ class TestEnumerateTypes:
     def test_depth_two_with_unary_datatype(self):
         u = enumerate_types(bare_signature("int", "bool", unary=("list",)), 2)
         assert len(u) == 2 + 8 + 2
-        assert tapp("list", tapp("int")) in u.index
+        t = tapp("list", tapp("int"))
+        i = u.intern_expr(t)
+        assert i < len(u) and u.types[i] == t
 
     def test_cap_exceeded(self):
         with pytest.raises(UniverseSizeError):
@@ -107,7 +111,8 @@ class TestEnumerateTypes:
     def test_closed_under_subterms(self, world_u2):
         for t in world_u2.types:
             for a in t.args:
-                assert a in world_u2.index
+                i = world_u2.intern_expr(a)
+                assert i < len(world_u2) and world_u2.types[i] == a
 
 
 #: The inputs of the benchmark's oracle-d3 workload.
@@ -158,14 +163,15 @@ def test_id_layout_covers_the_corpus():
     *((p.stem, 2) for p in sorted(CORPUS.glob("*.vt"))),
     *((name, 3) for name in DEPTH3_FILES)])
 def test_views_equal_eager_trees(name, depth):
-    """`types` and `index`, built from the trees `type` makes on demand,
-    equal the trees built eagerly in id order."""
+    """`types`, built from the trees `type` makes on demand, equals the
+    trees built eagerly in id order, and `intern_expr` gives each tree
+    its id."""
     u = get_universe(name, depth)
     trees: list = []
     for i in range(len(u)):
         trees.append(App(u.heads[i], tuple(trees[k] for k in u.kids[i])))
     assert u.types == tuple(trees)
-    assert u.index == {t: i for i, t in enumerate(trees)}
+    assert [u.intern_expr(t) for t in trees] == list(range(len(u)))
     assert all(u.type(i) is t for i, t in enumerate(u.types))
 
 
@@ -317,6 +323,29 @@ class TestPrec:
             for c in ts:
                 if orc.prec(INV, b, c):
                     assert orc.prec(INV, a, c)
+
+    def test_beyond_the_cap(self):
+        """The oracle's own universe holds every constant, so it has no
+        cap to exceed: 40,001 bases, the first below the last, compare
+        by rows, and arrows and products over them structurally."""
+        names = [f"b{i}" for i in range(40_001)]
+        sig = bare_signature(*names)
+        sig.decls = (Decl("subbase", ("b0", "b40000"), (1, 1)),)
+        assert len(sig.ctors) > DEFAULT_UNIVERSE_CAP
+        first, last = tapp("b0"), tapp("b40000")
+        assert subtype(sig, first, last)
+        assert not subtype(sig, last, first)
+        assert subtype(sig, last, last)
+        assert prec(sig, CONTRA, parse_type("b0 -> b1"),
+                    parse_type("b40000 -> b1"))
+        assert not prec(sig, CONTRA, parse_type("b40000 -> b1"),
+                        parse_type("b0 -> b1"))
+        assert prec(sig, INV, parse_type("b40000 * b1"),
+                    parse_type("b40000 * b1"))
+        assert not prec(sig, INV, parse_type("b0 * b1"),
+                        parse_type("b40000 * b1"))
+        table = oracle_for(sig).table
+        assert isinstance(table, GroundUniverse) and len(table) == 40_001
 
 
 class TestSemVariance:

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import CORPUS, get_sig, get_universe
 from test_decomp_reference import SIGS
-from vgadt.oracle import TypeTable, enumerate_types, oracle_for
+from vgadt.oracle import GroundUniverse, enumerate_types, oracle_for
 from vgadt.oracle import prec as prec_expr
 from vgadt.syntax import App, Signature, TypeExpr, parse_signature, parse_type
 from vgadt.variance import ALL_VARIANCES, CONTRA, COV, INV, IRR, Variance
@@ -200,17 +200,18 @@ def test_invariant_comparison_is_linear(monkeypatch):
     ids = [u.intern_expr(t) for t in types]
     assert min(ids) >= len(u)
     calls = [0]
-    prec = TypeTable.prec
+    prec = GroundUniverse.prec
 
     def counted(table, v, a, b):
         calls[0] += 1
         assert calls[0] <= 4 * k, "prec recursed more than linearly"
         return prec(table, v, a, b)
-    monkeypatch.setattr(TypeTable, "prec", counted)
+    monkeypatch.setattr(GroundUniverse, "prec", counted)
     for v in (COV, CONTRA, INV):
         for i, j, holds in ((1, 0, True), (0, 1, True),
                             (2, 0, False), (0, 2, False)):
-            # On deep universe ids, and on a table with no rows.
+            # On deep universe ids, and on the oracle's depth-1 universe,
+            # where only the bases are dense.
             for decide in (lambda: u.prec(v, ids[i], ids[j]),
                            lambda: prec_expr(sig, v, types[i], types[j])):
                 calls[0] = 0

@@ -243,7 +243,7 @@ class TestFreeVars:
 
 
 class TestTypeValues:
-    """DecompEngine's memo and TypeTable's interning key on type trees,
+    """DecompEngine's memo and GroundUniverse's interning key on type trees,
     so trees must be immutable and compared by value."""
 
     def test_immutable(self):
