@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/golden/capture.py [SUITE ...]
 
-Four suites, one directory each:
+Five suites, one directory each:
 
 - `oracle/`: `vgadt oracle` at depths 2 and 3 over every corpus file x
   preset x format;
@@ -18,7 +18,10 @@ Four suites, one directory each:
   constrained parameters that also occur in the argument or a bound,
   unbound variables, and one file for each other message of the parser
   and of `wf_check`).  These files live outside `inputs/`
-  because the `check` suite runs every file there.
+  because the `check` suite runs every file there;
+- `usage/`: the command line itself: help text, usage errors, every
+  accepted form of an option, and FILE operands among the options.
+  Help is captured with `COLUMNS=80`, which the test sets too.
 
 Each case is one in-process `vgadt.cli.run` call with the working
 directory at the repository root, so paths in diagnostics are relative.
@@ -97,9 +100,55 @@ def diagnostics_cases() -> list[tuple[str, list[str]]]:
             for p in sorted((HERE / "bad").glob("*.vt"))]
 
 
+def usage_cases() -> list[tuple[str, list[str]]]:
+    """(case name, argv) of every `usage` golden case."""
+    f = "corpus/list.vt"
+    return [
+        ("no-arguments", []),
+        ("help", ["--help"]),
+        ("h", ["-h"]),
+        ("check-help", ["check", "--help"]),
+        ("infer-h", ["infer", "-h"]),
+        ("oracle-help", ["oracle", "--help"]),
+        ("check-file-help", ["check", f, "--help"]),
+        ("check-bogus-help", ["check", "--bogus", "--help"]),
+        ("unknown-command", ["frobnicate", f]),
+        ("check-no-file", ["check"]),
+        ("check-bogus-no-file", ["check", "--bogus"]),
+        ("preset-bogus", ["check", f, "--preset=bogus"]),
+        ("format-bogus", ["check", f, "--format", "bogus"]),
+        ("mode-slow", ["check", f, "--mode=slow"]),
+        ("depth-two", ["oracle", f, "--depth=two"]),
+        ("depth-0", ["oracle", f, "--depth=0"]),
+        ("depth-minus-1", ["oracle", f, "--depth", "-1"]),
+        ("preset-no-value", ["check", f, "--preset"]),
+        ("explain-yes", ["check", f, "--explain=yes"]),
+        ("explain-structured", ["check", f, "--explain",
+                                "--format=structured"]),
+        ("infer-mode", ["infer", f, "--mode=fast"]),
+        ("check-depth", ["check", f, "--depth=3"]),
+        ("unknown-short", ["check", f, "-x"]),
+        ("unknown-long", ["check", f, "--bogus"]),
+        ("two-token-values", ["check", "--preset", "none", "--format",
+                              "structured", "corpus/expr.vt",
+                              "corpus/eq_cov.vt"]),
+        ("prefixes", ["check", "corpus/expr.vt", "--pre=none",
+                      "--form=structured", "--mo=fast"]),
+        ("last-value-wins", ["check", f, "--mode=fast", "--mode=exact"]),
+        ("explain-prefix", ["check", f, "--exp"]),
+        ("double-dash", ["check", "--", f]),
+        ("oracle-depth-1", ["oracle", f, "--depth", "1",
+                            "--format=structured"]),
+        ("infer-ml-open", ["infer", "corpus/arrow_bound.vt",
+                           "--preset=ml-open"]),
+        ("file-after-option", ["check", "corpus/eq_cov.vt", "--mode=fast",
+                               "corpus/expr.vt"]),
+    ]
+
+
 #: directory -> cases stored there.
 SUITES = {"oracle": cases, "check": check_cases, "infer": infer_cases,
-          "diagnostics": diagnostics_cases}
+          "diagnostics": diagnostics_cases, "usage": usage_cases}
 
 
 def render(argv: list[str]) -> str:
@@ -117,6 +166,7 @@ def render(argv: list[str]) -> str:
 
 def main() -> None:
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     suites = sys.argv[1:] or list(SUITES)
     for suite in suites:
         target = HERE / suite

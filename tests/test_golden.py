@@ -5,7 +5,7 @@ The `oracle` files pin the first counterexample of every rejection; the
 `check` files pin verdicts, witnesses (`gamma`, `gammas`), rejection
 reasons and `--explain` derivations; the `infer` files pin the printed
 variance sets; the `diagnostics` files pin the positioned messages for
-malformed input.  Regenerate them with
+malformed input; the `usage` files pin help text and usage errors.  Regenerate them with
 `PYTHONPATH=src python tests/golden/capture.py` only for an intended
 change of output.
 """
@@ -56,3 +56,10 @@ def test_infer_output_matches_golden(name, argv, monkeypatch):
 def test_diagnostics_match_golden(name, argv, monkeypatch):
     monkeypatch.chdir(capture.ROOT)
     assert_matches("diagnostics", name, argv)
+
+
+@parametrize(capture.usage_cases())
+def test_usage_matches_golden(name, argv, monkeypatch):
+    monkeypatch.chdir(capture.ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_matches("usage", name, argv)
