@@ -21,19 +21,23 @@ disagreement, 2 a user error or an internal error (reported in one line,
 never as a traceback).  Structured output (`--format=structured`) is one
 JSON record per line on stdout; diagnostics go to stderr.
 
-`run` may be called repeatedly in one process.  The argument parser is
-built once per process, on the first call; nothing else outlives a
-call.  All output of a call, argparse's usage and help text included,
-goes to the `out` and `err` streams it is given, by default to
-`sys.stdout` and `sys.stderr` as they are when it is called.
+The argv is read by one parser driven by two tables, `_COMMANDS` and
+`_OPTIONS`.  An option takes its value as `--name=value` or as
+`--name value`, a long name may be cut to any unique prefix, FILE
+operands may come anywhere and everything after `--` is one, and
+`-h`/`--help` prints help.  Help and usage errors keep the layout,
+wording and order of argparse's, wrapped at 80 columns.
+
+`run` may be called repeatedly in one process; nothing outlives a call.
+All output of a call, help and usage errors included, goes to the `out`
+and `err` streams it is given, by default to `sys.stdout` and
+`sys.stderr` as they are when it is called.
 """
 from __future__ import annotations
 
-import argparse
-import contextlib
-import functools
 import io
 import json
+import re
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -103,10 +107,10 @@ def _explain_verdict(sig: Signature, verdict: Verdict, out: TextIO) -> None:
                 print(line, file=out)
 
 
-def _check(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
-    report = check_signature(sig, ns.mode)
+def _check(opts: dict, sig: Signature, out: TextIO) -> bool:
+    report = check_signature(sig, opts["mode"])
     for verdict in report.verdicts:
-        if ns.format == "structured":
+        if opts["format"] == "structured":
             print(json.dumps({
                 "type": verdict.datatype,
                 "ctor": verdict.ctor,
@@ -118,7 +122,7 @@ def _check(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
             }), file=out)
         else:
             print(verdict.describe(), file=out)
-            if ns.explain:
+            if opts["explain"]:
                 _explain_verdict(sig, verdict, out)
     return report.ok
 
@@ -133,7 +137,7 @@ def _sets_line(sets: dict[str, str]) -> str:
     return "  ".join(f"{a}: {s}" for a, s in sets.items())
 
 
-def _infer(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
+def _infer(opts: dict, sig: Signature, out: TextIO) -> bool:
     for decl in sig.datatypes():
         varis = decl.param_variances()
         for k in decl.ctors:
@@ -156,7 +160,7 @@ def _infer(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
                          target_variance(c.rel), domain), domain)}
                     for c in constraints],
             }
-            if ns.format == "structured":
+            if opts["format"] == "structured":
                 print(json.dumps(record), file=out)
                 continue
             print(f"{decl.name}.{k.name}: {_sets_line(record['arg_sets'])}",
@@ -169,11 +173,11 @@ def _infer(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
     return True
 
 
-def _oracle(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
+def _oracle(opts: dict, sig: Signature, out: TextIO) -> bool:
     ctors = [(decl, k) for decl in sig.datatypes() for k in decl.ctors]
     if not ctors:       # no verdict would read the universe
         return True
-    universe = enumerate_types(sig, ns.depth)
+    universe = enumerate_types(sig, opts["depth"])
     all_agree = True
     # Only `accepted` is read, and both modes agree on it, so no witness
     # is computed.
@@ -187,7 +191,7 @@ def _oracle(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
                      else "unconfirmed (bounded search)")
         all_agree = all_agree and agree == "yes"
         syntactic = "accepted" if verdict.accepted else "rejected"
-        if ns.format == "structured":
+        if opts["format"] == "structured":
             print(json.dumps({
                 "type": decl.name, "ctor": k.name,
                 "verdict": syntactic,
@@ -202,35 +206,159 @@ def _oracle(ns: argparse.Namespace, sig: Signature, out: TextIO) -> bool:
     return all_agree
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vgadt",
-        description="Check variance annotations on datatype declarations "
-                    "with subtyping.")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: command -> (body, summary, options).  Every command also takes
+#: one or more FILE operands, anywhere in the argv.
+_COMMANDS = {
+    "check": (_check, "check declarations",
+              ("help", "preset", "format", "mode", "explain")),
+    "infer": (_infer, "print admissible variance sets",
+              ("help", "preset", "format")),
+    "oracle": (_oracle, "cross-check verdicts against the brute-force "
+               "semantics", ("help", "preset", "format", "depth")),
+}
+#: option -> (choices, `int`, or None for a flag; default; help or None).
+_OPTIONS = {
+    "help": (None, None, "show this help message and exit"),
+    "preset": (PRESETS, "atomic", "closure-flag preset (default: atomic)"),
+    "format": (("text", "structured"), "text", None),
+    "mode": (("fast", "exact"), "exact", None),
+    "explain": (None, False,
+                "print derivations with rule names (text format only)"),
+    "depth": (int, 2, "universe depth bound (default: 2)"),
+}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def command(name, body, summary):
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(body=body, parser=p)
-        p.add_argument("paths", nargs="+", metavar="FILE")
-        p.add_argument("--preset", choices=PRESETS, default="atomic",
-                       help="closure-flag preset (default: atomic)")
-        p.add_argument("--format", choices=("text", "structured"),
-                       default="text")
-        return p
 
-    check = command("check", _check, "check declarations")
-    check.add_argument("--mode", choices=("fast", "exact"), default="exact")
-    check.add_argument("--explain", action="store_true",
-                       help="print derivations with rule names "
-                            "(text format only)")
-    command("infer", _infer, "print admissible variance sets")
-    oracle = command("oracle", _oracle,
-                     "cross-check verdicts against the brute-force semantics")
-    oracle.add_argument("--depth", type=int, default=2,
-                        help="universe depth bound (default: 2)")
-    return parser
+class _UsageError(Exception):
+    """(command, or None for the program; message) of a refused argv."""
+
+
+def _braced(names) -> str:
+    return "{" + ",".join(names) + "}"
+
+
+def _invocation(name: str) -> str:
+    kind = _OPTIONS[name][0]
+    return ("-h, --help" if name == "help" else f"--{name}" if kind is None
+            else f"--{name} {name.upper() if kind is int else _braced(kind)}")
+
+
+def _usage(command: Optional[str]) -> str:
+    """The usage lines, wrapped at 80 columns as argparse wraps them."""
+    if command is None:
+        return f"usage: vgadt [-h] {_braced(_COMMANDS)} ...\n"
+    lines = [f"usage: vgadt {command}"]
+    indent = " " * len(lines[0])
+    for name in _COMMANDS[command][2]:
+        part = "-h" if name == "help" else _invocation(name)
+        if len(lines[-1]) + len(part) + 3 > 78:     # " [part]" past 78
+            lines.append(indent)
+        lines[-1] += f" [{part}]"
+    return "\n".join(lines) + f"\n{indent} FILE [FILE ...]\n"
+
+
+def _help(command: Optional[str]) -> str:
+    """Help text at 80 columns; each entry's text starts at column 24."""
+    if command is None:
+        head = ("\nCheck variance annotations on datatype declarations with "
+                f"subtyping.\n\npositional arguments:\n  {_braced(_COMMANDS)}"
+                "\n" + "".join(f"    {name:18}  {spec[1]}\n"
+                               for name, spec in _COMMANDS.items()))
+    else:
+        head = "\npositional arguments:\n  FILE\n"
+    names = _COMMANDS[command][2] if command else ("help",)
+    rows = [(_invocation(name), _OPTIONS[name][2]) for name in names]
+    return _usage(command) + head + "\noptions:\n" + "".join(
+        f"  {name}\n" if text is None else f"  {name:20}  {text}\n"
+        if len(name) <= 20 else f"  {name}\n{'':24}{text}\n"
+        for name, text in rows)
+
+
+def _value(command: Optional[str], what: str, value: str, kind):
+    """`value` as an int when `kind` is `int`, else checked against the
+    choices `kind`."""
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            problem = f"invalid int value: {value!r}"
+    elif value in kind:
+        return value
+    else:
+        problem = (f"invalid choice: {value!r} (choose from "
+                   f"{', '.join(map(repr, kind))})")
+    raise _UsageError(command, f"argument {what}: {problem}")
+
+
+def _option(arg: str, names: Sequence[str], command: Optional[str]):
+    """(name, value given after `=` or None) of the option among `names`
+    that `arg` gives: ("", None) for an unknown option, (None, None) for
+    an operand.  A long name may be cut to any unique prefix."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None, None
+    if arg[1] == "-":
+        name, eq, value = arg[2:].partition("=")
+        hits = ([n for n in names if n == name]
+                or [n for n in names if n.startswith(name)])
+        if len(hits) > 1:
+            raise _UsageError(command, f"ambiguous option: {arg} could "
+                              f"match {', '.join('--' + n for n in hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif arg[:2] == "-h":     # -hh is -h -h
+        return "help", (arg[3:] if arg[2:3] == "="
+                        else arg[2:].lstrip("h") or None)
+    return (None, None) if _NEGATIVE_NUMBER.match(arg) or " " in arg \
+        else ("", None)
+
+
+def _parse(argv: Sequence[str]) -> tuple[Optional[str], Optional[dict]]:
+    """(command, options with the FILEs as "paths") of `argv`, or
+    (command, None) when it asks for help; a refused argv raises
+    _UsageError.  As with argparse, options take effect in order, so a
+    bad value before -h is reported and one after it is not, and a
+    missing FILE, then unknown options, are reported after them all."""
+    command, names, unknown, opts = None, ("help",), [], {"paths": []}
+    args = list(argv)
+    while args:
+        arg = args.pop(0)
+        if arg == "--" and (command or not args):
+            opts["paths"] += args
+            break
+        name, value = _option(arg, names, command)
+        if name is None and command:
+            opts["paths"].append(arg)
+        elif name is None:
+            command = _value(None, "command", arg, _COMMANDS)
+            names = _COMMANDS[command][2]
+            opts.update((name, _OPTIONS[name][1]) for name in names)
+        elif not name:
+            unknown.append(arg)
+        elif _OPTIONS[name][0] is None:
+            if value is not None:
+                what = "-h/--help" if name == "help" else f"--{name}"
+                raise _UsageError(command, f"argument {what}: ignored "
+                                  f"explicit argument {value!r}")
+            if name == "help":
+                return command, None
+            opts[name] = True
+        else:
+            if value is None:
+                if not args or args[0] == "--" or \
+                        _option(args[0], names, command)[0] is not None:
+                    raise _UsageError(command, f"argument --{name}: "
+                                      "expected one argument")
+                value = args.pop(0)
+            opts[name] = _value(command, f"--{name}", value, _OPTIONS[name][0])
+    if command is None or not opts["paths"]:
+        raise _UsageError(command, "the following arguments are required: "
+                          + ("FILE" if command else "command"))
+    if unknown:
+        raise _UsageError(None, f"unrecognized arguments: {' '.join(unknown)}")
+    if opts.get("explain") and opts["format"] != "text":
+        raise _UsageError(command, "--explain prints text only, "
+                          "not --format=structured")
+    return command, opts
 
 
 def _decode(data: bytes) -> str:
@@ -261,23 +389,25 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            ns = _build_parser().parse_args(list(argv))
-            if getattr(ns, "explain", False) and ns.format != "text":
-                ns.parser.error("--explain prints text only, "
-                                "not --format=structured")
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags already; normalize the code.
-        return EXIT_ERROR if exc.code else EXIT_OK
-    if getattr(ns, "depth", 1) < 1:
+        command, opts = _parse(argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        prog = "vgadt" if command is None else f"vgadt {command}"
+        err.write(f"{_usage(command)}{prog}: error: {message}\n")
+        return EXIT_ERROR
+    if opts is None:
+        out.write(_help(command))
+        return EXIT_OK
+    if opts.get("depth", 1) < 1:
         print("--depth must be >= 1", file=err)
         return EXIT_ERROR
     ok = True
     try:
-        for path in ns.paths:
+        body = _COMMANDS[command][0]
+        for path in opts["paths"]:
             sig = parse_signature(_read(path))
-            compute_closure_flags(sig, ns.preset)
-            ok = ns.body(ns, sig, out) and ok
+            compute_closure_flags(sig, opts["preset"])
+            ok = body(opts, sig, out) and ok
     except (OSError, SignatureError, ValueError, UniverseSizeError) as exc:
         if isinstance(exc, SignatureError):
             for d in exc.diagnostics:
@@ -289,7 +419,7 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
         print(f"vgadt: internal error: {type(exc).__name__}: {exc}",
               file=err)
         return EXIT_ERROR
-    if not ok and ns.command == "check" and ns.format == "text":
+    if not ok and command == "check" and opts["format"] == "text":
         print(INCOMPLETENESS_NOTE, file=out)
     return EXIT_OK if ok else EXIT_REJECTED
 

@@ -48,6 +48,13 @@ class TestCheck:
         assert code == EXIT_OK
         assert out.index("list.Nil") < out.index("expr.Val")
 
+    def test_file_after_an_option(self):
+        """FILE operands may follow options, as in README's synopsis."""
+        code, out, err = invoke("check", CORPUS / "eq_cov.vt", "--mode=fast",
+                                CORPUS / "expr.vt")
+        assert (code, err) == (EXIT_REJECTED, "")
+        assert out.index("eq.Refl: rejected") < out.index("expr.Val: accepted")
+
     def test_fast_mode(self):
         code, out, _ = invoke("check", CORPUS / "expr.vt", "--mode=fast")
         assert code == EXIT_OK

@@ -52,6 +52,19 @@ def test_the_script_entry_point_is_cli_main():
     assert scripts["vgadt"] == "vgadt.cli:main"
 
 
+def test_importing_the_cli_loads_no_argparse():
+    """The command line is parsed without argparse, so a call pays for
+    neither it nor the gettext it imports."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, vgadt.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
+
+
 def test_main_prints_what_run_prints(monkeypatch):
     from vgadt.cli import EXIT_REJECTED, run
 
