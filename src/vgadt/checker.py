@@ -15,9 +15,13 @@ sub-derivation contexts with the partial zip operation.  The judgment
 is not monotone in the context, yet its deriving contexts always form
 one box (one variance mask per variable; `DecompEngine` proves it), so
 a single memoised recursion decides it for both checking modes, the
-rejection reasons and the derivations.  Witness families are picked
-from such boxes one variable at a time (`first_family`), without
-enumerating contexts.
+rejection reasons and the derivations.  Where the trivial rule applies
+the box is the meet of the children's boxes (a node's principal entry
+is the join of its children's, and up(a v b) = up(a) & up(b)), so each
+subterm's box is built once from its children's, and a judgment costs
+O(m) per node of the type for m variables.  Witness families are
+picked from such boxes one variable at a time (`first_family`),
+without enumerating contexts.
 
 Closure flags record which constructors are v-closed under a chosen
 world assumption (preset), with private-type edges and strict base-order
@@ -25,7 +29,9 @@ edges removing flags, and explicit `closed` declarations adding them.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import and_
 from typing import Optional, Sequence
 
 from .syntax import (
@@ -47,6 +53,7 @@ from .variance import (
     INV,
     IRR,
     MASK,
+    UP_MASK,
     ZIP_MASK,
     Box,
     Variance,
@@ -54,7 +61,6 @@ from .variance import (
     box_zip,
     compose,
     mask_set,
-    set_mask,
     up_set,
     var_leq,
     var_lub,
@@ -213,6 +219,10 @@ def is_closed(sig: Signature, ctor: str, v: Variance) -> bool:
 # ---------------------------------------------------------------------------
 # Decomposability
 
+#: The memo's mark for a judgment not yet decided (None means underivable).
+_UNSEEN = object()
+
+
 def first_family(boxes: Sequence[Box], target: Box
                  ) -> Optional[list[tuple[Variance, ...]]]:
     """The first family (g_1, ..., g_n), each g_j a member of the box
@@ -223,25 +233,43 @@ def first_family(boxes: Sequence[Box], target: Box
 
     Zip works per variable and boxes are products, so the families are
     the product of per-variable columns (g_1[x], ..., g_n[x]), and the
-    first family takes each variable's first column.  A column is picked
-    entry by entry: the first candidate whose zip with the entries
-    before it and the members of the boxes after it can meet `target`.
+    first family takes each variable's first column.  A column depends
+    only on the variable's masks in the boxes and its goal in `target`,
+    so it is picked once per distinct pair (`_first_column`).
     """
+    picked: dict[tuple[tuple[int, ...], int], list[Variance]] = {}
     columns = []
-    for x, goal in enumerate(target):
-        rest = [MASK[IRR]]              # rest[j]: the zips of boxes[j:]
-        for box in reversed(boxes):
-            rest.insert(0, ZIP_MASK[box[x]][rest[0]])
-        if not rest[0] & goal:
-            return None
-        acc, column = MASK[IRR], []
-        for box, after in zip(boxes, rest[1:]):
-            c = next(c for c in ALL_VARIANCES if MASK[c] & box[x]
-                     and ZIP_MASK[ZIP_MASK[acc][MASK[c]]][after] & goal)
-            acc = ZIP_MASK[acc][MASK[c]]
-            column.append(c)
+    per_var = zip(*boxes) if boxes else itertools.repeat(())
+    for masks, goal in zip(per_var, target):
+        column = picked.get((masks, goal))
+        if column is None:
+            column = _first_column(masks, goal)
+            if column is None:
+                return None
+            picked[masks, goal] = column
         columns.append(column)
     return [tuple(col[j] for col in columns) for j in range(len(boxes))]
+
+
+def _first_column(masks: tuple[int, ...], goal: int
+                  ) -> Optional[list[Variance]]:
+    """The first column (c_1, ..., c_n), each c_j in `masks[j]`, whose
+    zip lies in `goal`; None if there is none.  Picked entry by entry:
+    the first candidate whose zip with the entries before it and the
+    members of the masks after it can meet `goal`."""
+    rest = [MASK[IRR]]
+    for m in reversed(masks):
+        rest.append(ZIP_MASK[m][rest[-1]])
+    rest.reverse()                      # rest[j]: the zips of masks[j:]
+    if not rest[0] & goal:
+        return None
+    acc, column = MASK[IRR], []
+    for m, after in zip(masks, rest[1:]):
+        c = next(c for c in ALL_VARIANCES if MASK[c] & m
+                 and ZIP_MASK[ZIP_MASK[acc][MASK[c]]][after] & goal)
+        acc = ZIP_MASK[acc][MASK[c]]
+        column.append(c)
+    return column
 
 
 @dataclass
@@ -285,6 +313,15 @@ class DecompEngine:
       other rules' boxes nest inside the sc-Triv box, and the set is
       that box.
 
+    The meet rule builds that box without walking the subtree again.
+    If `v2 <= v`, the box of h(t_1..t_n) is the per-variable AND of the
+    children's boxes at `v.w_i => v2.w_i`; a variable gets `up(v)` at
+    its own index, and a constant the full box.  Proof: a node's
+    principal entry is the join of its children's, and
+    `up(a v b) = up(a) & up(b)`.  So every (subterm, v, v2) is computed
+    once, from its children's boxes, at O(m) for m domain variables,
+    and a judgment costs O(m) per node of `t`.
+
     A 0 mask means that a zip died for the variable: the box is empty,
     and the other masks keep the values computed.  None means no rule
     applies.  Memoized per engine instance, so a checking run shares
@@ -294,22 +331,31 @@ class DecompEngine:
     def __init__(self, sig: Signature, domain: Sequence[str]):
         self.sig = sig
         self.domain = tuple(domain)
+        self._full = (FULL_MASK,) * len(self.domain)
         self._memo: dict[tuple[TypeExpr, Variance, Variance], Optional[Box]] = {}
 
     def box(self, t: TypeExpr, v: Variance, v2: Variance) -> Optional[Box]:
         """The deriving contexts of `_ |- t : v => v2`, as one box."""
         key = (t, v, v2)
-        if key in self._memo:
-            return self._memo[key]
-        full = (FULL_MASK,) * len(self.domain)
-        rule: Optional[Box] = None
+        rule = self._memo.get(key, _UNSEEN)
+        if rule is not _UNSEEN:
+            return rule
+        full, triv = self._full, var_leq(v2, v)
         if isinstance(t, Var):
-            # sc-Var: the entry must be exactly v; other entries are free.
+            # sc-Triv admits up(v) at t's index, sc-Var exactly v; other
+            # entries are free.
             idx = self.domain.index(t.name)
-            rule = (*full[:idx], MASK[v], *full[idx + 1:])
+            mask = UP_MASK[v] if triv else MASK[v]
+            rule = (*full[:idx], mask, *full[idx + 1:])
+        elif triv:
+            # sc-Triv, by the meet rule; a constant's box is full.
+            rule = full
+            for a, w in zip(t.args, self.sig.variances(t.ctor)):
+                rule = tuple(map(and_, rule, self.box(
+                    a, compose(v, w), compose(v2, w))))
         elif is_closed(self.sig, t.ctor, v):
-            # A v-closed constant type decomposes under every context:
-            # the witness can copy the input.
+            # sc-Constr.  A v-closed constant type decomposes under every
+            # context: the witness can copy the input.
             rule = (MASK[IRR],) * len(self.domain) if t.args else full
             for a, w in zip(t.args, self.sig.variances(t.ctor)):
                 child = self.box(a, compose(v, w), compose(v2, w))
@@ -317,12 +363,8 @@ class DecompEngine:
                     rule = None
                     break
                 rule = box_zip(rule, child)
-        if var_leq(v2, v):
-            # sc-Triv: any context that checks the variance alone.
-            sets = variance_sets(self.sig, t, v, self.domain)
-            triv = tuple(set_mask(sets[name]) for name in self.domain)
-            rule = triv if rule is None else tuple(
-                x | y for x, y in zip(triv, rule))
+        else:
+            rule = None
         self._memo[key] = rule
         return rule
 

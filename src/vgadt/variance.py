@@ -97,9 +97,13 @@ def var_lub(v: Variance, w: Variance) -> Variance:
     return INV
 
 
+_UP_SETS = {v: frozenset(w for w in ALL_VARIANCES if var_leq(v, w))
+            for v in ALL_VARIANCES}
+
+
 def up_set(v: Variance) -> frozenset[Variance]:
     """All variances above v (inclusive)."""
-    return frozenset(w for w in ALL_VARIANCES if var_leq(v, w))
+    return _UP_SETS[v]
 
 
 def zip_var(v: Variance, w: Variance) -> Optional[Variance]:
@@ -236,13 +240,20 @@ def ctx_zip_all(
     IRR is the neutral element of zipping, and a constant type (which
     decomposes with a trivial witness) must be reachable through it.
     """
-    acc = const_ctx(domain, IRR)
+    domain = tuple(domain)
+    acc = (IRR,) * len(domain)
     for g in contexts:
-        merged = ctx_zip(acc, g)
-        if merged is None:
-            return None
-        acc = merged
-    return acc
+        if g.domain() != domain:
+            raise ValueError(
+                f"context domain mismatch: {domain} vs {g.domain()}")
+        merged = []
+        for v1, v2 in zip(acc, g.variances()):
+            v = zip_var(v1, v2)
+            if v is None:
+                return None
+            merged.append(v)
+        acc = tuple(merged)
+    return VarianceContext(zip(domain, acc))
 
 
 # Sets of variances as 4-bit masks, and boxes: one mask per variable of a
@@ -258,7 +269,13 @@ Box = tuple[int, ...]
 
 
 def set_mask(s: Iterable[Variance]) -> int:
-    return sum(MASK[v] for v in set(s))
+    return sum(MASK[v] for v in frozenset(s))
+
+
+#: UP_MASK[v] is the mask of `up_set(v)`.  An entry lies above the join
+#: of two variances iff it lies above both, so
+#: UP_MASK[var_lub(a, b)] == UP_MASK[a] & UP_MASK[b].
+UP_MASK = {v: set_mask(s) for v, s in _UP_SETS.items()}
 
 
 def mask_set(m: int) -> frozenset[Variance]:

@@ -298,6 +298,19 @@ class TestCheckDecomp:
         assert check_decomp(world, ctx(a=COV, b=INV), t, COV, IRR)
         assert check_decomp(world, ctx(a=INV, b=INV), t, INV, COV)
 
+    def test_closure_flag_read_before_it_is_computed(self):
+        # sc-Constr reads the head's flag only when v2 <= v fails; that
+        # read needs `compute_closure_flags`, as `is_closed` does.
+        sig = parse_signature("type (+'a) box = B of 'a\n")
+        engine = DecompEngine(sig, ("a",))
+        with pytest.raises(RuntimeError, match="closure flags not computed"):
+            engine.box(parse_type("'a box"), COV, INV)
+        with pytest.raises(RuntimeError, match="closure flags not computed"):
+            engine.box(parse_type("int"), CONTRA, COV)
+        with pytest.raises(RuntimeError, match="closure flags not computed"):
+            check_decomp(sig, ctx(a=COV), parse_type("'a * 'a box"),
+                         COV, INV)
+
     def test_engine_matches_wrapper(self, world):
         engine = DecompEngine(world, ("a", "b"))
         t = parse_type("'a * ('b ref)")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import CORPUS, get_sig
+from vgadt import checker
 from vgadt.criterion import (
     Verdict,
     check_adt_constructor,
@@ -277,6 +278,28 @@ class TestWideScaling:
         assert verdict.accepted
         assert verdict.gamma == entries(vs, INV)
         assert verdict.gammas == (entries(vs, INV), entries(vs, INV))
+
+    @pytest.mark.parametrize("m", [6, 12, 24, 48])
+    def test_shared_invariant_products_cost_one_walk_of_the_argument(
+            self, m, monkeypatch):
+        # Both bounds are the argument's product, so the principal
+        # context of the argument is the only variance judgment an exact
+        # check needs: sc-Triv boxes come from the children's boxes.
+        sig, vs = wide_signature("eq-shared-inv", m)
+        calls = 0
+        occurrences = checker._occurrence_requirements
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return occurrences(*args)
+
+        monkeypatch.setattr(checker, "_occurrence_requirements", counted)
+        decl = sig.info("w").decl
+        verdict = check_gadt_constructor(sig, decl, decl.ctors[0], "exact")
+        assert verdict.accepted
+        assert verdict.gamma.variances() == (INV,) * m
+        assert calls == 2 * m - 1        # once per node of the argument
 
     @pytest.mark.parametrize("m", [8, 10])
     @pytest.mark.parametrize("family", ["eq-contra-arg", "eq-shared-cov"])

@@ -39,6 +39,7 @@ from vgadt.criterion import (
     Verdict,
     check_gadt_constructor,
     target_variance,
+    verify_witnesses,
 )
 from vgadt.syntax import (
     App,
@@ -194,9 +195,11 @@ class Reference:
 
 
 def types(names: tuple[str, ...],
-          unary: tuple[str, ...] = ("ref", "list", "sink", "phantom")):
+          unary: tuple[str, ...] = ("ref", "list", "sink", "phantom"),
+          max_leaves: int = 5):
     """Types over the variables `names`, the constants of PRELUDE, the
-    product and the arrow, and the unary datatypes `unary`."""
+    product and the arrow, and the unary datatypes `unary`, with at most
+    `max_leaves` leaves."""
     leaves = st.sampled_from(
         [Var(n) for n in names]
         + [App(c, ()) for c in ("int", "bool", "pint", "unit")])
@@ -205,7 +208,7 @@ def types(names: tuple[str, ...],
         st.builds(arrow, sub, sub),
         *(st.builds(lambda a, c=c: App(c, (a,)), sub)
           for c in unary)),
-        max_leaves=5)
+        max_leaves=max_leaves)
 
 
 #: Type strategies per number of existential variables, built once.
@@ -213,22 +216,45 @@ NAMES = [tuple(f"x{i}" for i in range(m)) for m in range(4)]
 TYPES = [types(names) for names in NAMES]
 
 
-@st.composite
-def constructors(draw):
-    """(preset, datatype, constructor) over at most 3 existential
-    variables, with 1-3 constraints of mixed relations."""
-    m = draw(st.integers(0, 3))
+def _constructor(draw, names: tuple[str, ...], types_):
+    """(preset, datatype, constructor) binding `names`, with 1-3
+    constraints of mixed relations, bounds and argument drawn from
+    `types_`."""
     n = draw(st.integers(1, 3))
     params = tuple((f"p{i}", draw(st.sampled_from(ALL_VARIANCES)))
                    for i in range(n))
     constraints = tuple(
         Constraint(i, draw(st.sampled_from(list(ConstraintRel))),
-                   draw(TYPES[m]))
+                   draw(types_))
         for i in range(n))
-    k = DataConstructorDecl("K", FORM_CONSTRAINED, NAMES[m], constraints,
-                            draw(TYPES[m]))
+    k = DataConstructorDecl("K", FORM_CONSTRAINED, names, constraints,
+                            draw(types_))
     return (draw(st.sampled_from(PRESETS)), DatatypeDecl("t", params, (k,)),
             k)
+
+
+@st.composite
+def constructors(draw):
+    """(preset, datatype, constructor) over at most 3 existential
+    variables, with 1-3 constraints of mixed relations."""
+    m = draw(st.integers(0, 3))
+    return _constructor(draw, NAMES[m], TYPES[m])
+
+
+MAX_WIDE = 300
+
+#: Wider and deeper: 4-8 existential variables, up to 12 leaves a type.
+WIDE_NAMES = {m: tuple(f"x{i}" for i in range(m)) for m in range(4, 9)}
+WIDE_TYPES = {m: types(names, max_leaves=12)
+              for m, names in WIDE_NAMES.items()}
+
+
+@st.composite
+def wide_constructors(draw):
+    """As `constructors`, over 4-8 existential variables and types of up
+    to 12 leaves, so that sc-Triv meets long chains of nested heads."""
+    m = draw(st.integers(4, 8))
+    return _constructor(draw, WIDE_NAMES[m], WIDE_TYPES[m])
 
 
 def subterms(t: TypeExpr):
@@ -509,3 +535,29 @@ def test_decomp_sets_equal_set_based_reference(case):
                         == want), (render_type(t), v, v2)
                 assert (checker.decomp_sets(sig, t, v, v2)
                         == decomp_sets(sig, t, v, v2)), (render_type(t), v, v2)
+
+
+@seed(20261024)
+@settings(max_examples=MAX_WIDE, deadline=None, database=None)
+@given(wide_constructors())
+def test_wide_constructors_equal_set_based_reference(case):
+    """The box engine against the set-based analysis on every subterm
+    and variance pair, fast verdicts against the fast-first reference,
+    and every exact acceptance against its own witnesses.  The exact
+    reference enumerates 4^m tuples, so it is not run here."""
+    preset, d, k = case
+    sig = SIGS[preset]
+    norm = normalize_constructor(d, k)
+    terms = {s for c in norm.constraints for s in subterms(c.bound)}
+    terms |= set(subterms(norm.arg))
+    for t in terms:
+        for v in ALL_VARIANCES:
+            for v2 in ALL_VARIANCES:
+                assert (checker.decomp_sets(sig, t, v, v2, norm.exist_vars)
+                        == decomp_sets(sig, t, v, v2, norm.exist_vars)), (
+                    render_type(t), v, v2)
+    fast = check_gadt_constructor(sig, d, k, "fast")
+    assert fast == reference_verdict(sig, d, k, "fast")
+    exact = check_gadt_constructor(sig, d, k, "exact")
+    assert exact.accepted == fast.accepted
+    assert not exact.accepted or verify_witnesses(sig, d, exact)

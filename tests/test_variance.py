@@ -13,6 +13,7 @@ from vgadt.variance import (
     INV,
     IRR,
     MASK,
+    UP_MASK,
     ZIP_MASK,
     VarianceContext,
     box_zip,
@@ -231,6 +232,24 @@ class TestContexts:
 
     @seed(20261018)
     @settings(database=None)
+    @given(ctx_entries, st.data())
+    def test_ctx_zip_all_is_the_fold_of_ctx_zip(self, g, data):
+        family = data.draw(st.lists(
+            st.lists(st.sampled_from(ALL_VARIANCES), min_size=len(g),
+                     max_size=len(g)).map(
+                lambda vs: VarianceContext(zip(g.domain(), vs))),
+            max_size=3))
+        acc = const_ctx(g.domain(), IRR)
+        for h in family:
+            acc = acc and ctx_zip(acc, h)
+        assert ctx_zip_all(family, g.domain()) == acc
+
+    def test_ctx_zip_all_domain_mismatch_is_a_fault(self):
+        with pytest.raises(ValueError, match="context domain mismatch"):
+            ctx_zip_all([VarianceContext([("b", COV)])], ["a"])
+
+    @seed(20261018)
+    @settings(database=None)
     @given(ctx_entries)
     def test_zip_with_all_irr_is_identity(self, g):
         irr = const_ctx(g.domain(), IRR)
@@ -265,6 +284,12 @@ class TestBoxes:
                 for p in points([a]) for q in points([b])}
         want = {z for z in want if None not in z}
         assert points([box_zip(a, b)]) == want
+
+    def test_up_masks_meet_at_joins(self):
+        for v, w in PAIRS:
+            assert UP_MASK[var_lub(v, w)] == UP_MASK[v] & UP_MASK[w]
+        for v in ALL_VARIANCES:
+            assert UP_MASK[v] == set_mask(up_set(v))
 
     def test_mask_set_inverts_set_mask(self):
         for m in range(16):
