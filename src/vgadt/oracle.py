@@ -112,20 +112,24 @@ class _Rows(dict):
     def __init__(self, table: GroundUniverse, v: Variance,
                  columns: dict[Variance, _Columns]):
         super().__init__()
-        self.table = table
-        near = table._up if v is COV else table._down
-        starts = table._starts
-        # Per head h, the block starts of the heads related to h at v,
-        # and per position the columns of the variance at which its
-        # child's row is read.
-        self.related = {
-            h: (tuple(starts[g] for g in near[h]),
-                tuple(columns[compose(v, w)] for w in ws))
-            for h, ws in table._variances.items()}
+        self.table, self.v, self.columns = table, v, columns
+        self.near = table._up if v is COV else table._down
+        # Per head h read so far, the block starts of the heads related
+        # to h at v, and per position the columns of the variance at
+        # which its child's row is read.
+        self.related: dict[str, tuple[tuple, tuple]] = {}
+
+    def _relate(self, h: str) -> tuple[tuple, tuple]:
+        starts, v, columns = self.table._starts, self.v, self.columns
+        plan = self.related[h] = (
+            tuple(starts[g] for g in self.near[h]),
+            tuple(columns[compose(v, w)] for w in self.table._variances[h]))
+        return plan
 
     def __missing__(self, x: int) -> int:
         table = self.table
-        starts, columns = self.related[table.heads[x]]
+        h = table.heads[x]
+        starts, columns = self.related.get(h) or self._relate(h)
         place = table._place
         row = 0
         for js in itertools.product(*map(operator.getitem, columns,
