@@ -14,7 +14,10 @@ judgment's deriving contexts are one box, the product of their
 per-variable projections.
 
 `check_gadt_constructor_bruteforce` calls `DecompEngine.check`, so
-criterion 8 does not test the engine by itself; this file does.
+criterion 8 does not test the engine by itself; this file does.  A
+second strategy, `wide_constructors`, draws up to 8 variables and 12
+leaves a type, where the enumerative engine would list 4^8 tuples; there
+the engine is compared with the set-based analysis only.
 """
 from __future__ import annotations
 
@@ -240,8 +243,6 @@ def constructors(draw):
     m = draw(st.integers(0, 3))
     return _constructor(draw, NAMES[m], TYPES[m])
 
-
-MAX_WIDE = 300
 
 #: Wider and deeper: 4-8 existential variables, up to 12 leaves a type.
 WIDE_NAMES = {m: tuple(f"x{i}" for i in range(m)) for m in range(4, 9)}
@@ -538,7 +539,7 @@ def test_decomp_sets_equal_set_based_reference(case):
 
 
 @seed(20261024)
-@settings(max_examples=MAX_WIDE, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None)
 @given(wide_constructors())
 def test_wide_constructors_equal_set_based_reference(case):
     """The box engine against the set-based analysis on every subterm
