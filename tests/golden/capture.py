@@ -143,6 +143,9 @@ def usage_cases() -> list[tuple[str, list[str]]]:
                            "--preset=ml-open"]),
         ("file-after-option", ["check", "corpus/eq_cov.vt", "--mode=fast",
                                "corpus/expr.vt"]),
+        ("empty-name", ["check", f, "--=fast"]),
+        ("help-yes", ["check", f, "--help=yes"]),
+        ("hh", ["-hh"]),
     ]
 
 
