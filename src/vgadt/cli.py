@@ -35,11 +35,10 @@ and `err` streams it is given, by default to `sys.stdout` and
 """
 from __future__ import annotations
 
-import io
 import json
 import re
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Collection, Optional, Sequence, TextIO
 
 from .checker import (
     DecompEngine,
@@ -68,7 +67,7 @@ from .syntax import (
     parse_signature,
     render_constraint,
 )
-from .variance import COV, VarianceContext, render_variance_set, up_set
+from .variance import COV, SYMBOL, VarianceContext, render_variance_set, up_set
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -82,7 +81,7 @@ INCOMPLETENESS_NOTE = (
 def _render_gamma(g: Optional[VarianceContext]) -> Optional[dict[str, str]]:
     if g is None:
         return None
-    return {name: v.value for name, v in g.entries}
+    return {name: SYMBOL[v] for name, v in g.entries}
 
 
 def _explain_verdict(sig: Signature, verdict: Verdict, out: TextIO) -> None:
@@ -226,6 +225,9 @@ _OPTIONS = {
                 "print derivations with rule names (text format only)"),
     "depth": (int, 2, "universe depth bound (default: 2)"),
 }
+#: command -> {option: default}, in the command's order.
+_DEFAULTS = {command: {name: _OPTIONS[name][1] for name in spec[2]}
+             for command, spec in _COMMANDS.items()}
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
@@ -290,7 +292,7 @@ def _value(command: Optional[str], what: str, value: str, kind):
     raise _UsageError(command, f"argument {what}: {problem}")
 
 
-def _option(arg: str, names: Sequence[str], command: Optional[str]):
+def _option(arg: str, names: Collection[str], command: Optional[str]):
     """(name, value given after `=` or None) of the option among `names`
     that `arg` gives: ("", None) for an unknown option, (None, None) for
     an operand.  A long name may be cut to any unique prefix."""
@@ -298,8 +300,8 @@ def _option(arg: str, names: Sequence[str], command: Optional[str]):
         return None, None
     if arg[1] == "-":
         name, eq, value = arg[2:].partition("=")
-        hits = ([n for n in names if n == name]
-                or [n for n in names if n.startswith(name)])
+        hits = ([name] if name in names       # a full name wins, in one lookup
+                else [n for n in names if n.startswith(name)])
         if len(hits) > 1:
             raise _UsageError(command, f"ambiguous option: {arg} could "
                               f"match {', '.join('--' + n for n in hits)}")
@@ -330,8 +332,8 @@ def _parse(argv: Sequence[str]) -> tuple[Optional[str], Optional[dict]]:
             opts["paths"].append(arg)
         elif name is None:
             command = _value(None, "command", arg, _COMMANDS)
-            names = _COMMANDS[command][2]
-            opts.update((name, _OPTIONS[name][1]) for name in names)
+            names = _DEFAULTS[command]
+            opts.update(names)
         elif not name:
             unknown.append(arg)
         elif _OPTIONS[name][0] is None:
@@ -362,7 +364,7 @@ def _parse(argv: Sequence[str]) -> tuple[Optional[str], Optional[dict]]:
 
 
 def _decode(data: bytes) -> str:
-    text = io.StringIO(data.decode("utf-8"), newline=None).read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return text.removeprefix("\ufeff")
 
 
@@ -370,8 +372,8 @@ def _read(path: str) -> str:
     """The UTF-8 text of `path` with newlines translated as in text mode
     and one leading byte-order mark dropped; a byte that is not UTF-8
     raises a positioned SignatureError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     try:
         return _decode(data)
     except UnicodeDecodeError as exc:

@@ -31,19 +31,21 @@ Grammar (UTF-8, `#` line comments)::
 `->` is right-associative and binds looser than `*`; `*` is
 left-associative; postfix constructor application binds tightest.
 
-The front end runs in three passes.  `_tokenize` is the one scanner: a
-`Token(kind, text, line, col)` per keyword, identifier, type variable
-(its text without the quote) and sign, then `eof`; lines and columns
-start at 1, columns count code points.  It reports and skips each
-unexpected character.  The parser reads the tokens once, reports an
-error at the token it stopped at and resumes at the next declaration
-keyword.  `wf_check` runs only on a file with neither, and reports at a
-declaration's keyword or a constructor's name.  `parse_signature` raises
-one `SignatureError` with every diagnostic, the scanner's first.
+The front end runs in three passes.  `_tokenize` is the one scanner, one
+regular-expression match per token: a `Token(kind, text, line, col)` per
+keyword, identifier, type variable (its text without the quote) and
+sign, then `eof`.  A match first skips the gap before its token: blanks,
+then at most one comment, since a comment runs to its newline.  Lines
+and columns start at 1, columns count code points.  The scanner reports
+and skips each unexpected character.  The parser reads the tokens once,
+reports an error at the token it stopped at and resumes at the next
+declaration keyword.  `wf_check` runs only on a file with neither, and
+reports at a declaration's keyword or a constructor's name.
+`parse_signature` raises one `SignatureError` with every diagnostic, the
+scanner's first.
 """
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -75,6 +77,10 @@ class App(NamedTuple):
 #: compared and hashed by value, and a `Var` never equals an `App`.
 TypeExpr = Var | App
 
+#: `_new(App, fields)` skips the Python frame of a NamedTuple's own
+#: `__new__`; the front end builds its records this way.
+_new = tuple.__new__
+
 
 def tvar(name: str) -> Var:
     return Var(name)
@@ -101,7 +107,6 @@ def free_vars_ordered(t: TypeExpr) -> tuple[str, ...]:
         if isinstance(node, Var):
             out[node.name] = None
         else:
-            assert isinstance(node, App)
             stack.extend(reversed(node.args))
     return tuple(out)
 
@@ -162,8 +167,7 @@ class ConstraintRel(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     param: int              # index into the datatype's parameter list
     rel: ConstraintRel
     bound: TypeExpr
@@ -189,8 +193,7 @@ class DataConstructorDecl:
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
-class DatatypeDecl:
+class DatatypeDecl(NamedTuple):
     name: str
     params: tuple[tuple[str, Variance], ...]
     ctors: tuple[DataConstructorDecl, ...]
@@ -202,8 +205,7 @@ class DatatypeDecl:
         return tuple(v for _, v in self.params)
 
 
-@dataclass(frozen=True)
-class CtorInfo:
+class CtorInfo(NamedTuple):
     name: str
     arity: int
     variances: tuple[Variance, ...]
@@ -281,29 +283,28 @@ class Signature:
         return [info.decl for info in self.ctors.values()
                 if info.kind == "datatype" and info.decl is not None]
 
+    # Reach tables, set on first use (`cached_property` locks on 3.11).
+    _base_reach = _head_reach = None
+
     def base_leq(self, b: str, c: str) -> bool:
         """Reflexive-transitive closure of the declared base order."""
+        if self._base_reach is None:
+            self._base_reach = _reachability(self.base_edges)
         return c in self._base_reach.get(b, {b})
-
-    @functools.cached_property
-    def _base_reach(self) -> dict[str, set[str]]:
-        return _reachability(self.base_edges, self.ctors)
 
     def head_reach(self) -> dict[str, set[str]]:
         """Upward reachability of head constructors: private edges plus,
-        between arity-0 constructors, the declared base order."""
+        between arity-0 constructors, the declared base order.  A name
+        no edge leaves has no entry; read it as `.get(n, {n})`."""
+        if self._head_reach is None:
+            self._head_reach = _reachability(self.private_edges
+                                             + self.base_edges)
         return self._head_reach
 
-    @functools.cached_property
-    def _head_reach(self) -> dict[str, set[str]]:
-        return _reachability(self.private_edges + self.base_edges, self.ctors)
 
-
-def _reachability(
-    edges: Sequence[tuple[str, str]], nodes: dict[str, CtorInfo]
-) -> dict[str, set[str]]:
-    """Per node and per edge's source, the names reachable from it."""
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
+def _reachability(edges: Sequence[tuple[str, str]]) -> dict[str, set[str]]:
+    """Per edge's source, the names reachable from it, itself included."""
+    succ: dict[str, list[str]] = {}
     for a, b in edges:
         succ.setdefault(a, []).append(b)
     reach: dict[str, set[str]] = {}
@@ -349,33 +350,30 @@ class Token(NamedTuple):
     col: int
 
 
-#: `_new(Token, fields)` skips the Python frame of a NamedTuple's own
-#: `__new__`; the scanner and the parser build each record this way.
-_new = tuple.__new__
-
-# One match per token, newline or unexpected character; blanks and
-# comments are skipped as a prefix of the next match.  `\w` is exactly
-# `str.isalnum()` plus `_`, and columns count code points.  Two quirks
-# are kept, so that tokens and diagnostics equal those of the reference
-# lexer in tests/test_lexer_reference.py:
+# One match per token, newline or unexpected character, whose prefix
+# skips blanks then at most one comment (a comment runs to the newline).
+# `\w` is exactly `str.isalnum()` plus `_`, and columns count code
+# points.  Two quirks are kept, so that tokens and diagnostics equal
+# those of the reference lexer in tests/test_lexer_reference.py:
 # - a word that starts with a non-letter (`9a`, `²b`, `½`: digits and
 #   numerals are `\w` too) reports each leading character as unexpected
 #   and starts the identifier at the first letter or `_`;
 # - a comment does not advance the column, so after a trailing comment
 #   with no newline the `eof` token sits at the column of the `#`.
-# The groups are numbered, and a match's `lastindex` says which one
-# matched.  A word that starts with an ASCII letter or `_` needs no
-# check of its first characters.
+# The groups are numbered, the most frequent first, and a match's
+# `lastindex` says which one matched.  A type variable's group holds no
+# quote; a lone quote falls to the last group.  A word that starts with
+# an ASCII letter or `_` needs no check of its first characters.
 _SCAN = re.compile(r"""
-    (?: [ \t\r] | \#[^\n]* )*
-    (?: ( [A-Za-z_]\w* )                       # 1: a word
-      | ( \w+ )                                # 2: any other word
-      | ( -> | >= | <= | [()\[\],.|:=*+~-] )    # 3: punctuation
+    [ \t\r]* (?: \#[^\n]* )?
+    (?: ( -> | >= | <= | [()\[\],.|:=*+~-] )    # 1: punctuation
+      | ' ( \w+ )                              # 2: a type variable
+      | ( [A-Za-z_]\w* )                       # 3: a word
       | ( \n )                                 # 4: a newline
-      | ( '\w* )                               # 5: a type variable
+      | ( \w+ )                                # 5: any other word
       | ( . )                                  # 6: anything else
     )?""", re.VERBOSE | re.DOTALL)
-_WORD, _OTHER_WORD, _PUNCT, _NEWLINE, _TYVAR = 1, 2, 3, 4, 5
+_PUNCT, _TYVAR, _WORD, _NEWLINE, _OTHER_WORD = 1, 2, 3, 4, 5
 
 
 def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -385,23 +383,20 @@ def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     line, line_start = 1, 0
     for m in _SCAN.finditer(text):
         group = m.lastindex
-        if group is None:           # blanks and comments at the end
+        if group is None:           # blanks and a comment at the end
             continue
         lexeme = m[group]
         col = m.start(group) - line_start + 1
-        if group == _WORD:
+        if group == _PUNCT:
+            add(_new(Token, (lexeme, lexeme, line, col)))
+        elif group == _TYVAR:       # its column is the quote's
+            add(_new(Token, ("tyvar", lexeme, line, col - 1)))
+        elif group == _WORD:
             add(_new(Token, ("kw" if lexeme in _KEYWORDS else "ident",
                              lexeme, line, col)))
-        elif group == _PUNCT:
-            add(_new(Token, (lexeme, lexeme, line, col)))
         elif group == _NEWLINE:
             line += 1
             line_start = m.end()
-        elif group == _TYVAR:
-            if len(lexeme) > 1:
-                add(_new(Token, ("tyvar", lexeme[1:], line, col)))
-            else:
-                diags.append(Diagnostic(line, col, "expected identifier after '"))
         elif group == _OTHER_WORD:
             i = next((i for i, c in enumerate(lexeme)
                       if c.isalpha() or c == "_"), len(lexeme))
@@ -411,7 +406,8 @@ def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
                 add(_new(Token, ("kw" if lexeme[i:] in _KEYWORDS else "ident",
                                  lexeme[i:], line, col + i)))
         else:
-            diags.append(Diagnostic(line, col,
+            diags.append(Diagnostic(line, col, "expected identifier after '"
+                                    if lexeme == "'" else
                                     f"unexpected character {lexeme!r}"))
     # A comment on the last line runs to the end, and `eof` sits at its `#`.
     hash_at = text.find("#", line_start)
@@ -498,7 +494,8 @@ class _Parser:
         if tok.text == "base":
             self.next()
             name = self.expect("ident", "base type name")
-            self.declare(sig, name, CtorInfo(name.text, 0, (), "base"))
+            self.declare(sig, name,
+                         _new(CtorInfo, (name.text, 0, (), "base", None)))
             return "base", name.text
         if tok.text == "subbase":
             self.next()
@@ -514,9 +511,9 @@ class _Parser:
             # A fresh lower type mirrors the upper one's interface.
             if not sig.has_ctor(lo.text):
                 above = sig.ctors.get(hi.text)
-                sig.ctors[lo.text] = CtorInfo(
+                sig.ctors[lo.text] = _new(CtorInfo, (
                     lo.text, above.arity if above else 0,
-                    above.variances if above else (), "base")
+                    above.variances if above else (), "base", None))
             return "private", (lo.text, hi.text)
         if tok.text == "closed":
             self.next()
@@ -528,10 +525,9 @@ class _Parser:
             return "closed", (_VARIANCES[flag.kind], name.text)
         if tok.text == "type":
             decl = self.parse_type_decl(sig)
-            self.declare(
-                sig, tok,
-                CtorInfo(decl.name, len(decl.params),
-                         decl.param_variances(), "datatype", decl))
+            self.declare(sig, tok, _new(CtorInfo, (
+                decl.name, len(decl.params), decl.param_variances(),
+                "datatype", decl)))
             return "type", decl
         raise self.error(f"unexpected keyword {tok.text!r}")
 
@@ -567,7 +563,7 @@ class _Parser:
         while self.tok.kind == "|":
             self.next()
             ctors.append(self.parse_ctor(name.text, param_names))
-        return DatatypeDecl(name.text, tuple(params), tuple(ctors))
+        return _new(DatatypeDecl, (name.text, tuple(params), tuple(ctors)))
 
     def parse_ctor(self, type_name: str, params: tuple[str, ...]) -> DataConstructorDecl:
         name = self.expect("ident", "constructor name")
@@ -624,7 +620,7 @@ class _Parser:
                           f"once", lhs_tok)
                 continue
             seen_params.add(idx)
-            resolved.append(Constraint(idx, rel, bound))
+            resolved.append(_new(Constraint, (idx, rel, bound)))
         return DataConstructorDecl(
             name.text, FORM_CONSTRAINED, exist, tuple(resolved), arg,
             pos=(name.line, name.col))
@@ -767,15 +763,12 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
 
     private = declared.get("private", [])
     for (lo, hi), pos in private:
-        if not sig.has_ctor(hi):
+        a, b = ctors.get(lo), ctors.get(hi)
+        if b is None:
             bad(pos, f"private: unknown type {hi!r}")
-            continue
-        if not sig.has_ctor(lo):
-            continue
-        a, b = sig.info(lo), sig.info(hi)
-        if a.arity != b.arity:
+        elif a is not None and a.arity != b.arity:
             bad(pos, f"private: {lo!r} and {hi!r} have different arities")
-        elif a.variances != b.variances:
+        elif a is not None and a.variances != b.variances:
             bad(pos, f"private: {lo!r} and {hi!r} have different variances")
 
     # Private edges must be acyclic (the declared order may have cycles).
@@ -783,7 +776,7 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
     # on a cycle is reported once, at its first private edge.
     if private:
         edges = [edge for edge, _ in private]
-        reach = _reachability(edges, {})
+        reach = _reachability(edges)
         cyclic = {lo for lo, hi in edges if lo in reach.get(hi, {hi})}
         for (lo, hi), pos in private:
             if lo in cyclic:
@@ -806,9 +799,7 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
             scope = params | frozenset(k.exist_vars) if k.form != FORM_CODOMAIN \
                 else frozenset(k.exist_vars)
             check_type(k.arg, scope, where, pos)
-            occurring = free_vars(k.arg).union(
-                *(free_vars(c.bound) for c in k.constraints)) \
-                if k.constraints else frozenset()
+            occurring = _occurring(k.arg, k.constraints) if k.constraints else ()
             for c in k.constraints:
                 if not (0 <= c.param < len(decl.params)):
                     bad(pos, f"{where}: constraint on invalid parameter "
@@ -830,6 +821,14 @@ def wf_check(sig: Signature) -> list[Diagnostic]:
 
 # ---------------------------------------------------------------------------
 # Normalization into the fully constrained form
+
+
+def _occurring(arg: TypeExpr, constraints: Sequence[Constraint]) -> set[str]:
+    """The variables of `arg` and of every bound."""
+    names = set(free_vars_ordered(arg))
+    for c in constraints:
+        names.update(free_vars_ordered(c.bound))
+    return names
 
 
 def _fresh_name(base: str, used: set[str]) -> str:
@@ -857,17 +856,13 @@ def normalize_constructor(
     params = decl.param_names()
     if k.form == FORM_CODOMAIN:
         assert k.codomain_args is not None
-        constraints = tuple(
-            Constraint(i, ConstraintRel.EQ, t)
-            for i, t in enumerate(k.codomain_args)
-        )
-        k = DataConstructorDecl(
-            k.name, FORM_CONSTRAINED, k.exist_vars, constraints, k.arg,
-            pos=k.pos)
+        constraints = [_new(Constraint, (i, ConstraintRel.EQ, t))
+                       for i, t in enumerate(k.codomain_args)]
+    else:
+        constraints = list(k.constraints)
 
-    used = set(k.exist_vars) | set(params)
+    used = {*k.exist_vars, *params}
     exist = list(k.exist_vars)
-    constraints = list(k.constraints)
     constrained: set[int] = set()
     for c in constraints:
         if c.param in constrained:
@@ -875,30 +870,29 @@ def normalize_constructor(
                 f"{decl.name}.{k.name}: parameter '{params[c.param]} is "
                 f"constrained more than once")
         constrained.add(c.param)
-    occurring = free_vars(k.arg).union(*(free_vars(c.bound) for c in constraints)) \
-        if constraints else free_vars(k.arg)
+    occurring = _occurring(k.arg, constraints)
 
     renaming: dict[str, TypeExpr] = {}
     for i, p in enumerate(params):
-        if p in occurring:
-            if i in constrained:
+        if i in constrained:
+            if p in occurring:
                 raise ValueError(
                     f"{decl.name}.{k.name}: parameter '{p} is constrained and "
                     f"may not also occur in the argument or a bound")
-            fresh = _fresh_name(p, used)
-            renaming[p] = Var(fresh)
-            exist.append(fresh)
-            constraints.append(Constraint(i, ConstraintRel.EQ, Var(fresh)))
-        elif i not in constrained:
-            fresh = _fresh_name(p, used)
-            exist.append(fresh)
-            constraints.append(Constraint(i, ConstraintRel.EQ, Var(fresh)))
+            continue
+        fresh = _fresh_name(p, used)
+        var = _new(Var, (fresh,))
+        if p in occurring:
+            renaming[p] = var
+        exist.append(fresh)
+        constraints.append(_new(Constraint, (i, ConstraintRel.EQ, var)))
 
-    arg = subst(k.arg, renaming) if renaming else k.arg
-    constraints = [
-        Constraint(c.param, c.rel, subst(c.bound, renaming) if renaming else c.bound)
-        for c in constraints
-    ]
+    arg = k.arg
+    if renaming:
+        arg = subst(arg, renaming)
+        constraints = [_new(Constraint, (c.param, c.rel,
+                                         subst(c.bound, renaming)))
+                       for c in constraints]
     constraints.sort(key=lambda c: c.param)
     return DataConstructorDecl(
         k.name, FORM_CONSTRAINED, tuple(exist), tuple(constraints), arg,

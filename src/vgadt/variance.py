@@ -45,6 +45,9 @@ ALL_VARIANCES = (INV, COV, CONTRA, IRR)
 #: Rendering order for variance sets: `+ - = ~`.
 DISPLAY_ORDER = (COV, CONTRA, INV, IRR)
 
+#: Each variance's symbol; a dict read is cheaper than Enum's `.value`.
+SYMBOL = {v: v.value for v in ALL_VARIANCES}
+
 
 def render_variance_set(s: Iterable[Variance]) -> str:
     members = set(s)
@@ -143,14 +146,14 @@ class VarianceContext(Mapping[str, Variance]):
 
     def __init__(self, entries: Iterable[tuple[str, Variance]]):
         entries = tuple(entries)
-        index = {name: v for name, v in entries}
+        index = dict(entries)
         if len(index) != len(entries):
             raise ValueError("duplicate variable in context")
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_hash", hash(entries))
-        object.__setattr__(self, "_domain", tuple(index))
-        object.__setattr__(self, "_variances", tuple(index.values()))
+        self._entries = entries
+        self._index = index
+        self._hash = hash(entries)
+        self._domain = tuple(index)
+        self._variances = tuple(index.values())
 
     @property
     def entries(self) -> tuple[tuple[str, Variance], ...]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from conftest import corpus_text, get_sig
+from test_parser_reference import reference_reachability
 from vgadt.syntax import (
     App,
     Constraint,
@@ -28,6 +29,7 @@ from vgadt.syntax import (
     tvar,
     type_depth,
     wf_check,
+    _reachability,
 )
 from vgadt.checker import compute_closure_flags
 from vgadt.variance import COV
@@ -115,6 +117,15 @@ class TestSignatureParsing:
         assert not sig.base_leq("int", "bool")
         assert ("fd", "int") in sig.private_edges
         assert sig.has_ctor("fd")
+
+    def test_reach_without_edges(self):
+        # ml_open_demo.vt declares no subbase and no private type, so no
+        # name has an entry and each reaches only itself.
+        sig = parse_signature(corpus_text("ml_open_demo"))
+        assert sig.head_reach() == {}
+        for n in sig.ctors:
+            assert sig.head_reach().get(n, {n}) == {n}
+            assert all(sig.base_leq(n, m) == (n == m) for m in sig.ctors)
 
     def test_syntax_error_has_position(self):
         with pytest.raises(SignatureError) as exc:
@@ -385,3 +396,22 @@ class TestRoundTripProperties:
     @given(types)
     def test_free_vars_subset(self, t):
         assert free_vars(t) <= {"a", "b"}
+
+
+NODES = ("a", "b", "c", "d", "e", "f")
+#: Edge lists over NODES: repeated edges, self-loops and cycles occur,
+#: and nodes that no edge touches stay in NODES.
+edge_lists = st.lists(st.tuples(st.sampled_from(NODES),
+                                st.sampled_from(NODES)), max_size=10)
+
+
+@seed(20261020)
+@settings(max_examples=500, deadline=None, database=None)
+@given(edge_lists)
+def test_reachability_equals_reference(edges):
+    """`_reachability` has an entry per edge source only; read through
+    `.get(n, {n})` it is the reference's reflexive-transitive closure."""
+    got = _reachability(edges)
+    assert set(got) == {a for a, _ in edges}
+    assert ({n: got.get(n, {n}) for n in NODES}
+            == reference_reachability(edges, NODES))
