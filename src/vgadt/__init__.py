@@ -5,64 +5,5 @@ constrained (GADT-style) datatypes are sound, and ships a brute-force
 semantic oracle over bounded ground-type universes for validating the
 syntactic judgments against their set-theoretic interpretations.
 """
-from .variance import (
-    ALL_VARIANCES,
-    Variance,
-    VarianceContext,
-    compose,
-    ctx_leq,
-    ctx_zip,
-    ctx_zip_all,
-    var_glb,
-    var_leq,
-    var_lub,
-    zip_var,
-)
-from .syntax import (
-    App,
-    Constraint,
-    ConstraintRel,
-    DataConstructorDecl,
-    DatatypeDecl,
-    Diagnostic,
-    Signature,
-    SignatureError,
-    TypeExpr,
-    Var,
-    free_vars,
-    normalize_constructor,
-    parse_signature,
-    parse_type,
-    render_signature,
-    render_type,
-    wf_check,
-)
-from .checker import (
-    check_decomp,
-    check_variance,
-    compute_closure_flags,
-    decomp_sets,
-    is_closed,
-    principal_context,
-    variance_sets,
-)
-from .criterion import (
-    Report,
-    Verdict,
-    check_adt_constructor,
-    check_gadt_constructor,
-    check_signature,
-    target_variance,
-)
-from .oracle import (
-    GroundUniverse,
-    UniverseSizeError,
-    enumerate_types,
-    prec,
-    req_sp,
-    sem_decomp,
-    sem_variance,
-    subtype,
-)
 
 __version__ = "0.1.0"

@@ -30,9 +30,8 @@ edges removing flags, and explicit `closed` declarations adding them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import and_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .syntax import (
     App,
@@ -272,8 +271,7 @@ def _first_column(masks: tuple[int, ...], goal: int
     return column
 
 
-@dataclass
-class Derivation:
+class Derivation(NamedTuple):
     """One node of a derivation tree, for diagnostics."""
     rule: str
     judgment: str

@@ -183,7 +183,9 @@ def _oracle(opts: dict, sig: Signature, out: TextIO) -> bool:
     verdicts = check_signature(sig, "fast").verdicts
     for (decl, k), verdict in zip(ctors, verdicts):
         result = req_sp(sig, universe, decl, k)
-        if verdict.accepted:
+        if result.vacuous is not None:
+            agree = "unconfirmed (no instance)"
+        elif verdict.accepted:
             agree = "yes" if result.holds else "DISAGREE"
         else:
             agree = ("yes" if not result.holds

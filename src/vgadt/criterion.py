@@ -63,13 +63,13 @@ from .variance import (
 )
 
 
+_TARGETS = {ConstraintRel.EQ: INV, ConstraintRel.SUP: COV,
+            ConstraintRel.SUB: CONTRA}
+
+
 def target_variance(rel: ConstraintRel) -> Variance:
     """The decomposability target a constraint relation demands."""
-    if rel is ConstraintRel.EQ:
-        return INV
-    if rel is ConstraintRel.SUP:
-        return COV
-    return CONTRA
+    return _TARGETS[rel]
 
 
 @dataclass

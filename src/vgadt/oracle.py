@@ -173,7 +173,7 @@ class _Decoded(dict):
 
 
 #: prec_v(a, b) iff prec_{_REVERSE[v]}(b, a).
-_REVERSE = {COV: CONTRA, CONTRA: COV, INV: INV, IRR: IRR}
+_REVERSE = {v: compose(CONTRA, v) for v in ALL_VARIANCES}
 
 
 class GroundUniverse:
@@ -701,8 +701,13 @@ class ReqSpResult:
     #: Assignments of the existential groups visited: a cost, not part
     #: of the verdict.
     assignments: int = field(default=0, compare=False)
+    #: Where it holds vacuously, the bound that has no instance.
+    vacuous: Optional[TypeExpr] = field(default=None, compare=False)
 
     def describe(self) -> str:
+        if self.vacuous is not None:
+            return (f"vacuous (no instance of {render_type(self.vacuous)} "
+                    f"at depth {self.depth})")
         if self.holds:
             return f"holds (depth {self.depth})"
         def tup(ts):
@@ -979,7 +984,8 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
                     bad = r
                     break
         if first is None:
-            return ReqSpResult(True, u.depth, assignments=visited)
+            return ReqSpResult(True, u.depth, assignments=visited,
+                               vacuous=norm.constraints[g.bounds[0].param].bound)
         firsts.append((first, bad))
 
     def spread(rhos: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

@@ -179,8 +179,7 @@ FORM_CONSTRAINED = "constrained"
 FORM_CODOMAIN = "codomain"
 
 
-@dataclass(frozen=True)
-class DataConstructorDecl:
+class DataConstructorDecl(NamedTuple):
     name: str
     form: str
     exist_vars: tuple[str, ...]
@@ -190,7 +189,7 @@ class DataConstructorDecl:
     # declarations before normalization.
     codomain_args: Optional[tuple[TypeExpr, ...]] = None
     #: line:col of the constructor name in the source, (0, 0) if none.
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: tuple[int, int] = (0, 0)
 
 
 class DatatypeDecl(NamedTuple):
@@ -213,8 +212,7 @@ class CtorInfo(NamedTuple):
     decl: Optional[DatatypeDecl] = None
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     col: int
     message: str
@@ -570,8 +568,8 @@ class _Parser:
         if self.tok.kind == "kw" and self.tok.text == "of":
             self.next()
             arg = self.parse_type()
-            return DataConstructorDecl(name.text, FORM_ADT, (), (), arg,
-                                       pos=(name.line, name.col))
+            return _new(DataConstructorDecl, (name.text, FORM_ADT, (), (), arg,
+                                              None, (name.line, name.col)))
         self.expect(":", "'of' or ':'")
         if self.tok.kind == "kw" and self.tok.text == "forall":
             self.next()
@@ -587,9 +585,9 @@ class _Parser:
                 raise self.error(
                     f"constructor {name.text!r}: codomain must be an application "
                     f"of {type_name!r}", name)
-            return DataConstructorDecl(
-                name.text, FORM_CODOMAIN, exist, (), arg, codomain_args=cod.args,
-                pos=(name.line, name.col))
+            return _new(DataConstructorDecl, (
+                name.text, FORM_CODOMAIN, exist, (), arg, cod.args,
+                (name.line, name.col)))
         exist = self.parse_binders(name, params)
         self.expect("[", "'['")
         constraints: list[tuple[str, ConstraintRel, TypeExpr, Token]] = []
@@ -621,9 +619,9 @@ class _Parser:
                 continue
             seen_params.add(idx)
             resolved.append(_new(Constraint, (idx, rel, bound)))
-        return DataConstructorDecl(
-            name.text, FORM_CONSTRAINED, exist, tuple(resolved), arg,
-            pos=(name.line, name.col))
+        return _new(DataConstructorDecl, (
+            name.text, FORM_CONSTRAINED, exist, tuple(resolved), arg, None,
+            (name.line, name.col)))
 
     def parse_binders(self, ctor_tok: Token, params: tuple[str, ...]) -> tuple[str, ...]:
         exist: list[str] = []
@@ -894,9 +892,9 @@ def normalize_constructor(
                                          subst(c.bound, renaming)))
                        for c in constraints]
     constraints.sort(key=lambda c: c.param)
-    return DataConstructorDecl(
-        k.name, FORM_CONSTRAINED, tuple(exist), tuple(constraints), arg,
-        pos=k.pos)
+    return _new(DataConstructorDecl, (
+        k.name, FORM_CONSTRAINED, tuple(exist), tuple(constraints), arg, None,
+        k.pos))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """The four-element variance algebra.
 
 Variances order the subtyping behaviour of a type parameter: covariant
-(`+`), contravariant (`-`), invariant (`=`) and irrelevant (`~`).  This
-module holds the composition table, the lattice order with its bounds,
-the partial zip operation, and their pointwise extensions to contexts
-(finite ordered maps from type-variable names to variances) and to
-boxes (sets of contexts that are products of per-variable sets); the
-deriving contexts of each decomposability judgment form one box.
+(`+`), contravariant (`-`), invariant (`=`) and irrelevant (`~`).  Each
+rule is stated once: composition in `_COMPOSE`, the lattice order in
+`var_leq`, variance sets as 4-bit masks in `_SETS`, and the partial zip
+in `ZIP_MASK`, which the zips of variances, of contexts (finite ordered
+maps from type-variable names to variances) and of boxes (products of
+per-variable sets of variances) read.
 
 Everything here is a pure table-driven function over immutable values.
 """
@@ -100,41 +100,6 @@ def var_lub(v: Variance, w: Variance) -> Variance:
     return INV
 
 
-_UP_SETS = {v: frozenset(w for w in ALL_VARIANCES if var_leq(v, w))
-            for v in ALL_VARIANCES}
-
-
-def up_set(v: Variance) -> frozenset[Variance]:
-    """All variances above v (inclusive)."""
-    return _UP_SETS[v]
-
-
-def zip_var(v: Variance, w: Variance) -> Optional[Variance]:
-    """Partial merge of two occurrence variances for one variable.
-
-    Defined exactly when one side is IRR (identity) or both are INV;
-    returns None on the undefined cells.
-    """
-    if v is IRR:
-        return w
-    if w is IRR:
-        return v
-    if v is INV and w is INV:
-        return INV
-    return None
-
-
-def zip_fold(variances: Iterable[Variance]) -> Optional[Variance]:
-    """Zip a family of variances together; IRR for the empty family."""
-    acc = IRR
-    for v in variances:
-        merged = zip_var(acc, v)
-        if merged is None:
-            return None
-        acc = merged
-    return acc
-
-
 class VarianceContext(Mapping[str, Variance]):
     """An ordered, immutable map from type-variable names to variances.
 
@@ -189,10 +154,6 @@ class VarianceContext(Mapping[str, Variance]):
         return "(" + ", ".join(f"{v}'{n}" for n, v in self._entries) + ")"
 
 
-def ctx(*pairs: tuple[str, Variance]) -> VarianceContext:
-    return VarianceContext(pairs)
-
-
 def const_ctx(domain: Iterable[str], v: Variance) -> VarianceContext:
     return VarianceContext((name, v) for name in domain)
 
@@ -210,53 +171,47 @@ def ctx_leq(g1: VarianceContext, g2: VarianceContext) -> bool:
 
 def ctx_glb(g1: VarianceContext, g2: VarianceContext) -> VarianceContext:
     _require_same_domain(g1, g2)
-    return VarianceContext(
-        (n, var_glb(v1, v2)) for (n, v1), (_, v2) in zip(g1.entries, g2.entries)
-    )
+    return VarianceContext(zip(g1.domain(), map(var_glb, g1.variances(),
+                                                g2.variances())))
 
 
 def ctx_lub(g1: VarianceContext, g2: VarianceContext) -> VarianceContext:
     _require_same_domain(g1, g2)
-    return VarianceContext(
-        (n, var_lub(v1, v2)) for (n, v1), (_, v2) in zip(g1.entries, g2.entries)
-    )
+    return VarianceContext(zip(g1.domain(), map(var_lub, g1.variances(),
+                                                g2.variances())))
 
 
 def ctx_zip(g1: VarianceContext, g2: VarianceContext) -> Optional[VarianceContext]:
     """Pointwise zip; None as soon as one entry's zip is undefined."""
     _require_same_domain(g1, g2)
-    merged = []
-    for (n, v1), (_, v2) in zip(g1.entries, g2.entries):
-        v = zip_var(v1, v2)
-        if v is None:
-            return None
-        merged.append((n, v))
-    return VarianceContext(merged)
+    return ctx_zip_all((g1, g2), g1.domain())
 
 
 def ctx_zip_all(
     contexts: Iterable[VarianceContext], domain: Iterable[str]
 ) -> Optional[VarianceContext]:
-    """Zip a family of contexts over `domain`.
+    """Zip a family of contexts over `domain`; None if a zip is undefined.
 
     The zip of the empty family is the all-IRR context over the domain:
     IRR is the neutral element of zipping, and a constant type (which
     decomposes with a trivial witness) must be reachable through it.
     """
     domain = tuple(domain)
-    acc = (IRR,) * len(domain)
+    acc = (MASK[IRR],) * len(domain)
     for g in contexts:
-        if g.domain() != domain:
-            raise ValueError(
-                f"context domain mismatch: {domain} vs {g.domain()}")
-        merged = []
-        for v1, v2 in zip(acc, g.variances()):
-            v = zip_var(v1, v2)
-            if v is None:
+        # An undefined zip, a 0 mask, stays 0 and outranks a later fault.
+        if g._domain != domain:
+            if 0 in acc:
                 return None
-            merged.append(v)
-        acc = tuple(merged)
-    return VarianceContext(zip(domain, acc))
+            raise ValueError(
+                f"context domain mismatch: {domain} vs {g._domain}")
+        merged = []
+        for m, v in zip(acc, g._variances):
+            merged.append(_ZIP_ROW[v][m])
+        acc = merged
+    if 0 in acc:
+        return None
+    return VarianceContext(zip(domain, map(_VARIANCE.__getitem__, acc)))
 
 
 # Sets of variances as 4-bit masks, and boxes: one mask per variable of a
@@ -271,27 +226,57 @@ FULL_MASK = 0b1111
 Box = tuple[int, ...]
 
 
+#: _SETS[m] is the set of the variances whose bits m has.
+_SETS = tuple(frozenset(v for v in ALL_VARIANCES if m & MASK[v])
+              for m in range(FULL_MASK + 1))
+_MASKS = {s: m for m, s in enumerate(_SETS)}
+#: The variance of each one-bit mask.
+_VARIANCE = {m: v for v, m in MASK.items()}
+
+
 def set_mask(s: Iterable[Variance]) -> int:
-    return sum(MASK[v] for v in frozenset(s))
+    return _MASKS[frozenset(s)]
+
+
+def mask_set(m: int) -> frozenset[Variance]:
+    return _SETS[m]
 
 
 #: UP_MASK[v] is the mask of `up_set(v)`.  An entry lies above the join
 #: of two variances iff it lies above both, so
 #: UP_MASK[var_lub(a, b)] == UP_MASK[a] & UP_MASK[b].
-UP_MASK = {v: set_mask(s) for v, s in _UP_SETS.items()}
+UP_MASK = {v: set_mask(w for w in ALL_VARIANCES if var_leq(v, w))
+           for v in ALL_VARIANCES}
 
 
-def mask_set(m: int) -> frozenset[Variance]:
-    return frozenset(v for v in ALL_VARIANCES if m & MASK[v])
+def up_set(v: Variance) -> frozenset[Variance]:
+    """All variances above v (inclusive)."""
+    return _SETS[UP_MASK[v]]
 
 
 #: ZIP_MASK[a][b] is the mask of every defined zip of a member of `a`
-#: with a member of `b`; 0 when none is defined.  IRR is the identity of
-#: zip and INV zips only with itself, as in `zip_var`.
+#: with a member of `b`; 0 when none is defined.  This is the zip rule:
+#: IRR is the identity of zip, and INV zips only with itself.
 ZIP_MASK = tuple(
     tuple((b if a & MASK[IRR] else 0) | (a if b & MASK[IRR] else 0)
           | (a & b & MASK[INV]) for b in range(16))
     for a in range(16))
+
+#: Each variance's row of ZIP_MASK, which is also its column: zip commutes.
+_ZIP_ROW = {v: ZIP_MASK[MASK[v]] for v in ALL_VARIANCES}
+
+
+def zip_var(v: Variance, w: Variance) -> Optional[Variance]:
+    """Partial zip of two variances: their cell of ZIP_MASK, or None."""
+    return _VARIANCE.get(_ZIP_ROW[v][MASK[w]])
+
+
+def zip_fold(variances: Iterable[Variance]) -> Optional[Variance]:
+    """Zip a family of variances together; IRR for the empty family."""
+    acc = MASK[IRR]
+    for v in variances:
+        acc = _ZIP_ROW[v][acc]
+    return _VARIANCE.get(acc)
 
 
 def box_zip(a: Box, b: Box) -> Box:

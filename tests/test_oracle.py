@@ -11,6 +11,7 @@ import random
 import pytest
 
 from conftest import CORPUS, get_sig, get_universe
+from test_req_sp_reference import PRELUDE
 from vgadt import cli
 from vgadt.oracle import (
     DEFAULT_UNIVERSE_CAP,
@@ -30,7 +31,7 @@ from vgadt.oracle import (
     sem_well_signed,
     subtype,
 )
-from vgadt.checker import check_variance
+from vgadt.checker import check_variance, compute_closure_flags
 from vgadt.syntax import (
     App,
     CtorInfo,
@@ -607,6 +608,46 @@ def test_visit_counts_cover_the_corpus():
         (p.stem, depth, f"{decl.name}.{k.name}")
         for p in CORPUS.glob("*.vt") for depth in (2, 3)
         for decl in get_sig(p.stem).datatypes() for k in decl.ctors}
+
+
+class TestReqSpVacuous:
+    """req-SP holds vacuously when some group of linked constraints has
+    no assignment at which each of its parameters has a candidate in the
+    universe; the oracle says so, and confirms nothing."""
+
+    TEXT = PRELUDE + (
+        "\ntype (~'p0, ='p1) t =\n"
+        "  | K : 'x0 'x1 ['p0 = 'x1, 'p1 = ('x0 -> 'x0) sink]. 'x1 sink\n")
+
+    def test_the_result_names_the_bound(self):
+        sig = parse_signature(self.TEXT)
+        compute_closure_flags(sig, "atomic")
+        decl = sig.info("t").decl
+        result = req_sp(sig, enumerate_types(sig, 2), decl, decl.ctors[0])
+        assert result.holds and result.vacuous == parse_type(
+            "('x0 -> 'x0) sink")
+        assert result.describe() == (
+            "vacuous (no instance of ('x0 -> 'x0) sink at depth 2)")
+
+    #: Per depth, the oracle's line for t.K: vacuous at depth 2, refuted
+    #: at depth 3.  Neither agrees, so the oracle exits 1 at both.
+    LINES = {
+        2: "t.K: syntactic=accepted req-sp=vacuous (no instance of "
+           "('x0 -> 'x0) sink at depth 2) agree=unconfirmed (no instance)",
+        3: "t.K: syntactic=accepted req-sp=fails (depth 3): "
+           "sigma=(unit, (unit -> unit) sink) "
+           "sigma'=(int, (unit -> unit) sink) rho=(unit, unit) "
+           "agree=DISAGREE",
+    }
+
+    @pytest.mark.parametrize("depth", sorted(LINES))
+    def test_the_oracle_never_agrees_on_it(self, tmp_path, depth):
+        path = tmp_path / "vacuous.vt"
+        path.write_text(self.TEXT, encoding="utf-8")
+        out = io.StringIO()
+        assert cli.run(["oracle", "--depth", str(depth), str(path)],
+                       out, io.StringIO()) == 1
+        assert out.getvalue().splitlines()[-1] == self.LINES[depth]
 
 
 class TestReqSpVariableBounds:

@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+import vgadt
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "vgadt").glob("*.py"))
 
@@ -43,6 +45,15 @@ def test_pyproject_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_the_version_is_pyprojects():
+    """`__version__`, the one name the package root holds, is the
+    version pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert vgadt.__version__ == project["version"]
 
 
 def test_the_script_entry_point_is_cli_main():
