@@ -196,7 +196,8 @@ def _oracle(opts: dict, sig: Signature, out: TextIO) -> bool:
             print(json.dumps({
                 "type": decl.name, "ctor": k.name,
                 "verdict": syntactic,
-                "req_sp": result.holds,
+                "req_sp": ("vacuous" if result.vacuous is not None
+                           else result.holds),
                 "depth": universe.depth,
                 "agree": agree,
                 "counterexample": None if result.holds else result.describe(),

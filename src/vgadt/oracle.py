@@ -23,13 +23,16 @@ bit tests instead of type trees.  A row is computed when it is first
 read, so a run builds only the rows its verdicts read.  The types
 related to h(k_1..k_n) are a product: a head related to h, and per
 position an id of depth < d in the row of k_p.  A row is read off its
-children's rows, one rank per member.  Instances deeper than the
+children's rows, one rank per prefix of children, and each last
+child's whole column placed by one shift.  Instances deeper than the
 universe (a bound `'b pos` at depth d + 1) are interned on demand, and
 their rows are computed the same way.  A universe type's tree is built
 only when it is rendered.  Types compared outside a universe (`subtype`
 and `prec`) are interned into a universe of depth 1: its constants
 compare by rows, and every other type is a deep id and compares
-structurally, through the same `GroundUniverse.prec`.
+structurally, through the same `GroundUniverse.prec`.  Making a
+universe lays out its blocks and starts its memos empty; the tables
+only compiling a walk or a row reads are built on first read.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -105,38 +108,92 @@ class _Rows(dict):
     g(j_1..j_n), where g is a head related to h at v and each j_p is an
     id of depth < d in row(compose(v, w_p), k_p), w_p being h's variance
     at p (the edges between heads preserve variances, so it is g's
-    too).  Each tuple of children is ranked once (`GroundUniverse._place`),
-    and the rank placed in the block of each g.  A `~` position needs no
-    case of its own: its row is full."""
+    too).  A `~` position needs no case of its own: its row is full.
 
-    def __init__(self, table: GroundUniverse, v: Variance,
-                 columns: dict[Variance, _Columns]):
-        super().__init__()
-        self.table, self.v, self.columns = table, v, columns
-        self.near = table._up if v is COV else table._down
-        # Per head h read so far, the block starts of the heads related
-        # to h at v, and per position the columns of the variance at
-        # which its child's row is read.
-        self.related: dict[str, tuple[tuple, tuple]] = {}
+    The members are placed block by block, one level k at a time: the
+    tuples whose deepest child has depth k are ranked as in
+    `GroundUniverse._place`, but along the product, so a prefix of
+    children is ranked once per column step.  The last position adds
+    its child's id to the rank, so its whole column lands in the block
+    of each g by one shift."""
 
-    def _relate(self, h: str) -> tuple[tuple, tuple]:
-        starts, v, columns = self.table._starts, self.v, self.columns
+    def __init__(self, table: GroundUniverse, v: Variance):
+        self.table, self.v = table, v
+        # Per head h read so far: the block starts of the heads related
+        # to h at v; per position but the last, the columns of the
+        # variance at which its child's row is read; and the last
+        # position's row function.
+        self.related: dict[str, tuple[tuple, tuple, Callable]] = {}
+
+    def _relate(self, h: str) -> tuple[tuple, tuple, Callable]:
+        table, v = self.table, self.v
+        near = table._up[h] if v is COV else table._down[h]
+        ws = [compose(v, w) for w in table._variances[h]]
         plan = self.related[h] = (
-            tuple(starts[g] for g in self.near[h]),
-            tuple(columns[compose(v, w)] for w in self.table._variances[h]))
+            tuple(table._starts[g] for g in near),
+            tuple(table._columns[w] for w in ws[:-1]),
+            table.rows[ws[-1]] if ws else None)
         return plan
 
     def __missing__(self, x: int) -> int:
         table = self.table
         h = table.heads[x]
-        starts, columns = self.related.get(h) or self._relate(h)
-        place = table._place
+        starts, firsts, last = self.related.get(h) or self._relate(h)
+        kids = table.kids[x]
         row = 0
-        for js in itertools.product(*map(operator.getitem, columns,
-                                         table.kids[x])):
-            deepest, rank = place(js)
+        if not kids:
             for s in starts:
-                row |= 1 << s[deepest] + rank
+                row |= 1 << s[0]
+            self[x] = row
+            return row
+        cols = list(map(operator.getitem, firsts, kids))
+        last = last(kids[-1])
+        # A level holds tuples only if every column has an id of depth
+        # <= level (low < n) and some column one of depth level (top >
+        # m): low is the greatest of the columns' least ids, and top one
+        # past their greatest.  Levels ascend, so past top none does.
+        low, top = (last & -last).bit_length() - 1, last.bit_length()
+        for col in cols:
+            if not col:
+                top = 0
+            elif col[-1] >= top:
+                top = col[-1] + 1
+            if col and col[0] > low:
+                low = col[0]
+        for level, n, m, ids in table._levels:
+            if m >= top:
+                break
+            if n <= low:
+                continue
+            tail = last & ids
+            if not cols:
+                # One child: its ids of depth level, shifted to 0.
+                for s in starts:
+                    row |= tail >> m << s[level]
+                continue
+            # Per prefix of children of depth <= level: its rank among
+            # the tuples over the n ids, the number of tuples over the m
+            # shallower ids before it, and whether it is all shallower.
+            # Columns ascend, so each is read up to its first id >= n.
+            prefixes = [(0, 0, True)]
+            for col in cols:
+                longer = []
+                for r, b, shallow in prefixes:
+                    for k in col:
+                        if k >= n:
+                            break
+                        longer.append((r * n + k,
+                                       b * m + (k if k < m else m)
+                                       if shallow else b * m,
+                                       shallow and k < m))
+                prefixes = longer
+            for r, b, shallow in prefixes:
+                # Below an all-shallower prefix, the last child must be
+                # of depth level, and the m shallower ids are skipped.
+                bits = (tail >> m if shallow else tail) << r * n - b * m
+                if bits:
+                    for s in starts:
+                        row |= bits << s[level]
         self[x] = row
         return row
 
@@ -147,7 +204,6 @@ class _Columns(dict):
     types whose child there is k."""
 
     def __init__(self, table: GroundUniverse, w: Variance):
-        super().__init__()
         self.table, self.w = table, w
 
     def __missing__(self, k: int) -> tuple[int, ...]:
@@ -158,13 +214,10 @@ class _Columns(dict):
 
 
 class _Decoded(dict):
-    """Id -> its head (or its children), stored on first read
-    (`GroundUniverse._decode`): a dense id's are decoded from it, and a
-    deep id's read from the list they were kept in when it was
-    interned."""
+    """Id -> its head (or its children), stored when it is interned, or
+    else decoded from the id on first read (`GroundUniverse._decode`)."""
 
     def __init__(self, universe: GroundUniverse):
-        super().__init__()
         self.universe = universe
 
     def __missing__(self, x: int):
@@ -191,9 +244,9 @@ class GroundUniverse:
     it on first read (`heads`, `kids`).  So a run decodes only the ids
     it reads.  A deeper type (an instance of a bound, say) is a deep id:
     it is numbered from n in intern order, and its head and children are
-    kept in a list (`_deep`).  A type's tree is built only when it is asked for (`type`),
-    since an oracle run renders only the few types of its
-    counterexamples.
+    kept in a list (`_deep`).  A type's tree is built only when it is
+    asked for (`type`), since an oracle run renders only the few types
+    of its counterexamples.
 
     The memos `le` and `ge` hold rows over the dense ids: `le[i]`, the
     set of dense j with type i <= type j, and `ge[i]`, the set of dense
@@ -209,13 +262,18 @@ class GroundUniverse:
         level, each non-constant head gets one block of consecutive ids:
         its tuples over the ids of depth < level that are not all of
         depth < level - 1, in product order.  So a head's ids are a
-        union of ranges, one per level, and its mask in `_head_ids`
-        gains one range per block.  A block of a head of arity a holds
-        exactly n^a - m^a types, where n counts the ids of depth < level
-        and m those of depth < level - 1, so the size is known before a
-        block is recorded: beyond `cap` types UniverseSizeError is
-        raised, and no block past the cap is recorded.  No type is
-        enumerated or decoded here, and no row is computed."""
+        union of ranges, one per level (`_head_ids`).  A block of a head
+        of arity a holds exactly n^a - m^a types, where n counts the ids
+        of depth < level and m those of depth < level - 1, so each
+        level's size is known before the next is laid out: beyond `cap`
+        types UniverseSizeError is raised.  No type is enumerated or
+        decoded here, and no row is computed.
+
+        What the loops read is made here, each memo empty.  The tables
+        that only compiling a walk or a row reads (`_down`, `_head_ids`,
+        `_columns`) are built on first read: they are `cached_property`s,
+        whose loads CPython 3.11 does not specialise, so nothing the
+        loops read is one."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.sig = sig
@@ -223,16 +281,12 @@ class GroundUniverse:
         self._variances = ws = {name: info.variances
                                 for name, info in sig.ctors.items()}
         reach = sig.head_reach()
-        # The heads a type of head h may lie below (_up[h]) and above
-        # (_down[h]).  The edges between heads preserve arity and
-        # variances.
-        self._up = {h: frozenset(g for g in reach.get(h, {h})
-                                 if ws.get(g) == ws[h])
-                    for h in sig.ctors}
-        self._down: dict[str, list[str]] = {h: [] for h in sig.ctors}
-        for h, above in self._up.items():
-            for g in above:
-                self._down[g].append(h)
+        #: The heads a type of head h may lie below.  The edges between
+        #: heads preserve arity and variances.
+        self._up = up = {h: (h,) for h in ws}
+        for h, above in reach.items():
+            if h in ws:
+                up[h] = tuple(g for g in above if ws.get(g) == ws[h])
         #: The head and the children of each id.
         self.heads: dict[int, str] = _Decoded(self)
         self.kids: dict[int, tuple[int, ...]] = _Decoded(self)
@@ -245,49 +299,44 @@ class GroundUniverse:
         self._deep: list[tuple[str, tuple[int, ...]]] = []
         # The layout.  _ends[k]: the number of ids of depth <= k.
         # _starts[h][k]: the first id of the block of the types of head h
-        # whose deepest child has depth k (0 for a constant), filled
-        # level by level, so that its size is bounded by the cap and not
-        # by the depth.  The blocks' starts in id order, and per block
-        # its head, arity and k.
+        # whose deepest child has depth k (0 for a constant).  The
+        # blocks' starts in id order, and per block its head, arity and
+        # k.
         ends = self._ends = [0]
-        self._starts: dict[str, dict[int, int]] = {h: {} for h in sig.ctors}
-        self._block_starts: list[int] = []
-        self._blocks: list[tuple[str, int, int]] = []
-        #: Per head, the set of its dense ids, one range per block.
-        self._head_ids: dict[str, int] = {}
+        self._starts = starts = {h: {} for h in ws}
+        self._block_starts = block_starts = []
+        self._blocks = blocks = []
+        ctors = sig.ctors.values()
         end = 0
-
-        def block(head: str, arity: int, deepest: int, size: int) -> None:
-            nonlocal end
-            if end + size > cap:
-                raise UniverseSizeError(
-                    f"universe exceeds cap of {cap} types (depth {depth})")
-            self._block_starts.append(end)
-            self._blocks.append((head, arity, deepest))
-            self._starts[head][deepest] = end
-            self._head_ids[head] = (self._head_ids.get(head, 0)
-                                    | (1 << end + size) - (1 << end))
-            end += size
-        ctors = list(sig.ctors.values())
-        for info in ctors:
-            if info.arity == 0:
-                block(info.name, 0, 0, 1)
-        ends.append(end)
-        for deepest in range(1, depth):
-            n, m = ends[deepest], ends[deepest - 1]
+        for deepest in range(depth):
+            # k = 0 lays out the constants, and each k > 0 the other
+            # heads over the n ids of depth <= k, not all among the m of
+            # depth < k.
+            n, m = end, ends[-1]
+            if deepest:
+                ends.append(n)
             for info in ctors:
                 a = info.arity
-                if a:
-                    block(info.name, a, deepest, n ** a - m ** a)
-            ends.append(end)
+                if (a > 0) == (deepest > 0):
+                    block_starts.append(end)
+                    blocks.append((info.name, a, deepest))
+                    starts[info.name][deepest] = end
+                    end += n ** a - m ** a if a else 1
+            if end > cap:
+                raise UniverseSizeError(
+                    f"universe exceeds cap of {cap} types (depth {depth})")
+        ends.append(end)
         #: The number of dense ids, and their set.
         self.dense = end
         self.full = (1 << end) - 1
         #: within[k]: the ids of depth <= k, a prefix of the universe.
         self.within = [(1 << e) - 1 for e in ends]
-        columns = {w: _Columns(self, w) for w in ALL_VARIANCES}
-        le = self.le = _Rows(self, COV, columns)
-        ge = self.ge = _Rows(self, CONTRA, columns)
+        # Per depth k < d a child may have: k, the numbers n and m of the
+        # ids of depth <= k and < k, and the set of the n.
+        self._levels = [(k, ends[k], ends[k - 1], self.within[k])
+                        for k in range(1, depth)]
+        le = self.le = _Rows(self, COV)
+        ge = self.ge = _Rows(self, CONTRA)
         #: Per variance v, the function a -> row(v, a).
         self.rows: dict[Variance, Callable[[int], int]] = {
             COV: le.__getitem__,
@@ -296,6 +345,32 @@ class GroundUniverse:
             IRR: lambda a: self.full,
         }
 
+    @functools.cached_property
+    def _down(self) -> dict[str, list[str]]:
+        """The heads a type of head h may lie above."""
+        down: dict[str, list[str]] = {h: [] for h in self._up}
+        for h, above in self._up.items():
+            for g in above:
+                down[g].append(h)
+        return down
+
+    @functools.cached_property
+    def _head_ids(self) -> dict[str, int]:
+        """Per head with a block, the set of its dense ids, one range per
+        block."""
+        ids: dict[str, int] = {}
+        for (head, _, _), start, end in zip(
+                self._blocks, self._block_starts,
+                self._block_starts[1:] + [self.dense]):
+            ids[head] = ids.get(head, 0) | (1 << end) - (1 << start)
+        return ids
+
+    @functools.cached_property
+    def _columns(self) -> dict[Variance, _Columns]:
+        """Per composed variance, the columns a row's children are read
+        from."""
+        return {w: _Columns(self, w) for w in ALL_VARIANCES}
+
     def __len__(self) -> int:
         return self.dense
 
@@ -303,7 +378,8 @@ class GroundUniverse:
         """The id of head(kids).  It is its block's start plus its rank
         in the block if its children have depth < d, so that it is a
         universe type, else the next deep id when it is first
-        interned."""
+        interned.  Its head and children are stored then, so that they
+        need no decoding."""
         key = (head, kids)
         i = self._ids.get(key)
         if i is None:
@@ -314,6 +390,8 @@ class GroundUniverse:
                 i = self.dense + len(self._deep)
                 self._deep.append(key)
             self._ids[key] = i
+            self.heads[i] = head
+            self.kids[i] = kids
         return i
 
     def intern_expr(self, t: TypeExpr) -> int:
@@ -356,14 +434,11 @@ class GroundUniverse:
         return deepest, rank - before
 
     def _decode(self, x: int) -> None:
-        """Store the head and children of id x.  A deep id's are kept
-        since it was interned.  A dense id's are the head of its block,
-        and the tuple whose rank in the block (`_place`) is x's offset."""
-        if not 0 <= x < self.dense + len(self._deep):
+        """Store the head and children of a dense id x that was not
+        interned: the head of its block, and the tuple whose rank in the
+        block (`_place`) is x's offset."""
+        if not 0 <= x < self.dense:
             raise KeyError(x)
-        if x >= self.dense:
-            self.heads[x], self.kids[x] = self._deep[x - self.dense]
-            return
         b = bisect.bisect_right(self._block_starts, x) - 1
         head, arity, deepest = self._blocks[b]
         rank = x - self._block_starts[b]
@@ -742,14 +817,14 @@ def _reach(u: GroundUniverse, v: Variance, w: Variance
 class _Bound(NamedTuple):
     """A constraint "parameter rel bound", with "bound prec_v param",
     compiled: an assignment to the group gives the bound's instance
-    `at`, the parameter's candidates `cands(at)` = row(v, at), and its
-    reach set `reach(at, cands(at))` (`_reach`)."""
+    `at`, the parameter's candidates row(v, at), and its reach set
+    `reach(at, row(v, at))` (`_reach`)."""
     param: int
     v: Variance
     #: The bound's instances, from an assignment to the group.
     at: Callable[[tuple[int, ...]], int]
-    cands: Callable[[int], int]
-    reach: Callable[[int, int], int]
+    #: None in a group that `req_sp` decides without the universe.
+    reach: Optional[Callable[[int, int], int]]
 
 
 def _narrowed(u: GroundUniverse, walks: Sequence[_Walk],
@@ -784,12 +859,15 @@ class _Group(NamedTuple):
     the group's own coordinates, in ascending order."""
     coords: tuple[int, ...]
     bounds: tuple[_Bound, ...]
-    #: Per bound, its walk at its variance over the local coordinates.
+    #: Per bound, its walk at its variance over the local coordinates;
+    #: none where the group is safe and every bound a bare existential,
+    #: since such a group is decided without the universe (`req_sp`).
     walks: tuple[_Walk, ...]
-    #: Per local coordinate, the principal entry of the argument: two
-    #: instances of it have the same heads at its own nodes, which
-    #: compare pointwise, so arg[rho] <= arg[rho'] iff rho(x) prec_w
-    #: rho'(x) for each coordinate x and its entry w.
+    #: Per local coordinate of a group that is not safe, the principal
+    #: entry of the argument: two instances of it have the same heads
+    #: at its own nodes, which compare pointwise, so arg[rho] <=
+    #: arg[rho'] iff rho(x) prec_w rho'(x) for each coordinate x and its
+    #: entry w.
     uses: tuple[Variance, ...]
     #: Whether no sigma' can fail at any assignment of the group
     #: (`_groups`), so that its first assignment with candidates is
@@ -822,10 +900,13 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     A plain constructor's parameter used at its own variance, `'a =
     'x`, is safe for the second reason.  Two bare bounds on one x, a
     `+` parameter used at `-`, or a `~` parameter used at `=` are not,
-    and their groups are searched in full."""
+    and their groups are searched in full.  A safe group needs no
+    reach set and no principal entry, and one whose bounds are all bare
+    existentials no walk either: only its bounds' parameters,
+    variances and coordinates are compiled."""
     domain = norm.exist_vars
     ws = d.param_variances()
-    arg_uses = principal_context(sig, norm.arg, COV, domain).variances()
+    arg_uses: Optional[tuple[Variance, ...]] = None
     parts: list[tuple[frozenset[str], list[Constraint]]] = []
     for c in norm.constraints:
         names = free_vars(c.bound)
@@ -841,18 +922,26 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         local = [domain[j] for j in coords]
         cs.sort(key=lambda c: c.param)
         vs = [target_variance(c.rel) for c in cs]
-        uses = tuple(arg_uses[j] for j in coords)
         safe = all(var_leq(v, ws[c.param]) for c, v in zip(cs, vs))
+        if not safe and arg_uses is None:
+            arg_uses = principal_context(sig, norm.arg, COV,
+                                         domain).variances()
         if not safe and len(cs) == 1 and isinstance(cs[0].bound, Var):
-            safe = (var_leq(uses[0], vs[0])
-                    and var_leq(uses[0], ws[cs[0].param]))
+            use = arg_uses[coords[0]]
+            safe = var_leq(use, vs[0]) and var_leq(use, ws[cs[0].param])
+        if safe and all(isinstance(c.bound, Var) for c in cs):
+            groups.append(_Group(coords, tuple(
+                _Bound(c.param, v, operator.itemgetter(
+                    local.index(c.bound.name)), None)
+                for c, v in zip(cs, vs)), (), (), True))
+            continue
         groups.append(_Group(
             coords,
             tuple(_Bound(c.param, v, _instantiator(u, c.bound, local),
-                         u.rows[v], _reach(u, v, ws[c.param]))
+                         _reach(u, v, ws[c.param]))
                   for c, v in zip(cs, vs)),
             tuple(_walk(u, c.bound, v, local) for c, v in zip(cs, vs)),
-            uses, safe))
+            () if safe else tuple(arg_uses[j] for j in coords), safe))
     groups.sort(key=lambda g: g.coords)
     return groups
 
@@ -883,10 +972,14 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     reason `_groups` gives) stops at its first assignment with
     candidates: `sink_sub.S` (`'a <= 'b` on a `-` parameter) and every
     plain constructor's parameter used at its own variance, such as
-    `ml_open_demo`'s `pos.P`, visit one assignment at any depth.
+    `ml_open_demo`'s `pos.P`, visit one assignment at any depth.  Where
+    every bound of a safe group is a bare existential, that assignment
+    is known without the universe: bare bounds narrow no coordinate,
+    so it is all 0, and there each bound's instance is 0, a candidate
+    of itself.  Such a group counts one visit and reads no row.
     Each bound's tests are compiled once (`_Bound`), so an assignment
     costs one instance, one candidate row and one reach set per bound.
-    The per-parameter lists (`candidates`) and the sigma' search
+    The reach sets per parameter (`reach_sets`) and the sigma' search
     (`first_failing`) are made only at an assignment where some reach
     set is wider than its candidates.
 
@@ -908,45 +1001,36 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     one failing and one admissible assignment per group are enough, and
     no full assignment is walked.  At that rho, sigma is the first in
     product order with a failing sigma', and sigma' the first failing
-    one above it.
+    one above it; a safe group has a witness at every sigma', so only
+    the other groups are searched.
     """
     norm = normalize_constructor(d, k)
     ws = d.param_variances()
     groups = _groups(sig, u, d, norm)
     row = u.row
 
-    def candidates(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]]
-                   ) -> Optional[tuple[list[Optional[int]],
-                                       list[Optional[int]]]]:
-        """Per parameter, the ids sigma may take there at one assignment
-        of each group of `part`, and its reach set, the ids above some
-        candidate: the union of the sigma' ranges of all sigma.  Both
-        are None outside `part`; or None when some parameter has no
-        candidate."""
-        cands: list[Optional[int]] = [None] * len(ws)
-        reach = list(cands)
-        for g, r in zip(part, rhos):
-            for b in g.bounds:
-                at = b.at(r)
-                s = cands[b.param] = b.cands(at)
-                if not s:
-                    return None
-                reach[b.param] = b.reach(at, s)
-        return cands, reach
+    def reach_sets(g: _Group, r: tuple[int, ...]) -> list[Optional[int]]:
+        """Per parameter of g, its reach set at g's assignment r, the
+        ids above some candidate: the union of the sigma' ranges of all
+        sigma.  None outside g."""
+        reach: list[Optional[int]] = [None] * len(ws)
+        for b in g.bounds:
+            i = b.at(r)
+            reach[b.param] = b.reach(i, row(b.v, i))
+        return reach
 
-    def first_failing(part: Sequence[_Group], rhos: Sequence[tuple[int, ...]],
+    def first_failing(part: Sequence[tuple[_Group, tuple[int, ...]]],
                       reach: Sequence[Optional[int]]) -> Optional[tuple]:
         """The first sigma' in product order over `reach` (held at None
-        where reach is None) at which some group of `part` has no witness
-        at its assignment, or None."""
+        where reach is None) at which some group of `part` has no
+        witness at its assignment, or None."""
         # Per group, the witness coordinates keeping the argument above
         # its instance at the group's assignment.
-        bases = [[row(w, i) for i, w in zip(r, g.uses)]
-                 for g, r in zip(part, rhos)]
+        bases = [[row(w, i) for i, w in zip(r, g.uses)] for g, r in part]
         for spidx in itertools.product(*[(None,) if s is None
                                          else tuple(_members(s))
                                          for s in reach]):
-            for g, above in zip(part, bases):
+            for (g, _), above in zip(part, bases):
                 targets = [spidx[b.param] for b in g.bounds]
                 if not _witnessed(u, g.walks, targets, list(above)):
                     return spidx
@@ -957,11 +1041,18 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     visited = 0
     firsts: list[tuple[tuple[int, ...], Optional[tuple[int, ...]]]] = []
     for g in groups:
+        if g.safe and not g.walks and u.dense:
+            # Bare bounds narrow nothing (`_narrowed`), so the first
+            # assignment is all 0, and there, in a universe with a type,
+            # each bound's instance is 0, a candidate of itself.
+            visited += 1
+            firsts.append(((0,) * len(g.coords), None))
+            continue
         first = bad = None
         # Where every reach set is its candidate set, each sigma'
         # satisfies the constraints at r, so r itself is a witness and
         # no sigma' fails.
-        tests = [(b.at, b.cands, b.reach) for b in g.bounds]
+        tests = [(b.at, u.rows[b.v], b.reach) for b in g.bounds]
         for r in itertools.product(*_narrowed(u, g.walks, len(g.coords))):
             visited += 1
             # Whether every parameter has a candidate, and some reach set
@@ -979,8 +1070,8 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
                     first = r
                     if g.safe:
                         break
-                if (wide and first_failing(
-                        (g,), (r,), candidates((g,), (r,))[1]) is not None):
+                if wide and first_failing(
+                        [(g, r)], reach_sets(g, r)) is not None:
                     bad = r
                     break
         if first is None:
@@ -1004,11 +1095,16 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     if not failing:
         return ReqSpResult(True, u.depth, assignments=visited)
     rhos = min(failing, key=spread)
-    # Every parameter has candidates at rho, and sigma' ranges above sigma.
-    cands, _ = candidates(groups, rhos)
+    # Every parameter has candidates at rho, and sigma' ranges above
+    # sigma; a safe group has a witness at every sigma', so only the
+    # others are searched.
+    cands = [0] * len(ws)
+    for g, r in zip(groups, rhos):
+        for b in g.bounds:
+            cands[b.param] = row(b.v, b.at(r))
+    part = [(g, r) for g, r in zip(groups, rhos) if not g.safe]
     for sidx in itertools.product(*map(_members, cands)):
-        spidx = first_failing(groups, rhos,
-                              [row(w, i) for w, i in zip(ws, sidx)])
+        spidx = first_failing(part, [row(w, i) for w, i in zip(ws, sidx)])
         if spidx is not None:
             break
     assert spidx is not None, "a group failed at this rho"

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from vgadt.syntax import (
     CtorInfo,
     Decl,
     Signature,
+    Var,
     normalize_constructor,
     parse_signature,
     parse_type,
@@ -610,6 +612,59 @@ def test_visit_counts_cover_the_corpus():
         for decl in get_sig(p.stem).datatypes() for k in decl.ctors}
 
 
+#: (file, constructor) -> number of groups, for every corpus constructor
+#: whose groups are all safe and whose bounds are all bare existentials:
+#: 16 of the 26.
+BARE_SAFE = {
+    ("eq_inv", "eq.Refl"): 1,
+    ("expr", "expr.Val"): 1,
+    ("expr", "expr.Thunk"): 1,
+    ("expr_sup", "expr.Val"): 1,
+    ("expr_sup", "expr.Thunk"): 1,
+    ("list", "list.Nil"): 1,
+    ("list", "list.Cons"): 1,
+    ("ml_open_demo", "pos.P"): 1,
+    ("ml_open_demo", "pos.Q"): 1,
+    ("pair_ref", "ref.Mk"): 1,
+    ("pair_ref", "pair_ref.Pack"): 2,
+    ("sink_sub", "sink.S"): 1,
+    ("world", "ref.Mk"): 1,
+    ("world", "list.Nil"): 1,
+    ("world", "list.Cons"): 1,
+    ("world_ref", "ref.Mk"): 1,
+}
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("name,ctor", list(BARE_SAFE))
+def test_bare_safe_groups_read_no_row(name, ctor, depth):
+    """Each such group's first assignment with candidates is all 0, by
+    reflexivity, so req_sp decides it without the universe: one visit
+    per group, and no row read."""
+    sig = get_sig(name)
+    decl = sig.info(ctor.split(".")[0]).decl
+    k = next(k for k in decl.ctors if f"{decl.name}.{k.name}" == ctor)
+    u = enumerate_types(sig, depth)
+    result = req_sp(sig, u, decl, k)
+    assert result.holds and result.vacuous is None
+    assert result.assignments == BARE_SAFE[name, ctor]
+    assert (len(u.le), len(u.ge)) == (0, 0)
+
+
+def test_bare_safe_covers_the_corpus():
+    found = set()
+    for p in CORPUS.glob("*.vt"):
+        sig = get_sig(p.stem)
+        for decl in sig.datatypes():
+            for k in decl.ctors:
+                norm = normalize_constructor(decl, k)
+                groups = _groups(sig, get_universe(p.stem, 2), decl, norm)
+                if (all(isinstance(c.bound, Var) for c in norm.constraints)
+                        and all(g.safe for g in groups)):
+                    found.add((p.stem, f"{decl.name}.{k.name}"))
+    assert found == set(BARE_SAFE)
+
+
 class TestReqSpVacuous:
     """req-SP holds vacuously when some group of linked constraints has
     no assignment at which each of its parameters has a candidate in the
@@ -648,6 +703,19 @@ class TestReqSpVacuous:
         assert cli.run(["oracle", "--depth", str(depth), str(path)],
                        out, io.StringIO()) == 1
         assert out.getvalue().splitlines()[-1] == self.LINES[depth]
+
+    def test_the_structured_record_says_vacuous(self, tmp_path):
+        """`req_sp` reads "vacuous", not true as for a confirmed
+        constructor, and there is no counterexample."""
+        path = tmp_path / "vacuous.vt"
+        path.write_text(self.TEXT, encoding="utf-8")
+        out = io.StringIO()
+        assert cli.run(["oracle", "--depth", "2", "--format=structured",
+                        str(path)], out, io.StringIO()) == 1
+        assert json.loads(out.getvalue().splitlines()[-1]) == {
+            "type": "t", "ctor": "K", "verdict": "accepted",
+            "req_sp": "vacuous", "depth": 2,
+            "agree": "unconfirmed (no instance)", "counterexample": None}
 
 
 class TestReqSpVariableBounds:
