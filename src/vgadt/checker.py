@@ -136,7 +136,7 @@ def _stripped(sig: Signature) -> dict[str, frozenset[Variance]]:
     stripped: dict[str, frozenset[Variance]] = {}
     for lo, outs in reach.items():
         for hi in outs:
-            if hi != lo and lo not in reach.get(hi, {hi}):
+            if hi != lo and lo not in reach.get(hi, ()):
                 stripped[lo] = stripped.get(lo, _NO_FLAGS) | {COV, INV}
                 stripped[hi] = stripped.get(hi, _NO_FLAGS) | {CONTRA, INV}
     return stripped
@@ -156,16 +156,19 @@ def compute_closure_flags(sig: Signature, preset: str
     declarations then add flags; adding a flag stripped by an edge is an
     error.
 
-    The computed table is recorded on the signature and read through
-    `is_closed`.
+    The edges are walked only where read (atomic, ml-open, a `closed`).
+    The table is recorded on the signature and read by `is_closed`.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown closure preset {preset!r}")
-    stripped = _stripped(sig)
+    closed = [d for d in sig.decls if d.kind == "closed"]
+    stripped = _stripped(sig) if closed or preset != "none" else {}
     table: dict[str, frozenset[Variance]]
     if preset == "atomic":
-        table = {name: _ALL_FLAGS - stripped.get(name, _NO_FLAGS)
-                 for name in sig.ctors}
+        table = dict.fromkeys(sig.ctors, _ALL_FLAGS)
+        for name, flags in stripped.items():
+            if name in table:
+                table[name] = _ALL_FLAGS - flags
     elif preset == "none":
         table = dict.fromkeys(sig.ctors, _NO_FLAGS)
     else:  # ml-open
@@ -173,8 +176,7 @@ def compute_closure_flags(sig: Signature, preset: str
                   and COV not in stripped.get(name, _NO_FLAGS)}
         # Datatypes keep upward closure only if every constructor
         # argument type mentions only upward-closed constructors.
-        mentions = {decl.name: frozenset().union(
-                        *(mentioned_ctors(k.arg) for k in decl.ctors))
+        mentions = {decl.name: mentioned_ctors(*(k.arg for k in decl.ctors))
                     for decl in sig.datatypes()}
         while dropped := {name for name, mentioned in mentions.items()
                           if name in upward and not mentioned <= upward}:
@@ -184,9 +186,7 @@ def compute_closure_flags(sig: Signature, preset: str
                  for name in sig.ctors}
 
     diags: list[Diagnostic] = []
-    for d in sig.decls:
-        if d.kind != "closed":
-            continue
+    for d in closed:
         v, name = d.payload
         if v in stripped.get(name, _NO_FLAGS):
             diags.append(Diagnostic(

@@ -178,11 +178,10 @@ def _oracle(opts: dict, sig: Signature, out: TextIO) -> bool:
         return True
     universe = enumerate_types(sig, opts["depth"])
     all_agree = True
-    # Only `accepted` is read, and both modes agree on it, so no witness
-    # is computed.
+    # Fast mode: the verdicts and normal forms read here need no witness.
     verdicts = check_signature(sig, "fast").verdicts
     for (decl, k), verdict in zip(ctors, verdicts):
-        result = req_sp(sig, universe, decl, k)
+        result = req_sp(sig, universe, decl, k, verdict.normalized)
         if result.vacuous is not None:
             agree = "unconfirmed (no instance)"
         elif verdict.accepted:

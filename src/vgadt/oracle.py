@@ -947,14 +947,15 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
 
 
 def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
-           k: DataConstructorDecl) -> ReqSpResult:
+           k: DataConstructorDecl,
+           norm: Optional[DataConstructorDecl] = None) -> ReqSpResult:
     """The per-constructor soundness condition over u: whenever the
     instantiated datatype is coerced, constrained arguments stay
     constructible over some related witnesses.  Literally: for every
     rho, every sigma satisfying the constraints at rho and every sigma'
     above sigma (pointwise, under the declared variances), some rho'
     keeps the argument above its instance at rho and satisfies the
-    constraints at sigma'.
+    constraints at sigma'.  `norm`, if given, is k normalized.
 
     The condition factors over the groups of `_groups`.  After
     normalization each parameter carries exactly one constraint, so
@@ -1004,7 +1005,7 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     one above it; a safe group has a witness at every sigma', so only
     the other groups are searched.
     """
-    norm = normalize_constructor(d, k)
+    norm = norm or normalize_constructor(d, k)
     ws = d.param_variances()
     groups = _groups(sig, u, d, norm)
     row = u.row

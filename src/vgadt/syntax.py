@@ -32,17 +32,17 @@ Grammar (UTF-8, `#` line comments)::
 left-associative; postfix constructor application binds tightest.
 
 The front end runs in three passes.  `_tokenize` is the one scanner, one
-regular-expression match per token: a `Token(kind, text, line, col)` per
-keyword, identifier, type variable (its text without the quote) and
-sign, then `eof`.  A match first skips the gap before its token: blanks,
-then at most one comment, since a comment runs to its newline.  Lines
-and columns start at 1, columns count code points.  The scanner reports
-and skips each unexpected character.  The parser reads the tokens once,
-reports an error at the token it stopped at and resumes at the next
-declaration keyword.  `wf_check` runs only on a file with neither, and
-reports at a declaration's keyword or a constructor's name.
-`parse_signature` raises one `SignatureError` with every diagnostic, the
-scanner's first.
+regular-expression match per token: a plain tuple (kind, text, line,
+col), which the parser reads by index, per keyword, identifier, type
+variable (its text without the quote) and sign, then `eof`.  A match
+first skips the gap before its token: blanks, then at most one comment,
+since a comment runs to its newline.  Lines and columns start at 1,
+columns count code points.  The scanner reports and skips each
+unexpected character.  The parser reads the tokens once, reports an
+error at the token it stopped at and resumes at the next declaration
+keyword.  `wf_check` runs only on a file with neither, and reports at a
+declaration's keyword or a constructor's name.  `parse_signature`
+raises one `SignatureError` with every diagnostic, the scanner's first.
 """
 from __future__ import annotations
 
@@ -116,10 +116,10 @@ def free_vars(t: TypeExpr) -> frozenset[str]:
     return frozenset(free_vars_ordered(t))
 
 
-def mentioned_ctors(t: TypeExpr) -> frozenset[str]:
-    """All constructor names applied anywhere inside t."""
+def mentioned_ctors(*ts: TypeExpr) -> frozenset[str]:
+    """All constructor names applied anywhere inside the types ts."""
     out: set[str] = set()
-    stack = [t]
+    stack = list(ts)
     while stack:
         node = stack.pop()
         if isinstance(node, App):
@@ -341,11 +341,10 @@ _VARIANCES = {v.value: v for v in Variance}
 _RELATIONS = {r.value: r for r in ConstraintRel}
 
 
-class Token(NamedTuple):
-    kind: str            # "ident" | "tyvar" | "kw" | punctuation | "eof"
-    text: str
-    line: int
-    col: int
+#: A token is a plain tuple (kind, text, line, col), read by index: kind
+#: is "ident", "tyvar", "kw", the punctuation itself or "eof", and
+#: `tok[2:]` is its line:col.
+Token = tuple[str, str, int, int]
 
 
 # One match per token, newline or unexpected character, whose prefix
@@ -386,12 +385,12 @@ def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
         lexeme = m[group]
         col = m.start(group) - line_start + 1
         if group == _PUNCT:
-            add(_new(Token, (lexeme, lexeme, line, col)))
+            add((lexeme, lexeme, line, col))
         elif group == _TYVAR:       # its column is the quote's
-            add(_new(Token, ("tyvar", lexeme, line, col - 1)))
+            add(("tyvar", lexeme, line, col - 1))
         elif group == _WORD:
-            add(_new(Token, ("kw" if lexeme in _KEYWORDS else "ident",
-                             lexeme, line, col)))
+            add(("kw" if lexeme in _KEYWORDS else "ident",
+                 lexeme, line, col))
         elif group == _NEWLINE:
             line += 1
             line_start = m.end()
@@ -401,8 +400,8 @@ def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
             diags.extend(Diagnostic(line, col + j, f"unexpected character {c!r}")
                          for j, c in enumerate(lexeme[:i]))
             if i < len(lexeme):
-                add(_new(Token, ("kw" if lexeme[i:] in _KEYWORDS else "ident",
-                                 lexeme[i:], line, col + i)))
+                add(("kw" if lexeme[i:] in _KEYWORDS else "ident",
+                     lexeme[i:], line, col + i))
         else:
             diags.append(Diagnostic(line, col, "expected identifier after '"
                                     if lexeme == "'" else
@@ -410,7 +409,7 @@ def _tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     # A comment on the last line runs to the end, and `eof` sits at its `#`.
     hash_at = text.find("#", line_start)
     end = hash_at if hash_at >= 0 else len(text)
-    add(Token("eof", "", line, end - line_start + 1))
+    add(("eof", "", line, end - line_start + 1))
     return tokens, diags
 
 
@@ -439,7 +438,7 @@ class _Parser:
 
     def next(self) -> Token:
         tok = self.tok
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
             self.tok = self.tokens[self.pos]
         return tok
@@ -447,7 +446,7 @@ class _Parser:
     def note(self, message: str, tok: Optional[Token] = None) -> None:
         """Report a diagnostic at tok, by default the current token."""
         tok = tok or self.tok
-        self.diags.append(Diagnostic(tok.line, tok.col, message))
+        self.diags.append(Diagnostic(tok[2], tok[3], message))
 
     def error(self, message: str, tok: Optional[Token] = None) -> _ParseAbort:
         self.note(message, tok)
@@ -455,8 +454,8 @@ class _Parser:
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tok
-        if tok.kind != kind:
-            raise self.error(f"expected {what}, found {tok.text!r}")
+        if tok[0] != kind:
+            raise self.error(f"expected {what}, found {tok[1]!r}")
         # `kind` is never "eof", so there is a next token.
         self.pos += 1
         self.tok = self.tokens[self.pos]
@@ -467,67 +466,67 @@ class _Parser:
     def parse_file(self) -> Signature:
         sig = builtin_signature()
         decls: list[Decl] = []
-        while self.tok.kind != "eof":
+        while self.tok[0] != "eof":
             tok = self.tok
             try:
                 kind, payload = self.parse_decl(sig)
             except _ParseAbort:
                 self.skip_to_next_decl()
                 continue
-            decls.append(_new(Decl, (kind, payload, (tok.line, tok.col))))
+            decls.append(_new(Decl, (kind, payload, tok[2:])))
         sig.decls = tuple(decls)
         return sig
 
     def skip_to_next_decl(self) -> None:
-        while self.tok.kind != "eof" and not (
-                self.tok.kind == "kw" and self.tok.text in _DECL_KEYWORDS):
+        while self.tok[0] != "eof" and not (
+                self.tok[0] == "kw" and self.tok[1] in _DECL_KEYWORDS):
             self.next()
 
     def parse_decl(self, sig: Signature) -> tuple[str, object]:
         """One declaration: its keyword and payload, as a `Decl` holds
         them.  Bases and datatypes are entered into `sig.ctors`."""
         tok = self.tok
-        if tok.kind != "kw":
-            raise self.error(f"expected declaration, found {tok.text!r}")
-        if tok.text == "base":
+        keyword = tok[1]
+        if tok[0] != "kw":
+            raise self.error(f"expected declaration, found {keyword!r}")
+        if keyword == "base":
             self.next()
             name = self.expect("ident", "base type name")
             self.declare(sig, name,
-                         _new(CtorInfo, (name.text, 0, (), "base", None)))
-            return "base", name.text
-        if tok.text == "subbase":
+                         _new(CtorInfo, (name[1], 0, (), "base", None)))
+            return "base", name[1]
+        if keyword == "subbase":
             self.next()
-            lo = self.expect("ident", "base type name")
+            lo = self.expect("ident", "base type name")[1]
             self.expect("<=", "'<='")
-            hi = self.expect("ident", "base type name")
-            return "subbase", (lo.text, hi.text)
-        if tok.text == "private":
+            return "subbase", (lo, self.expect("ident", "base type name")[1])
+        if keyword == "private":
             self.next()
-            lo = self.expect("ident", "type name")
+            lo = self.expect("ident", "type name")[1]
             self.expect("=", "'='")
-            hi = self.expect("ident", "type name")
+            hi = self.expect("ident", "type name")[1]
             # A fresh lower type mirrors the upper one's interface.
-            if not sig.has_ctor(lo.text):
-                above = sig.ctors.get(hi.text)
-                sig.ctors[lo.text] = _new(CtorInfo, (
-                    lo.text, above.arity if above else 0,
+            if not sig.has_ctor(lo):
+                above = sig.ctors.get(hi)
+                sig.ctors[lo] = _new(CtorInfo, (
+                    lo, above.arity if above else 0,
                     above.variances if above else (), "base", None))
-            return "private", (lo.text, hi.text)
-        if tok.text == "closed":
+            return "private", (lo, hi)
+        if keyword == "closed":
             self.next()
-            flag = self.tok
-            if flag.kind not in ("+", "-", "="):
+            flag = self.tok[0]
+            if flag not in ("+", "-", "="):
                 raise self.error("expected one of '+', '-', '=' after 'closed'")
             self.next()
-            name = self.expect("ident", "type name")
-            return "closed", (_VARIANCES[flag.kind], name.text)
-        if tok.text == "type":
+            return "closed", (_VARIANCES[flag],
+                              self.expect("ident", "type name")[1])
+        if keyword == "type":
             decl = self.parse_type_decl(sig)
             self.declare(sig, tok, _new(CtorInfo, (
                 decl.name, len(decl.params), decl.param_variances(),
                 "datatype", decl)))
             return "type", decl
-        raise self.error(f"unexpected keyword {tok.text!r}")
+        raise self.error(f"unexpected keyword {keyword!r}")
 
     def declare(self, sig: Signature, tok: Token, info: CtorInfo) -> None:
         if sig.has_ctor(info.name):
@@ -541,65 +540,65 @@ class _Parser:
         params: list[tuple[str, Variance]] = []
         while True:
             vtok = self.tok
-            if vtok.kind not in ("+", "-", "=", "~"):
+            if vtok[0] not in ("+", "-", "=", "~"):
                 raise self.error("expected a variance sign ('+', '-', '=', '~')")
             self.next()
             var = self.expect("tyvar", "type variable")
-            params.append((var.text, _VARIANCES[vtok.kind]))
-            if self.tok.kind != ",":
+            params.append((var[1], _VARIANCES[vtok[0]]))
+            if self.tok[0] != ",":
                 break
             self.next()
         self.expect(")", "')'")
         name = self.expect("ident", "datatype name")
         if len({n for n, _ in params}) != len(params):
-            self.note(f"duplicate parameter in {name.text!r}", name)
+            self.note(f"duplicate parameter in {name[1]!r}", name)
         self.expect("=", "'='")
         param_names = tuple(n for n, _ in params)
-        if self.tok.kind == "|":    # optional leading bar, OCaml style
+        if self.tok[0] == "|":    # optional leading bar, OCaml style
             self.next()
-        ctors = [self.parse_ctor(name.text, param_names)]
-        while self.tok.kind == "|":
+        ctors = [self.parse_ctor(name[1], param_names)]
+        while self.tok[0] == "|":
             self.next()
-            ctors.append(self.parse_ctor(name.text, param_names))
-        return _new(DatatypeDecl, (name.text, tuple(params), tuple(ctors)))
+            ctors.append(self.parse_ctor(name[1], param_names))
+        return _new(DatatypeDecl, (name[1], tuple(params), tuple(ctors)))
 
     def parse_ctor(self, type_name: str, params: tuple[str, ...]) -> DataConstructorDecl:
         name = self.expect("ident", "constructor name")
-        if self.tok.kind == "kw" and self.tok.text == "of":
+        if self.tok[0] == "kw" and self.tok[1] == "of":
             self.next()
             arg = self.parse_type()
-            return _new(DataConstructorDecl, (name.text, FORM_ADT, (), (), arg,
-                                              None, (name.line, name.col)))
+            return _new(DataConstructorDecl, (name[1], FORM_ADT, (), (), arg,
+                                              None, name[2:]))
         self.expect(":", "'of' or ':'")
-        if self.tok.kind == "kw" and self.tok.text == "forall":
+        if self.tok[0] == "kw" and self.tok[1] == "forall":
             self.next()
             exist = self.parse_binders(name, params)
             self.expect(".", "'.'")
             whole = self.parse_type()
             if not (isinstance(whole, App) and whole.ctor == ARROW):
                 raise self.error(
-                    f"constructor {name.text!r}: expected 'argument -> codomain'",
+                    f"constructor {name[1]!r}: expected 'argument -> codomain'",
                     name)
             arg, cod = whole.args
             if not (isinstance(cod, App) and cod.ctor == type_name):
                 raise self.error(
-                    f"constructor {name.text!r}: codomain must be an application "
+                    f"constructor {name[1]!r}: codomain must be an application "
                     f"of {type_name!r}", name)
             return _new(DataConstructorDecl, (
-                name.text, FORM_CODOMAIN, exist, (), arg, cod.args,
-                (name.line, name.col)))
+                name[1], FORM_CODOMAIN, exist, (), arg, cod.args,
+                name[2:]))
         exist = self.parse_binders(name, params)
         self.expect("[", "'['")
         constraints: list[tuple[str, ConstraintRel, TypeExpr, Token]] = []
         while True:
             lhs = self.expect("tyvar", "constrained parameter")
             rel_tok = self.tok
-            if rel_tok.kind not in ("=", ">=", "<="):
+            if rel_tok[0] not in ("=", ">=", "<="):
                 raise self.error("expected '=', '>=' or '<=' in constraint")
             self.next()
             bound = self.parse_type()
-            constraints.append((lhs.text, _RELATIONS[rel_tok.kind], bound, lhs))
-            if self.tok.kind != ",":
+            constraints.append((lhs[1], _RELATIONS[rel_tok[0]], bound, lhs))
+            if self.tok[0] != ",":
                 break
             self.next()
         self.expect("]", "']'")
@@ -620,19 +619,19 @@ class _Parser:
             seen_params.add(idx)
             resolved.append(_new(Constraint, (idx, rel, bound)))
         return _new(DataConstructorDecl, (
-            name.text, FORM_CONSTRAINED, exist, tuple(resolved), arg, None,
-            (name.line, name.col)))
+            name[1], FORM_CONSTRAINED, exist, tuple(resolved), arg, None,
+            name[2:]))
 
     def parse_binders(self, ctor_tok: Token, params: tuple[str, ...]) -> tuple[str, ...]:
         exist: list[str] = []
-        while self.tok.kind == "tyvar":
+        while self.tok[0] == "tyvar":
             var = self.next()
-            if var.text in params:
-                self.note(f"'{var.text} shadows a datatype parameter", var)
-            elif var.text in exist:
-                self.note(f"duplicate binder '{var.text}", var)
+            if var[1] in params:
+                self.note(f"'{var[1]} shadows a datatype parameter", var)
+            elif var[1] in exist:
+                self.note(f"duplicate binder '{var[1]}", var)
             else:
-                exist.append(var.text)
+                exist.append(var[1])
         return tuple(exist)
 
     # -- types -------------------------------------------------------------
@@ -648,10 +647,10 @@ class _Parser:
         self.nesting += 1
         try:
             t = self.parse_postfix()
-            while self.tok.kind == "*":
+            while self.tok[0] == "*":
                 self.next()
                 t = _new(App, (PRODUCT, (t, self.parse_postfix())))
-            if self.tok.kind == "->":
+            if self.tok[0] == "->":
                 self.next()
                 t = _new(App, (ARROW, (t, self.parse_type())))
         finally:
@@ -666,18 +665,18 @@ class _Parser:
 
     def parse_postfix(self) -> TypeExpr:
         tok = self.tok
-        kind = tok.kind
+        kind = tok[0]
         t: TypeExpr
         if kind == "tyvar":
             self.next()
-            t = _new(Var, (tok.text,))
+            t = _new(Var, (tok[1],))
         elif kind == "ident":
             self.next()
-            t = _new(App, (tok.text, ()))
+            t = _new(App, (tok[1], ()))
         elif kind == "(":
             self.next()
             items = [self.parse_type()]
-            while self.tok.kind == ",":
+            while self.tok[0] == ",":
                 self.next()
                 items.append(self.parse_type())
             self.expect(")", "')'")
@@ -685,11 +684,11 @@ class _Parser:
                 t = items[0]
             else:
                 head = self.expect("ident", "type constructor after argument tuple")
-                t = _new(App, (head.text, tuple(items)))
+                t = _new(App, (head[1], tuple(items)))
         else:
-            raise self.error(f"expected a type, found {tok.text!r}")
-        while self.tok.kind == "ident":
-            t = _new(App, (self.next().text, (t,)))
+            raise self.error(f"expected a type, found {tok[1]!r}")
+        while self.tok[0] == "ident":
+            t = _new(App, (self.next()[1], (t,)))
         return t
 
 
@@ -711,8 +710,8 @@ def parse_type(text: str) -> TypeExpr:
     parser = _Parser(tokens)
     try:
         t = parser.parse_type()
-        if not lex_diags and not parser.diags and parser.tok.kind != "eof":
-            parser.note(f"trailing input {parser.tok.text!r}")
+        if not lex_diags and not parser.diags and parser.tok[0] != "eof":
+            parser.note(f"trailing input {parser.tok[1]!r}")
     except _ParseAbort:
         pass
     if lex_diags or parser.diags:

@@ -369,6 +369,20 @@ class TestRobustness:
         assert out == ("box.B: syntactic=accepted req-sp=holds (depth 1) "
                        "agree=yes\n")
 
+    def test_positions_deep_in_a_file(self, tmp_path):
+        """On the last of 40,000 declarations, the scanner's and the
+        parser's diagnostics carry their exact line:col, and come in
+        linear time: lines are counted as the scanner passes them."""
+        path = tmp_path / "deep.vt"
+        path.write_text("".join(f"base b{i}\n" for i in range(39_999))
+                        + "type (+'a) box = B of 'a $ ]\n")
+        start = time.perf_counter()
+        code, out, err = invoke("check", path)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == (f"{path}:40000:26: unexpected character '$'\n"
+                       f"{path}:40000:28: expected declaration, found ']'\n")
+
     def test_nesting_at_the_limit_is_checked(self, tmp_path):
         ok = tmp_path / "ok.vt"
         ok.write_text("type (+'a) list = Nil of unit | Cons of 'a * 'a list\n"

@@ -15,6 +15,7 @@ from vgadt.criterion import (
     verify_witnesses,
 )
 from vgadt.checker import PRESETS, check_variance, compute_closure_flags
+from vgadt.oracle import enumerate_types, req_sp
 from vgadt.syntax import (
     ConstraintRel,
     FORM_ADT,
@@ -347,3 +348,27 @@ class TestIrrelevantParameter:
         assert not check_adt_constructor(sig, decl, k.arg).accepted
         for mode in ("fast", "exact"):
             assert not check_gadt_constructor(sig, decl, k, mode).accepted, mode
+
+    # ROADMAP item 1's smallest repro: sc-Var at ~ gives 'x the entry ~,
+    # and zip(=, ~) = = reads it as "'b leaves 'x alone", so the `=`
+    # constraint on 'a claims rho'(x) = rho(x).
+    SMALLEST = ("base int\n"
+                "type (='a, ~'b) t =\n"
+                "  | K : 'x ['a = 'x, 'b = 'x]. int\n")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: sc-Var at ~")
+    def test_smallest_repro_is_rejected(self):
+        for preset in PRESETS:
+            sig = parse_signature(self.SMALLEST)
+            compute_closure_flags(sig, preset)
+            for mode in ("fast", "exact"):
+                verdict = verdicts_by_name(sig, mode)["t.K"]
+                assert not verdict.accepted, (preset, mode)
+
+    def test_smallest_repro_fails_req_sp_at_depth_1(self):
+        sig = parse_signature(self.SMALLEST)
+        decl = sig.info("t").decl
+        result = req_sp(sig, enumerate_types(sig, 1), decl, decl.ctors[0])
+        assert result.describe() == ("fails (depth 1): sigma=(unit, unit) "
+                                     "sigma'=(unit, int) rho=(unit)")

@@ -82,7 +82,7 @@ def reference_tokenize(text: str):
 
 def tokenize(text: str):
     tokens, diags = _tokenize(text)
-    return [(t.kind, t.text, t.line, t.col) for t in tokens], diags
+    return [(kind, word, line, col) for kind, word, line, col in tokens], diags
 
 
 #: Single characters, chosen to hit every branch of the scanner: ASCII

@@ -14,7 +14,7 @@ diagnostic as well as many well-formed signatures.
 from __future__ import annotations
 
 import pathlib
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from hypothesis import given, seed, settings, strategies as st
 
@@ -36,7 +36,6 @@ from vgadt.syntax import (
     Diagnostic,
     Signature,
     SignatureError,
-    Token,
     TypeExpr,
     Var,
     _tokenize,
@@ -72,6 +71,19 @@ def reference_reachability(edges, nodes) -> dict[str, set[str]]:
                 outs |= extra
                 changed = True
     return succ
+
+
+class Token(NamedTuple):
+    """A token of `_tokenize`, a plain tuple, read by field name."""
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
+    tokens, diags = _tokenize(text)
+    return [Token(*tok) for tok in tokens], diags
 
 
 class _ParseAbort(Exception):
@@ -447,7 +459,7 @@ def _ctor_positions(decls) -> list[tuple[int, int]]:
 
 def reference_parse(text: str) -> tuple[Signature, list[Diagnostic]]:
     """The signature and the scanner's and parser's diagnostics."""
-    tokens, lex_diags = _tokenize(text)
+    tokens, lex_diags = tokenize(text)
     parser = ReferenceParser(tokens)
     sig = parser.parse_file()
     return sig, lex_diags + parser.diags
@@ -492,7 +504,7 @@ TEXTS = [*(path.read_text(encoding="utf-8") for path in sorted(
     path for d in ("corpus", "tests/golden/inputs", "tests/golden/bad")
     for path in (ROOT / d).glob("*.vt"))), EDGES]
 #: Their tokens, without `eof`.
-SOURCES = [_tokenize(text)[0][:-1] for text in TEXTS]
+SOURCES = [tokenize(text)[0][:-1] for text in TEXTS]
 
 
 def render(tokens: list[Token]) -> str:
