@@ -477,24 +477,38 @@ class TestReqSpAssignments:
         assert result.holds
         assert (len(u), result.assignments) == (33, 2)
 
+    #: Linked groups that no rule of `_groups` marks safe, so each is
+    #: searched over every narrowed assignment: an upper bound on a `+`
+    #: parameter.  Their universes are expr's and arrow_bound's.
+    LINKED = {
+        "expr": "type (+'a) expr =\n"
+                "  | Prod : 'b 'c ['a <= 'b * 'c]. 'b expr * 'c expr\n",
+        "arr": "type (+'a) arr =\n  | A : 'b 'c ['a <= 'b -> 'c]. unit\n",
+    }
+
+    def linked(self, name, ctor, depth):
+        sig = parse_signature("base int\nbase bool\nsubbase bool <= int\n"
+                              + self.LINKED[name])
+        compute_closure_flags(sig, "atomic")
+        u = enumerate_types(sig, depth)
+        return u, self.result(sig, u, name, ctor)
+
     def test_linked_pair(self):
-        u = get_universe("expr", 2)
-        result = self.result(get_sig("expr"), u, "expr", "Prod")
+        u, result = self.linked("expr", "Prod", 2)
         assert result.holds
         assert (len(u), result.assignments) == (24, 9)
 
     def test_linked_arrow(self):
-        """`['a = 'b -> 'c]`: an instance has an id of the universe
-        only when both existentials are constants, 3 x 3 of them."""
-        u = get_universe("arrow_bound", 2)
-        result = self.result(get_sig("arrow_bound"), u, "arr", "A")
+        """`['a <= 'b -> 'c]`: an instance has a candidate in the
+        universe only when both existentials are constants, 3 x 3 of
+        them."""
+        u, result = self.linked("arr", "A", 2)
         assert (len(u), result.assignments) == (24, 9)
 
     def test_linked_pair_depth3(self):
         """At depth 3 the existentials range over the 24 types of depth
         2, not over all 1179 types."""
-        u = get_universe("expr", 3)
-        result = self.result(get_sig("expr"), u, "expr", "Prod")
+        u, result = self.linked("expr", "Prod", 3)
         assert result.holds
         assert (len(u), result.assignments) == (1179, 24 ** 2)
 
