@@ -70,6 +70,7 @@ from .syntax import (
     is_ground,
     normalize_constructor,
     render_type,
+    type_depth,
 )
 from .variance import (
     ALL_VARIANCES,
@@ -860,7 +861,7 @@ class _Group(NamedTuple):
     coords: tuple[int, ...]
     bounds: tuple[_Bound, ...]
     #: Per bound, its walk at its variance over the local coordinates;
-    #: none where the group is safe and every bound a bare existential,
+    #: none where the group is safe and every bound fits the universe,
     #: since such a group is decided without the universe (`req_sp`).
     walks: tuple[_Walk, ...]
     #: Per local coordinate of a group that is not safe, the principal
@@ -875,6 +876,34 @@ class _Group(NamedTuple):
     safe: bool
 
 
+def _rigid_linear(u: GroundUniverse, t: TypeExpr, w: Variance,
+                  uses: dict[str, Variance]) -> bool:
+    """Whether an `=` bound t on a parameter of declared variance w is
+    decided by its own structure (`_groups`' third reason): each
+    variable occurs in t once, every node sits at a composed variance c
+    = w.(path) that is not `~`, every head is related at its c to itself
+    only, and each variable x has var_leq(uses[x], c)."""
+    seen: set[str] = set()
+    stack = [(t, w)]
+    while stack:
+        node, c = stack.pop()
+        if c is IRR:
+            return False
+        if isinstance(node, Var):
+            if node.name in seen or not var_leq(uses[node.name], c):
+                return False
+            seen.add(node.name)
+            continue
+        assert isinstance(node, App)
+        head = u._known(node.ctor)
+        if (c is not CONTRA and len(u._up[head]) > 1
+                or c is not COV and len(u._down[head]) > 1):
+            return False
+        stack.extend((a, compose(c, x))
+                     for a, x in zip(node.args, u._variances[head]))
+    return True
+
+
 def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
             norm: DataConstructorDecl) -> list[_Group]:
     """The constraints of a normalized constructor, split into groups:
@@ -882,7 +911,7 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     and the closed bounds form the group with no coordinate.  Groups
     come in the order of their coordinates.
 
-    A group is safe, unable to fail, for either of two reasons.  Take
+    A group is safe, unable to fail, for any of three reasons.  Take
     any rho, any sigma with bound[rho] prec_v sigma(a) for each bound
     and its parameter a of declared variance w, and any sigma' with
     sigma(a) prec_w sigma'(a).
@@ -896,14 +925,30 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
       reflexivity, and rho(x) prec_u sigma(a) prec_u sigma'(a), since
       prec_v and prec_w lie within prec_u, keeps the argument above its
       instance at rho.
+    - The group has one bound B, with v = `=`, that is rigid and linear
+      (`_rigid_linear`): each existential x occurs in B once, at a path
+      p_x; every node of B sits at a composed variance c = w.(path)
+      that is not `~`; every head of B is related at its c to itself
+      only; and the principal entry u_x of each x has var_leq(u_x,
+      c_x).  Take rho'(x) := sigma'(a)|p_x.  B[rho] is equivalent to
+      sigma(a), so B[rho] prec_w sigma'(a), and types compare
+      structurally: at each node of B, sigma'(a) has B's head, so
+      sigma'(a) = B[rho'], which meets the bound by reflexivity, and
+      rho(x) prec_{c_x} rho'(x), which lies within prec_{u_x} and so
+      keeps the argument above its instance at rho.  For `=`, this
+      subsumes the second reason wherever w is not `~`: a bare B is x
+      at c = w.
 
     A plain constructor's parameter used at its own variance, `'a =
-    'x`, is safe for the second reason.  Two bare bounds on one x, a
-    `+` parameter used at `-`, or a `~` parameter used at `=` are not,
-    and their groups are searched in full.  A safe group needs no
-    reach set and no principal entry, and one whose bounds are all bare
-    existentials no walk either: only its bounds' parameters,
-    variances and coordinates are compiled."""
+    'x`, is safe for the second reason, and `expr.Prod` (`['a = 'b *
+    'c]`), `arrow_bound.A` and `ml_open_demo`'s `box.B` for the third.
+    Two bounds on one x, a bound that repeats an existential, a `+`
+    parameter used at `-`, a `~` parameter used at `=` or an `=` bound
+    on one with a head a private or base-order edge leaves are not, and
+    their groups are searched in full.  A safe group needs no reach set
+    and no principal entry, and one whose bounds all fit the universe
+    (depth <= d) no walk either: only its bounds' parameters,
+    variances and instances are compiled."""
     domain = norm.exist_vars
     ws = d.param_variances()
     arg_uses: Optional[tuple[Variance, ...]] = None
@@ -926,20 +971,24 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
         if not safe and arg_uses is None:
             arg_uses = principal_context(sig, norm.arg, COV,
                                          domain).variances()
-        if not safe and len(cs) == 1 and isinstance(cs[0].bound, Var):
-            use = arg_uses[coords[0]]
-            safe = var_leq(use, vs[0]) and var_leq(use, ws[cs[0].param])
-        if safe and all(isinstance(c.bound, Var) for c in cs):
-            groups.append(_Group(coords, tuple(
-                _Bound(c.param, v, operator.itemgetter(
-                    local.index(c.bound.name)), None)
-                for c, v in zip(cs, vs)), (), (), True))
+        if not safe and len(cs) == 1:
+            (c,), (v,), w = cs, vs, ws[cs[0].param]
+            if isinstance(c.bound, Var):
+                use = arg_uses[coords[0]]
+                safe = var_leq(use, v) and var_leq(use, w)
+            elif v is INV:
+                safe = _rigid_linear(u, c.bound, w, {
+                    x: arg_uses[j] for x, j in zip(local, coords)})
+        bounds = tuple(_Bound(c.param, v, _instantiator(u, c.bound, local),
+                              None) for c, v in zip(cs, vs))
+        if (safe and u.dense
+                and all(type_depth(c.bound) <= u.depth for c in cs)):
+            groups.append(_Group(coords, bounds, (), (), True))
             continue
         groups.append(_Group(
             coords,
-            tuple(_Bound(c.param, v, _instantiator(u, c.bound, local),
-                         _reach(u, v, ws[c.param]))
-                  for c, v in zip(cs, vs)),
+            tuple(b._replace(reach=_reach(u, b.v, ws[b.param]))
+                  for b in bounds),
             tuple(_walk(u, c.bound, v, local) for c, v in zip(cs, vs)),
             () if safe else tuple(arg_uses[j] for j in coords), safe))
     groups.sort(key=lambda g: g.coords)
@@ -969,15 +1018,20 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     sigma' is checked once.  A reach set is one row unless the
     constraint's variance and the parameter's are + and - (`_reach`),
     and where every reach set is its candidate set no sigma' can fail.
-    A group that can fail at no assignment (`_Group.safe`, for either
-    reason `_groups` gives) stops at its first assignment with
-    candidates: `sink_sub.S` (`'a <= 'b` on a `-` parameter) and every
-    plain constructor's parameter used at its own variance, such as
-    `ml_open_demo`'s `pos.P`, visit one assignment at any depth.  Where
-    every bound of a safe group is a bare existential, that assignment
-    is known without the universe: bare bounds narrow no coordinate,
-    so it is all 0, and there each bound's instance is 0, a candidate
-    of itself.  Such a group counts one visit and reads no row.
+    A group that can fail at no assignment (`_Group.safe`, for any of
+    the three reasons `_groups` gives) stops at its first assignment
+    with candidates: `sink_sub.S` (`'a <= 'b` on a `-` parameter),
+    `expr.Prod` (`['a = 'b * 'c]`) and every plain constructor's
+    parameter used at its own variance, such as `ml_open_demo`'s
+    `pos.P`, visit one assignment at any depth.  Where every bound of a
+    safe group has depth <= d, that assignment is known without the
+    universe: 0 is a constant, related to itself at every variance, so
+    it lies in every narrowed coordinate, and the first assignment is
+    all 0; there each bound's instance has depth <= d, a dense id and
+    a candidate of itself.  Such a group counts one visit, builds only
+    its bounds' instantiators (read where another group fails) and
+    reads no row.  A safe group with a deeper bound is searched, so
+    that a bound with no instance in the universe is reported vacuous.
     Each bound's tests are compiled once (`_Bound`), so an assignment
     costs one instance, one candidate row and one reach set per bound.
     The reach sets per parameter (`reach_sets`) and the sigma' search
@@ -991,8 +1045,9 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     empty.  A group's assignments are the product of its narrowed
     coordinates (`_narrowed`); every assignment left out has a
     parameter with no candidate, where the literal search finds nothing
-    either, so `expr.Prod` (`['a = 'b * 'c]`) visits 3 x 3 assignments
-    at depth 2, not 24^2.
+    either, so a linked group such as `['a <= 'b * 'c]` on a `+`
+    parameter visits 3 x 3 assignments of expr's universe at depth 2,
+    not 24^2.
 
     A failure reports the counterexample the literal reading finds
     first.  rho is the first failing assignment in product order: the
@@ -1042,10 +1097,11 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     visited = 0
     firsts: list[tuple[tuple[int, ...], Optional[tuple[int, ...]]]] = []
     for g in groups:
-        if g.safe and not g.walks and u.dense:
-            # Bare bounds narrow nothing (`_narrowed`), so the first
-            # assignment is all 0, and there, in a universe with a type,
-            # each bound's instance is 0, a candidate of itself.
+        if not g.walks:
+            # A safe group whose bounds fit the universe: 0, a constant,
+            # lies in every narrowed coordinate (`_narrowed`), so the
+            # first assignment is all 0, and there each bound's instance
+            # has depth <= d, so it is a dense id, a candidate of itself.
             visited += 1
             firsts.append(((0,) * len(g.coords), None))
             continue

@@ -358,28 +358,65 @@ def test_linked_groups_equal_reference():
     assert holds.count(False) >= 0.15 * len(holds)
 
 
-def bare_bound_groups_equal_reference(sigs, universes, seed_, examples):
-    """`_groups` marks a group of one bare bound safe when the
-    argument's entry for its existential lies below both the
-    constraint's variance and the parameter's, and `req_sp` then stops
-    the group at its first assignment.  Every case where that rule marks
-    a group that the test of the variances alone does not must give the
-    reference's result; the other cases are `cases()`'s, compared above.
-    Returns the number of marked groups and the verdicts compared."""
+@st.composite
+def rigid_cases(draw):
+    """(preset, depth, datatype, constructor): p0, mostly `+` or `-`,
+    constrained by `=` to a bound of `linked_bounds`, and at most one
+    more parameter, pinned to an existential of its own or bounded by a
+    closed type, with a mixed relation.  The first bound is often rigid
+    and linear, and as often misses by one test: an existential it
+    repeats, a head with an edge (`bool` below `int`, `pint` below
+    `bool`), or an argument that uses an existential at another
+    variance.  The other parameter's group often fails, so that the
+    first assignment of p0's group is part of the counterexample."""
+    depth = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, MAX_SIZE[depth]))
+    n = draw(st.integers(1, MAX_SIZE[depth]))
+    names = NAMES[m][:-1] if n > 1 and m > 1 else NAMES[m]
+    params = tuple((f"p{i}", draw(st.sampled_from([COV, CONTRA] * 2
+                                                  + [IRR] * (not i))))
+                   for i in range(n))
+    constraints = (Constraint(0, ConstraintRel.EQ, draw(linked_bounds(names))),
+                   *(Constraint(i, draw(st.sampled_from(list(ConstraintRel))),
+                                Var(NAMES[m][-1]) if m > 1
+                                else draw(CLOSED_LEAVES))
+                     for i in range(1, n)))
+    arg = draw(TYPES[m])
+    if names != NAMES[m]:
+        arg = product(arg, Var(NAMES[m][-1]))
+    k = DataConstructorDecl("K", FORM_CONSTRAINED, NAMES[m], constraints, arg)
+    return (draw(st.sampled_from(PRESETS)), depth,
+            DatatypeDecl("t", params, (k,)), k)
+
+
+def marked_groups_equal_reference(sigs, universes, seed_, examples,
+                                  generator, bare):
+    """Beyond the test of the variances alone, `_groups` marks a group
+    of one bound safe when the bound is a bare existential whose
+    argument entry lies below both the constraint's variance and the
+    parameter's (`bare`), or when it is a rigid linear `=` bound
+    (`_rigid_linear`, not `bare`); `req_sp` then stops the group at its
+    first assignment.  Every case of `generator` where that reason
+    marks a group must give the reference's result; the other cases
+    are `cases()`'s, compared above.  Returns the number of marked
+    groups and the verdicts compared."""
     holds = []
     marked = 0
 
     @seed(seed_)
     @settings(max_examples=examples, deadline=None, database=None)
-    @given(cases())
+    @given(generator)
     def check(case):
         nonlocal marked
         preset, depth, d, k = case
         ws = d.param_variances()
+        norm = normalize_constructor(d, k)
         new = sum(g.safe and not all(var_leq(b.v, ws[b.param])
                                      for b in g.bounds)
+                  and isinstance(norm.constraints[g.bounds[0].param].bound,
+                                 Var) == bare
                   for g in _groups(sigs[preset], universes[preset, depth], d,
-                                   normalize_constructor(d, k)))
+                                   norm))
         if new:
             marked += new
             holds.append(compare(case, sigs, universes))
@@ -389,8 +426,8 @@ def bare_bound_groups_equal_reference(sigs, universes, seed_, examples):
 
 
 def test_bare_bound_groups_equal_reference():
-    marked, holds = bare_bound_groups_equal_reference(
-        SIGS, UNIVERSES, 20261019, 1000)
+    marked, holds = marked_groups_equal_reference(
+        SIGS, UNIVERSES, 20261019, 1000, cases(), bare=True)
     # The floor on marked groups keeps the generator exercising the rule.
     assert marked >= 50
     # Some of them fail in another group, so the first assignment of a
@@ -406,9 +443,25 @@ def test_bare_bound_groups_equal_reference_over_forks():
     # The run time of 550 examples varies from 1.5 to 20 s between
     # seeds, with the few depth-2 cases the reference takes seconds on;
     # this seed's take about 2.5 s.
-    marked, holds = bare_bound_groups_equal_reference(
-        FORK_SIGS, FORK_UNIVERSES, 20261024, 550)
+    marked, holds = marked_groups_equal_reference(
+        FORK_SIGS, FORK_UNIVERSES, 20261024, 550, cases(), bare=True)
     assert marked >= 30
+    assert holds.count(False) >= 5
+
+
+def test_rigid_linear_groups_equal_reference():
+    marked, holds = marked_groups_equal_reference(
+        SIGS, UNIVERSES, 20261102, 500, rigid_cases(), bare=False)
+    assert marked >= 150
+    assert holds.count(False) >= 5
+
+
+def test_rigid_linear_groups_equal_reference_over_forks():
+    """The same over FORK, where `bool` and `pint` lie below `int` with
+    no common lower bound."""
+    marked, holds = marked_groups_equal_reference(
+        FORK_SIGS, FORK_UNIVERSES, 20261103, 500, rigid_cases(), bare=False)
+    assert marked >= 150
     assert holds.count(False) >= 5
 
 
