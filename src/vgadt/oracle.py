@@ -942,10 +942,10 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     A plain constructor's parameter used at its own variance, `'a =
     'x`, is safe for the second reason, and `expr.Prod` (`['a = 'b *
     'c]`), `arrow_bound.A` and `ml_open_demo`'s `box.B` for the third.
-    Two bounds on one x, a bound that repeats an existential, a `+`
-    parameter used at `-`, a `~` parameter used at `=` or an `=` bound
-    on one with a head a private or base-order edge leaves are not, and
-    their groups are searched in full.  A safe group needs no reach set
+    Two bounds on one x, an `=` bound that repeats an existential or
+    has a head that a private or base-order edge leaves in the
+    direction of its c, a `+` parameter used at `-`, or a `~` parameter
+    used at `=` are not, and their groups are searched in full.  A safe group needs no reach set
     and no principal entry, and one whose bounds all fit the universe
     (depth <= d) no walk either: only its bounds' parameters,
     variances and instances are compiled."""

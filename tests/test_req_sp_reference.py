@@ -365,8 +365,8 @@ def rigid_cases(draw):
     more parameter, pinned to an existential of its own or bounded by a
     closed type, with a mixed relation.  The first bound is often rigid
     and linear, and as often misses by one test: an existential it
-    repeats, a head with an edge (`bool` below `int`, `pint` below
-    `bool`), or an argument that uses an existential at another
+    repeats, a head that a base-order or private edge leaves (`bool`,
+    `pint`), or an argument that uses an existential at another
     variance.  The other parameter's group often fails, so that the
     first assignment of p0's group is part of the counterexample."""
     depth = draw(st.sampled_from([1, 2]))
