@@ -60,13 +60,25 @@ def u_type(u, i) -> App:
     return App(u.heads[i], tuple(u_type(u, k) for k in u.kids[i]))
 
 
-@pytest.mark.parametrize("preset", ["atomic", "ml-open", "none"])
-@pytest.mark.parametrize("name", CORPUS_FILES + ["prelude"])
+@pytest.mark.parametrize("name, preset", [
+    *((name, preset) for name in CORPUS_FILES + ["prelude"]
+      for preset in ("atomic", "ml-open", "none")),
+    pytest.param("ternary", None, id="ternary")])
 def test_all_pairs_depth2(name, preset):
     """Every pair and every row of a depth-2 universe.  The PRELUDE of
     test_decomp_reference (52 types) has a `~` parameter (phantom), whose
-    rows reach every type of depth 1 at that position."""
-    sig = SIGS[preset] if name == "prelude" else get_sig(name, preset)
+    rows reach every type of depth 1 at that position.  The ternary
+    signature of test_layout_reference (18 types) has a head of arity 3,
+    at `=`, `~` and `-`, and a private edge; no corpus file has a
+    ternary head."""
+    if name == "ternary":
+        # Imported here: test_layout_reference imports this module.
+        from test_layout_reference import signature
+        sig = signature()
+    elif name == "prelude":
+        sig = SIGS[preset]
+    else:
+        sig = get_sig(name, preset)
     u = enumerate_types(sig, 2)
     ref = Reference(sig)
     n = len(u)
