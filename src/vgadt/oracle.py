@@ -22,17 +22,16 @@ per type and direction, so the quantifier loops run over integers and
 bit tests instead of type trees.  A row is computed when it is first
 read, so a run builds only the rows its verdicts read.  The types
 related to h(k_1..k_n) are a product: a head related to h, and per
-position an id of depth < d in the row of k_p.  A row is read off its
-children's rows, one rank per prefix of children, and each last
-child's whole column placed by one shift.  Instances deeper than the
-universe (a bound `'b pos` at depth d + 1) are interned on demand, and
-their rows are computed the same way.  A universe type's tree is built
-only when it is rendered.  Types compared outside a universe (`subtype`
-and `prec`) are interned into a universe of depth 1: its constants
-compare by rows, and every other type is a deep id and compares
-structurally, through the same `GroundUniverse.prec`.  Making a
-universe lays out its blocks and starts its memos empty; the tables
-only compiling a walk or a row reads are built on first read.
+position an id of depth < d in the row of k_p.  A row is that product,
+each tuple placed in the block of each related head.  Instances deeper
+than the universe (a bound `'b pos` at depth d + 1) are interned on
+demand, and their rows are computed the same way.  A universe type's
+tree is built only when it is rendered.  Types compared outside a
+universe (`subtype` and `prec`) are interned into a universe of depth
+1: its constants compare by rows, and every other type is a deep id
+and compares structurally, through the same `GroundUniverse.prec`.
+Making a universe lays out its blocks and starts its memos empty; the
+tables only compiling a walk or a row reads are built on first read.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -110,108 +109,26 @@ class _Rows(dict):
     id of depth < d in row(compose(v, w_p), k_p), w_p being h's variance
     at p (the edges between heads preserve variances, so it is g's
     too).  A `~` position needs no case of its own: its row is full.
-
-    The members are placed block by block, one level k at a time: the
-    tuples whose deepest child has depth k are ranked as in
-    `GroundUniverse._place`, but along the product, so a prefix of
-    children is ranked once per column step.  The last position adds
-    its child's id to the rank, so its whole column lands in the block
-    of each g by one shift."""
+    A tuple whose deepest child has depth k is g's id `_starts[g][k]`
+    plus its rank in that block (`GroundUniverse._place`)."""
 
     def __init__(self, table: GroundUniverse, v: Variance):
         self.table, self.v = table, v
-        # Per head h read so far: the block starts of the heads related
-        # to h at v; per position but the last, the columns of the
-        # variance at which its child's row is read; and the last
-        # position's row function.
-        self.related: dict[str, tuple[tuple, tuple, Callable]] = {}
-
-    def _relate(self, h: str) -> tuple[tuple, tuple, Callable]:
-        table, v = self.table, self.v
-        near = table._up[h] if v is COV else table._down[h]
-        ws = [compose(v, w) for w in table._variances[h]]
-        plan = self.related[h] = (
-            tuple(table._starts[g] for g in near),
-            tuple(table._columns[w] for w in ws[:-1]),
-            table.rows[ws[-1]] if ws else None)
-        return plan
 
     def __missing__(self, x: int) -> int:
-        table = self.table
+        table, v = self.table, self.v
         h = table.heads[x]
-        starts, firsts, last = self.related.get(h) or self._relate(h)
-        kids = table.kids[x]
+        near = table._up[h] if v is COV else table._down[h]
+        starts = [table._starts[g] for g in near]
+        cols = [_members(table.row(compose(v, w), k) & table.within[-2])
+                for w, k in zip(table._variances[h], table.kids[x])]
         row = 0
-        if not kids:
+        for kids in itertools.product(*cols):
+            deepest, rank = table._place(kids)
             for s in starts:
-                row |= 1 << s[0]
-            self[x] = row
-            return row
-        cols = list(map(operator.getitem, firsts, kids))
-        last = last(kids[-1])
-        # A level holds tuples only if every column has an id of depth
-        # <= level (low < n) and some column one of depth level (top >
-        # m): low is the greatest of the columns' least ids, and top one
-        # past their greatest.  Levels ascend, so past top none does.
-        low, top = (last & -last).bit_length() - 1, last.bit_length()
-        for col in cols:
-            if not col:
-                top = 0
-            elif col[-1] >= top:
-                top = col[-1] + 1
-            if col and col[0] > low:
-                low = col[0]
-        for level, n, m, ids in table._levels:
-            if m >= top:
-                break
-            if n <= low:
-                continue
-            tail = last & ids
-            if not cols:
-                # One child: its ids of depth level, shifted to 0.
-                for s in starts:
-                    row |= tail >> m << s[level]
-                continue
-            # Per prefix of children of depth <= level: its rank among
-            # the tuples over the n ids, the number of tuples over the m
-            # shallower ids before it, and whether it is all shallower.
-            # Columns ascend, so each is read up to its first id >= n.
-            prefixes = [(0, 0, True)]
-            for col in cols:
-                longer = []
-                for r, b, shallow in prefixes:
-                    for k in col:
-                        if k >= n:
-                            break
-                        longer.append((r * n + k,
-                                       b * m + (k if k < m else m)
-                                       if shallow else b * m,
-                                       shallow and k < m))
-                prefixes = longer
-            for r, b, shallow in prefixes:
-                # Below an all-shallower prefix, the last child must be
-                # of depth level, and the m shallower ids are skipped.
-                bits = (tail >> m if shallow else tail) << r * n - b * m
-                if bits:
-                    for s in starts:
-                        row |= bits << s[level]
+                row |= 1 << s[deepest] + rank
         self[x] = row
         return row
-
-
-class _Columns(dict):
-    """Child id k -> the ids of depth < d in row(w, k), ascending: the
-    children at a position of composed variance w in the rows of the
-    types whose child there is k."""
-
-    def __init__(self, table: GroundUniverse, w: Variance):
-        self.table, self.w = table, w
-
-    def __missing__(self, k: int) -> tuple[int, ...]:
-        table = self.table
-        col = self[k] = tuple(
-            _members(table.row(self.w, k) & table.within[-2]))
-        return col
 
 
 class _Decoded(dict):
@@ -271,10 +188,10 @@ class GroundUniverse:
         decoded here, and no row is computed.
 
         What the loops read is made here, each memo empty.  The tables
-        that only compiling a walk or a row reads (`_down`, `_head_ids`,
-        `_columns`) are built on first read: they are `cached_property`s,
-        whose loads CPython 3.11 does not specialise, so nothing the
-        loops read is one."""
+        that only compiling a walk or a row reads (`_down`, `_head_ids`)
+        are built on first read: they are `cached_property`s, whose
+        loads CPython 3.11 does not specialise, so nothing the loops read
+        is one."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.sig = sig
@@ -332,10 +249,6 @@ class GroundUniverse:
         self.full = (1 << end) - 1
         #: within[k]: the ids of depth <= k, a prefix of the universe.
         self.within = [(1 << e) - 1 for e in ends]
-        # Per depth k < d a child may have: k, the numbers n and m of the
-        # ids of depth <= k and < k, and the set of the n.
-        self._levels = [(k, ends[k], ends[k - 1], self.within[k])
-                        for k in range(1, depth)]
         le = self.le = _Rows(self, COV)
         ge = self.ge = _Rows(self, CONTRA)
         #: Per variance v, the function a -> row(v, a).
@@ -365,12 +278,6 @@ class GroundUniverse:
                 self._block_starts[1:] + [self.dense]):
             ids[head] = ids.get(head, 0) | (1 << end) - (1 << start)
         return ids
-
-    @functools.cached_property
-    def _columns(self) -> dict[Variance, _Columns]:
-        """Per composed variance, the columns a row's children are read
-        from."""
-        return {w: _Columns(self, w) for w in ALL_VARIANCES}
 
     def __len__(self) -> int:
         return self.dense
@@ -945,10 +852,10 @@ def _groups(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     Two bounds on one x, an `=` bound that repeats an existential or
     has a head that a private or base-order edge leaves in the
     direction of its c, a `+` parameter used at `-`, or a `~` parameter
-    used at `=` are not, and their groups are searched in full.  A safe group needs no reach set
-    and no principal entry, and one whose bounds all fit the universe
-    (depth <= d) no walk either: only its bounds' parameters,
-    variances and instances are compiled."""
+    used at `=` are not, and their groups are searched in full.  A safe
+    group needs no reach set and no principal entry, and one whose
+    bounds all fit the universe (depth <= d) no walk either: only its
+    bounds' parameters, variances and instances are compiled."""
     domain = norm.exist_vars
     ws = d.param_variances()
     arg_uses: Optional[tuple[Variance, ...]] = None
