@@ -12,7 +12,7 @@ import random
 import pytest
 
 from conftest import CORPUS, get_sig, get_universe
-from test_req_sp_reference import PRELUDE
+from test_req_sp_reference import PRELUDE, reference_req_sp
 from vgadt import cli
 from vgadt.oracle import (
     DEFAULT_UNIVERSE_CAP,
@@ -738,6 +738,47 @@ class TestReqSpVacuous:
             "type": "t", "ctor": "K", "verdict": "accepted",
             "req_sp": "vacuous", "depth": 2,
             "agree": "unconfirmed (no instance)", "counterexample": None}
+
+
+class TestReqSpSearchedSafeGroup:
+    """A safe group whose bound is deeper than the universe is searched,
+    so that a bound with no instance there is reported vacuous.  Such a
+    bound has an instance only through a `~` position: `'x ph ph` has
+    depth 3, but ph ignores its parameter, so `'x ph ph` is equivalent
+    to `int ph`, a type of depth 2.  The group is safe (`=` on a `=`
+    parameter), so it stops at its first assignment with candidates."""
+
+    TEXT = ("base int\nbase bool\nsubbase bool <= int\n"
+            "type (~'a) ph = P of unit\n"
+            "type (='a) t = K : 'x ['a = 'x ph ph]. unit\n")
+
+    def result(self, depth, reference=False):
+        sig = parse_signature(self.TEXT)
+        decl = sig.info("t").decl
+        u = enumerate_types(sig, depth)
+        (group,) = _groups(sig, u, decl,
+                           normalize_constructor(decl, decl.ctors[0]))
+        # The bound fits the universe at depth 3 only, and is searched
+        # below it.
+        assert group.safe and bool(group.walks) == (depth < 3)
+        return (reference_req_sp if reference else req_sp)(
+            sig, u, decl, decl.ctors[0])
+
+    def test_vacuous_without_ph(self):
+        result = self.result(1)
+        assert result.holds and result.vacuous == parse_type("'x ph ph")
+        assert result == self.result(1, reference=True)
+
+    def test_holds_at_its_first_assignment(self):
+        result = self.result(2)
+        assert result.holds and result.vacuous is None
+        assert result.assignments == 1
+        assert result == self.result(2, reference=True)
+
+    def test_holds_at_depth3(self):
+        result = self.result(3)
+        assert result.holds and result.vacuous is None
+        assert result.assignments == 1
 
 
 class TestReqSpVariableBounds:

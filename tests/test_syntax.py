@@ -32,6 +32,7 @@ from vgadt.syntax import (
     _reachability,
 )
 from vgadt.checker import compute_closure_flags
+from vgadt.criterion import check_signature
 from vgadt.variance import COV
 
 CORPUS_FILES = [
@@ -311,6 +312,20 @@ class TestNormalization:
         assert [c.param for c in norm.constraints] == [0, 1]
         assert norm.constraints[1].bound == tvar("b1")
 
+    def test_fresh_name_skips_an_existential_in_use(self):
+        """'a's fresh name would be a1, which K already binds, so it is
+        a2; the checker accepts the result with both covariant."""
+        decl, k = self._decl(
+            "type (+'a, +'b) t = K : 'a1 ['b = 'a1]. 'a * 'a1\n")
+        norm = normalize_constructor(decl, k)
+        assert norm.exist_vars == ("a1", "a2")
+        assert norm.constraints[0].bound == tvar("a2")
+        (verdict,) = check_signature(parse_signature(
+            "type (+'a, +'b) t = K : 'a1 ['b = 'a1]. 'a * 'a1\n"),
+            "exact").verdicts
+        assert verdict.accepted
+        assert dict(verdict.gamma) == {"a1": COV, "a2": COV}
+
     def test_idempotent(self):
         for name in CORPUS_FILES:
             sig = get_sig(name)
@@ -360,6 +375,11 @@ class TestRoundTrip:
         text1 = render_signature(sig1)
         sig2 = parse_signature(text1)
         assert render_signature(sig2) == text1
+
+    def test_closed_declaration(self):
+        text = ("base int\nclosed + int\n"
+                "type (+'a) box =\n  | B of 'a\n")
+        assert render_signature(parse_signature(text)) == text
 
     def test_type_render_parse(self):
         for text in ["'a -> 'b -> 'c", "('a -> 'b) -> 'c", "'a * ('b * 'c)",
