@@ -26,12 +26,12 @@ position an id of depth < d in the row of k_p.  A row is that product,
 each tuple placed in the block of each related head.  Instances deeper
 than the universe (a bound `'b pos` at depth d + 1) are interned on
 demand, and their rows are computed the same way.  A universe type's
-tree is built only when it is rendered.  Types compared outside a
-universe (`subtype` and `prec`) are interned into a universe of depth
-1: its constants compare by rows, and every other type is a deep id
-and compares structurally, through the same `GroundUniverse.prec`.
-Making a universe lays out its blocks and starts its memos empty; the
-tables only compiling a walk or a row reads are built on first read.
+tree is built only when it is rendered.  Two types compare
+structurally (`GroundUniverse.prec`), reading no row, whether their ids
+are dense or deep; types compared outside a universe (`subtype` and
+`prec`) are interned into a universe of depth 1.  Making a universe
+lays out its blocks and starts its memos empty; the tables only
+compiling a walk or a row reads are built on first read.
 
 Decomposability and req-SP find their witnesses by inversion: an
 instance of a type t relates to a universe type s only through t's own
@@ -99,38 +99,6 @@ def _members(bits: int) -> Iterator[int]:
         i = text.find("1", i + 1)
 
 
-class _Rows(dict):
-    """Id x -> the dense ids above x (v = COV) or below it (v = CONTRA),
-    computed from the rows of x's children on first use.
-
-    A universe of depth d holds every type of depth <= d.  So the dense
-    ids related at v to x = h(k_1..k_n) are those of the types
-    g(j_1..j_n), where g is a head related to h at v and each j_p is an
-    id of depth < d in row(compose(v, w_p), k_p), w_p being h's variance
-    at p (the edges between heads preserve variances, so it is g's
-    too).  A `~` position needs no case of its own: its row is full.
-    A tuple whose deepest child has depth k is g's id `_starts[g][k]`
-    plus its rank in that block (`GroundUniverse._place`)."""
-
-    def __init__(self, table: GroundUniverse, v: Variance):
-        self.table, self.v = table, v
-
-    def __missing__(self, x: int) -> int:
-        table, v = self.table, self.v
-        h = table.heads[x]
-        near = table._up[h] if v is COV else table._down[h]
-        starts = [table._starts[g] for g in near]
-        cols = [_members(table.row(compose(v, w), k) & table.within[-2])
-                for w, k in zip(table._variances[h], table.kids[x])]
-        row = 0
-        for kids in itertools.product(*cols):
-            deepest, rank = table._place(kids)
-            for s in starts:
-                row |= 1 << s[deepest] + rank
-        self[x] = row
-        return row
-
-
 class _Decoded(dict):
     """Id -> its head (or its children), stored when it is interned, or
     else decoded from the id on first read (`GroundUniverse._decode`)."""
@@ -162,15 +130,16 @@ class GroundUniverse:
     it on first read (`heads`, `kids`).  So a run decodes only the ids
     it reads.  A deeper type (an instance of a bound, say) is a deep id:
     it is numbered from n in intern order, and its head and children are
-    kept in a list (`_deep`).  A type's tree is built only when it is
+    stored when it is interned.  A type's tree is built only when it is
     asked for (`type`), since an oracle run renders only the few types
     of its counterexamples.
 
-    The memos `le` and `ge` hold rows over the dense ids: `le[i]`, the
-    set of dense j with type i <= type j, and `ge[i]`, the set of dense
-    j with type j <= type i.  A row is computed from its children's rows
-    on first use (`_Rows`), for any id, dense or deep.  Two dense ids
-    compare by one bit test, any other pair structurally (`prec`).
+    Rows are read through `row` alone.  It keeps them in the memos `le`
+    and `ge`, over the dense ids: `le[i]`, the set of dense j with type
+    i <= type j, and `ge[i]`, the set of dense j with type j <= type i.
+    A row is computed from its children's rows on first read, for any
+    id, dense or deep.  Any two ids compare structurally (`prec`), and
+    read no row.
     """
 
     def __init__(self, sig: Signature, depth: int, cap: int):
@@ -185,7 +154,7 @@ class GroundUniverse:
         of depth < level and m those of depth < level - 1, so each
         level's size is known before the next is laid out: beyond `cap`
         types UniverseSizeError is raised.  No type is enumerated or
-        decoded here, and no row is computed.
+        decoded here, and no row is computed or read.
 
         What the loops read is made here, each memo empty.  The tables
         that only compiling a walk or a row reads (`_down`, `_head_ids`)
@@ -194,7 +163,6 @@ class GroundUniverse:
         is one."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        self.sig = sig
         self.depth = depth
         self._variances = ws = {name: info.variances
                                 for name, info in sig.ctors.items()}
@@ -213,8 +181,6 @@ class GroundUniverse:
         self._ids: dict[tuple[str, tuple[int, ...]], int] = {}
         self._exprs: dict[TypeExpr, int] = {}
         self._trees: dict[int, TypeExpr] = {}
-        # The head and children of each deep id, in id order.
-        self._deep: list[tuple[str, tuple[int, ...]]] = []
         # The layout.  _ends[k]: the number of ids of depth <= k.
         # _starts[h][k]: the first id of the block of the types of head h
         # whose deepest child has depth k (0 for a constant).  The
@@ -249,15 +215,11 @@ class GroundUniverse:
         self.full = (1 << end) - 1
         #: within[k]: the ids of depth <= k, a prefix of the universe.
         self.within = [(1 << e) - 1 for e in ends]
-        le = self.le = _Rows(self, COV)
-        ge = self.ge = _Rows(self, CONTRA)
-        #: Per variance v, the function a -> row(v, a).
-        self.rows: dict[Variance, Callable[[int], int]] = {
-            COV: le.__getitem__,
-            CONTRA: ge.__getitem__,
-            INV: lambda a: le[a] & ge[a],
-            IRR: lambda a: self.full,
-        }
+        #: The rows read so far at `+` and at `-` (`row`).
+        self.le: dict[int, int] = {}
+        self.ge: dict[int, int] = {}
+        # The deep ids, in intern order.
+        self._deep_ids = itertools.count(end)
 
     @functools.cached_property
     def _down(self) -> dict[str, list[str]]:
@@ -295,8 +257,7 @@ class GroundUniverse:
                 deepest, rank = self._place(kids)
                 i = self._starts[head][deepest] + rank
             else:
-                i = self.dense + len(self._deep)
-                self._deep.append(key)
+                i = next(self._deep_ids)
             self._ids[key] = i
             self.heads[i] = head
             self.kids[i] = kids
@@ -370,33 +331,58 @@ class GroundUniverse:
         self.kids[x] = tuple(kids)
 
     def prec(self, v: Variance, a: int, b: int) -> bool:
-        """a prec_v b: a bit test when both ids are dense, else one
-        structural recursion: the heads relate at v, and the children
-        at each position of variance w relate at compose(v, w).  So `=`
-        asks for heads related both ways and equivalent children at
-        every position that is not `~`, one call per pair of children,
-        not one per direction at every level.  A deep id's head and
-        children are read from the list `_deep`, not from `heads` and
-        `kids`: CPython does not specialise subscripts of a dict
-        subclass, and they took 20% of this method's time."""
+        """a prec_v b, by one structural recursion for any two ids,
+        dense or deep, that reads no row: the heads relate at v, and the
+        children at each position of variance w relate at compose(v, w).
+        So `=` asks for heads related both ways and equivalent children
+        at every position that is not `~`, one call per pair of
+        children, not one per direction at every level."""
         if v is IRR or a == b:
             return True
-        n = self.dense
-        if a < n and b < n:
-            return self.rows[v](a) >> b & 1 == 1
-        h, xs = self._deep[a - n] if a >= n else (self.heads[a], self.kids[a])
-        g, ys = self._deep[b - n] if b >= n else (self.heads[b], self.kids[b])
+        heads, kids = self.heads, self.kids
+        h, g = heads[a], heads[b]
         if (v is not CONTRA and g not in self._up[h]
                 or v is not COV and h not in self._up[g]):
             return False
-        for w, x, y in zip(self._variances[h], xs, ys):
+        for w, x, y in zip(self._variances[h], kids[a], kids[b]):
             if not self.prec(compose(v, w), x, y):
                 return False
         return True
 
     def row(self, v: Variance, a: int) -> int:
-        """The set of dense ids b with a prec_v b."""
-        return self.rows[v](a)
+        """The set of dense ids b with a prec_v b: `le[a]` at `+`, `ge[a]`
+        at `-`, both at `=`, and every id at `~`.
+
+        A universe of depth d holds every type of depth <= d.  So the
+        dense ids related at v to a = h(k_1..k_n) are those of the types
+        g(j_1..j_n), where g is a head related to h at v and each j_p is
+        an id of depth < d in row(compose(v, w_p), k_p), w_p being h's
+        variance at p (the edges between heads preserve variances, so it
+        is g's too).  A `~` position needs no case of its own: its row is
+        full.  A tuple whose deepest child has depth k is g's id
+        `_starts[g][k]` plus its rank in that block (`_place`)."""
+        if v is COV:
+            rows = self.le
+        elif v is CONTRA:
+            rows = self.ge
+        elif v is INV:
+            return self.row(COV, a) & self.row(CONTRA, a)
+        else:
+            return self.full
+        row = rows.get(a)
+        if row is None:
+            h = self.heads[a]
+            near = self._up[h] if v is COV else self._down[h]
+            starts = [self._starts[g] for g in near]
+            cols = [_members(self.row(compose(v, w), k) & self.within[-2])
+                    for w, k in zip(self._variances[h], self.kids[a])]
+            row = 0
+            for kids in itertools.product(*cols):
+                deepest, rank = self._place(kids)
+                for s in starts:
+                    row |= 1 << s[deepest] + rank
+            rows[a] = row
+        return row
 
     def type(self, i: int) -> TypeExpr:
         """The type tree of id i, built once."""
@@ -432,11 +418,10 @@ class SemanticOracle:
     """Subtyping on type expressions, and the per-variance relations of
     a universe.  Type expressions are interned into the oracle's own
     universe of depth 1, which holds every constant whatever their
-    number: constants are its dense ids and compare by rows, and every
-    other type is a deep id and compares structurally."""
+    number: constants are its dense ids, every other type is a deep id,
+    and any two compare structurally (`GroundUniverse.prec`)."""
 
     def __init__(self, sig: Signature):
-        self.sig = sig
         self.table = enumerate_types(sig, 1, cap=len(sig.ctors))
 
     def subtype(self, a: TypeExpr, b: TypeExpr) -> bool:
@@ -715,11 +700,11 @@ def _reach(u: GroundUniverse, v: Variance, w: Variance
     """
     if var_leq(v, w):
         return lambda at, cands: cands
-    row = u.rows[w]
+    row = u.row
     if var_leq(w, v):
-        return lambda at, cands: row(at)
+        return lambda at, cands: row(w, at)
     return lambda at, cands: functools.reduce(
-        operator.or_, map(row, _members(cands)))
+        operator.or_, map(row, itertools.repeat(w), _members(cands)))
 
 
 class _Bound(NamedTuple):
@@ -940,10 +925,10 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     reads no row.  A safe group with a deeper bound is searched, so
     that a bound with no instance in the universe is reported vacuous.
     Each bound's tests are compiled once (`_Bound`), so an assignment
-    costs one instance, one candidate row and one reach set per bound.
-    The reach sets per parameter (`reach_sets`) and the sigma' search
-    (`first_failing`) are made only at an assignment where some reach
-    set is wider than its candidates.
+    costs one instance, one candidate row and one reach set per bound,
+    and each reach set is kept per parameter as it is computed.  The
+    sigma' search (`first_failing`) is made only at an assignment where
+    some reach set is wider than its candidates.
 
     Both quantifiers are decided coordinate by coordinate.  The witness
     rho' is found by inversion through each bound (`_witnessed`): the
@@ -971,16 +956,6 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
     ws = d.param_variances()
     groups = _groups(sig, u, d, norm)
     row = u.row
-
-    def reach_sets(g: _Group, r: tuple[int, ...]) -> list[Optional[int]]:
-        """Per parameter of g, its reach set at g's assignment r, the
-        ids above some candidate: the union of the sigma' ranges of all
-        sigma.  None outside g."""
-        reach: list[Optional[int]] = [None] * len(ws)
-        for b in g.bounds:
-            i = b.at(r)
-            reach[b.param] = b.reach(i, row(b.v, i))
-        return reach
 
     def first_failing(part: Sequence[tuple[_Group, tuple[int, ...]]],
                       reach: Sequence[Optional[int]]) -> Optional[tuple]:
@@ -1013,29 +988,30 @@ def req_sp(sig: Signature, u: GroundUniverse, d: DatatypeDecl,
             firsts.append(((0,) * len(g.coords), None))
             continue
         first = bad = None
-        # Where every reach set is its candidate set, each sigma'
-        # satisfies the constraints at r, so r itself is a witness and
-        # no sigma' fails.
-        tests = [(b.at, u.rows[b.v], b.reach) for b in g.bounds]
+        # Per parameter of g, its reach set at the assignment r, the ids
+        # above some candidate: the union of the sigma' ranges of all
+        # sigma.  None outside g.
+        reach: list[Optional[int]] = [None] * len(ws)
         for r in itertools.product(*_narrowed(u, g.walks, len(g.coords))):
             visited += 1
             # Whether every parameter has a candidate, and some reach set
-            # is wider than its candidates; the per-parameter lists are
-            # built only then.
+            # is wider than its candidates.  Where every reach set is its
+            # candidate set, each sigma' satisfies the constraints at r,
+            # so r itself is a witness and no sigma' fails.
             wide = False
-            for at, cands, reach in tests:
+            for p, v, at, reach_of in g.bounds:
                 i = at(r)
-                s = cands(i)
+                s = row(v, i)
                 if not s:
                     break
-                wide = wide or reach(i, s) != s
+                reach[p] = t = reach_of(i, s)
+                wide = wide or t != s
             else:
                 if first is None:
                     first = r
                     if g.safe:
                         break
-                if wide and first_failing(
-                        [(g, r)], reach_sets(g, r)) is not None:
+                if wide and first_failing([(g, r)], reach) is not None:
                     bad = r
                     break
         if first is None:

@@ -107,7 +107,7 @@ class VarianceContext(Mapping[str, Variance]):
     iteration and rendering are stable.  Hashable, usable as a memo key.
     """
 
-    __slots__ = ("_entries", "_index", "_hash", "_domain", "_variances")
+    __slots__ = ("_entries", "_index", "_domain", "_variances")
 
     def __init__(self, entries: Iterable[tuple[str, Variance]]):
         entries = tuple(entries)
@@ -116,7 +116,6 @@ class VarianceContext(Mapping[str, Variance]):
             raise ValueError("duplicate variable in context")
         self._entries = entries
         self._index = index
-        self._hash = hash(entries)
         self._domain = tuple(index)
         self._variances = tuple(index.values())
 
@@ -140,7 +139,7 @@ class VarianceContext(Mapping[str, Variance]):
         return len(self._entries)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._entries)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, VarianceContext):

@@ -333,9 +333,9 @@ class TestRobustness:
         bases.write_text("".join(f"base b{i}\n" for i in range(9))
                          + "type (+'a) box = B of 'a\n")
 
-        def missing(self, x):
+        def row(self, v, a):
             raise AssertionError("rows built past the cap")
-        monkeypatch.setattr(vgadt.oracle._Rows, "__missing__", missing)
+        monkeypatch.setattr(vgadt.oracle.GroundUniverse, "row", row)
         code, out, err = invoke("oracle", "--depth=3", bases)
         assert out == ""
         self.assert_one_line_error(

@@ -195,7 +195,7 @@ def test_head_ids_are_the_heads_of_the_dense_ids(name, depth):
 def test_universe_is_a_product(name):
     """Every head over every tuple of ids of depth < d is a universe
     type, and `intern` gives its id: a row's members are read off this
-    product (`_Rows`)."""
+    product (`GroundUniverse.row`)."""
     u = get_universe(name, 3)
     n = len(u)
     ids = {(u.heads[i], u.kids[i]): i for i in range(n)}
