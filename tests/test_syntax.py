@@ -315,14 +315,11 @@ class TestNormalization:
     def test_fresh_name_skips_an_existential_in_use(self):
         """'a's fresh name would be a1, which K already binds, so it is
         a2; the checker accepts the result with both covariant."""
-        decl, k = self._decl(
-            "type (+'a, +'b) t = K : 'a1 ['b = 'a1]. 'a * 'a1\n")
-        norm = normalize_constructor(decl, k)
+        text = "type (+'a, +'b) t = K : 'a1 ['b = 'a1]. 'a * 'a1\n"
+        norm = normalize_constructor(*self._decl(text))
         assert norm.exist_vars == ("a1", "a2")
         assert norm.constraints[0].bound == tvar("a2")
-        (verdict,) = check_signature(parse_signature(
-            "type (+'a, +'b) t = K : 'a1 ['b = 'a1]. 'a * 'a1\n"),
-            "exact").verdicts
+        (verdict,) = check_signature(parse_signature(text), "exact").verdicts
         assert verdict.accepted
         assert dict(verdict.gamma) == {"a1": COV, "a2": COV}
 
